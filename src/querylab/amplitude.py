@@ -63,9 +63,12 @@ ESTIMATE_BUDGET_CONSTANT = 1300
 
 # Growth factor of the iterate-depth bound between rounds. Slower growth
 # wastes rounds (each costs a preparation) before the depth reaches 1/a;
-# faster growth overshoots past the first useful depth window. 1.5 keeps the
-# measured query count within a few percent of linear in 1/a across
-# a in [0.05, 0.4] while preserving the expected O(1/a) bound.
+# faster growth overshoots past the first useful depth window. With 1.5 the
+# query count was measured to scale linearly in 1/a across a in [0.05, 0.4]
+# (log-log slope 1.03 over 600 seeds per a; tests/test_amplitude.py requires
+# 0.85-1.15). That is a measurement, not a proof: the expected O(1/a) bound
+# of Boyer, Brassard, Hoyer and Tapp (quant-ph/9605034) is proven only for
+# growth 1 < lambda < 4/3.
 AMPLIFY_GROWTH = 1.5
 AMPLIFY_DEFAULT_CAP = 10**6
 
@@ -370,10 +373,11 @@ def amplitude_amplify(oracle: PreparationOracle, rng, cap: int = AMPLIFY_DEFAULT
 
     Classic exponential schedule: each round draws an iterate depth uniformly
     below a bound that grows by AMPLIFY_GROWTH, measures the flag, and stops
-    on a hit, collapsing onto the flagged component. Expected queries are
-    O(1/a). A round that would push the run past `cap` oracle calls is not
-    started; the run then ends as a documented failure (success=False,
-    state=None), which is the guaranteed outcome at zero amplitude.
+    on a hit, collapsing onto the flagged component. Expected queries were
+    measured, not proven, to be O(1/a) at this growth (see AMPLIFY_GROWTH).
+    A round that would push the run past `cap` oracle calls is not started;
+    the run then ends as a documented failure (success=False, state=None),
+    which is the guaranteed outcome at zero amplitude.
     """
     f0, i0 = oracle.forward_queries, oracle.inverse_queries
     scale = 1.0

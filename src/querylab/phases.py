@@ -14,6 +14,7 @@ All distribution functions work with integer exponents ``k`` in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,6 +212,19 @@ class MomentTable:
         return self._table
 
 
+@lru_cache(maxsize=64)
+def _guide_table(eps: float, q: int) -> tuple:
+    # CDF with its last entry pinned to 1, a power-of-two bucket count B >= 4q,
+    # and guide[j] = the inverse-CDF answer at the left edge j/B of bucket j.
+    cdf = np.cumsum(pmf_vector(eps, q))
+    cdf[-1] = 1.0
+    buckets = 1 << (4 * q - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right").astype(np.int64)
+    cdf.flags.writeable = False
+    guide.flags.writeable = False
+    return cdf, guide, buckets
+
+
 def sample_exponents(eps: float, q: int, rng: np.random.Generator, size=None):
     """Draw exponents from the bias-``eps`` distribution by inverse CDF.
 
@@ -218,14 +232,28 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size=None):
     produce identical exponent streams for any two biases that share a pmf
     (in particular, every kind of draw at ``eps = 0`` matches plain uniform
     sampling draw-for-draw).
+
+    The inverse CDF is an exact guide table (Chen & Asau's indexed search): a
+    uniform ``u`` starts at ``guide[floor(u*B)]`` and steps up while
+    ``u >= cdf[k]``. The bucket count B is a power of two, so ``u*B`` and
+    the bucket edges ``j/B`` are exact; ``j/B <= u`` makes each guide entry a
+    lower bound on the answer, and stepping stops at the first CDF value
+    above ``u``. The result is therefore ``searchsorted(cdf, u, "right")``
+    for every ``u``, including ``u`` exactly on a CDF value. A draw takes at
+    most one step when every pmf entry exceeds 1/B (any bias below 3/4);
+    larger biases step over the flat or nearly flat CDF runs they create.
     """
-    cdf = np.cumsum(pmf_vector(eps, q))
-    cdf[-1] = 1.0
+    cdf, guide, buckets = _guide_table(_check_bias(eps), _check_order(q))
     u = rng.random(size)
-    out = np.searchsorted(cdf, u, side="right")
+    flat = np.ravel(u)
+    k = guide[(flat * buckets).astype(np.intp)]
+    moving = np.flatnonzero(flat >= cdf[k])
+    while moving.size:
+        k[moving] += 1
+        moving = moving[flat[moving] >= cdf[k[moving]]]
     if size is None:
-        return int(out)
-    return out.astype(np.int64)
+        return int(k[0])
+    return k.reshape(np.shape(u))
 
 
 def sample_phase(eps: float, q: int, rng: np.random.Generator) -> CyclicPhase:

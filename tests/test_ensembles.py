@@ -115,6 +115,16 @@ class TestDraw:
         b = draw(EnsembleSpec("biased", 20, 8, bias=0.0), np.random.default_rng(9))
         assert np.array_equal(a.exponents, b.exponents)
 
+    @pytest.mark.parametrize("q", [2, 3, 257, 1024])
+    @pytest.mark.parametrize("global_phase", [False, True])
+    def test_zero_bias_matches_uniform_stream_large_d(self, q, global_phase):
+        a = draw(EnsembleSpec("uniform", 50_000, q, randomize_global_phase=global_phase),
+                 np.random.default_rng(q))
+        b = draw(EnsembleSpec("biased", 50_000, q, bias=0.0,
+                              randomize_global_phase=global_phase),
+                 np.random.default_rng(q))
+        assert np.array_equal(a.exponents, b.exponents)
+
 
 class TestNormalizedTrace:
     def test_identity_oracle(self):
@@ -139,6 +149,15 @@ class TestNormalizedTrace:
         m = float(np.mean(vals))
         assert eps / 2 < m < eps
         assert abs(m - eps * phase_mean(1.0, q)) < 0.01
+
+    # 16,384 complex entries are 256 KiB, where numpy starts eliding
+    # temporaries, so the two sizes take different multiply orders
+    @pytest.mark.parametrize("d", [4096, 65_536])
+    @pytest.mark.parametrize("turns", [0, 1, -1])
+    def test_histogram_trace_matches_entry_sum(self, d, turns):
+        base = draw(EnsembleSpec("biased", d, 257, bias=0.3), np.random.default_rng(d))
+        u = base.compose_ramp(turns)
+        assert abs(normalized_trace(u) - u.values.sum() / d) <= 1e-15
 
     def test_expected_trace_cross_module(self):
         spec = EnsembleSpec("biased", 4, 8, bias=0.37)

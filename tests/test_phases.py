@@ -16,6 +16,16 @@ from querylab.phases import (
 )
 
 
+class _FixedStream:
+    """Stub generator handing out a fixed array of uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u.reshape(size)
+
+
 class TestCyclicPhase:
     def test_exponent_reduced_and_value(self):
         p = CyclicPhase(exponent=11, order=8)
@@ -229,6 +239,25 @@ class TestSampling:
         u = np.random.default_rng(42).random(50)
         b = np.minimum((u * 8).astype(np.int64), 7)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.45, 1.0])
+    @pytest.mark.parametrize("q", [2, 3, 8, 257, 1024])
+    def test_matches_searchsorted_exactly(self, eps, q):
+        # reference: a binary search of the same cumsum CDF; the inputs add
+        # every CDF value, both of its float neighbours and the dyadic
+        # bucket edges to 10^6 random uniforms
+        cdf = np.cumsum(pmf_vector(eps, q))
+        cdf[-1] = 1.0
+        edges = np.arange(2**13) / 2**13
+        special = np.concatenate([cdf, edges])
+        u = np.concatenate([
+            np.random.default_rng(q).random(10**6), special,
+            np.nextafter(special, 0.0), np.nextafter(special, 1.0), [0.0],
+        ])
+        u = u[u < 1.0]
+        got = sample_exponents(eps, q, _FixedStream(u), size=u.size)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
     def test_scalar_sample(self):
         p = sample_phase(0.5, 8, np.random.default_rng(1))

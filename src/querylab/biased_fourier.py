@@ -24,7 +24,6 @@ __all__ = [
     "build_biased_frame",
     "frame_matrix",
     "singular_spectrum",
-    "singular_window",
     "overlap_bound_check",
     "moment_power_sum",
     "frame_summary",
@@ -91,12 +90,6 @@ def singular_spectrum(q: int, eps: float) -> np.ndarray:
     return np.linalg.svd(frame_matrix(q, eps), compute_uv=False)
 
 
-def singular_window(q: int, eps: float) -> tuple:
-    """(smallest, largest) singular value of the frame matrix."""
-    s = singular_spectrum(q, eps)
-    return float(s[-1]), float(s[0])
-
-
 def overlap_bound_check(q: int, eps: float, k: int) -> float:
     """Mass of frame column k inside the span of the previous orthonormal columns.
 
@@ -131,9 +124,16 @@ def moment_power_sum(eps: float, q: int) -> float:
 
 
 def frame_summary(q: int, eps: float) -> dict:
-    """One sweep row: retained-weight floor, singular window, worst overlap."""
+    """One sweep row: retained-weight floor, singular values, worst overlap.
+
+    The frame's one SVD gives the singular window and ``singular_gap``, the
+    largest distance between the singular values and their closed form
+    ``sqrt(q * pmf)``, compared in sorted order.
+    """
+    # the SVD runs first, so its workspace is freed before the basis is built
+    spectrum = singular_spectrum(q, eps)
     basis = build_biased_frame(q, eps)
-    smin, smax = singular_window(q, eps)
+    target = np.sqrt(q * pmf_vector(eps, q))
     # column k's overlap with the span of its predecessors is the squared
     # mass of its strictly-upper coefficients
     upper = np.triu(np.abs(basis.coeffs) ** 2, 1)
@@ -141,7 +141,8 @@ def frame_summary(q: int, eps: float) -> dict:
         "q": q,
         "eps": eps,
         "min_alpha_sq": float((basis.alphas**2).min()),
-        "sigma_min": smin,
-        "sigma_max": smax,
+        "sigma_min": float(spectrum[-1]),
+        "sigma_max": float(spectrum[0]),
+        "singular_gap": float(np.abs(np.sort(spectrum) - np.sort(target)).max()),
         "max_overlap": float(upper.sum(axis=0).max()),
     }

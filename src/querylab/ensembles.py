@@ -81,9 +81,12 @@ class DiagonalOracle:
             raise ParameterError(f"phase order must be >= 2, got {q!r}")
         if d < 1:
             raise ParameterError(f"dimension must be >= 1, got {d!r}")
-        e = np.asarray(self.exponents, dtype=np.int64) % q
+        # a private copy: freezing it must not freeze the caller's array
+        e = np.array(self.exponents, dtype=np.int64)
         if e.shape != (d,):
             raise DimensionError(f"exponent vector shape {e.shape} does not match d={d}")
+        if e.min() < 0 or e.max() >= q:
+            e %= q
         e.flags.writeable = False
         object.__setattr__(self, "exponents", e)
         object.__setattr__(self, "order", q)

@@ -3,6 +3,9 @@
 Every sweep derives one child seed per grid cell from the master seed and the
 cell's position, so rows are reproducible in isolation and the assembled
 output is byte-identical for a fixed config regardless of the worker count.
+The cell pool is the only parallel layer: each sweep runs with OpenBLAS
+pinned to one thread, which also keeps the bytes independent of the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .amplitude import (
     distinguish_by_estimation,
     estimate_budget,
 )
-from .biased_fourier import frame_summary, singular_spectrum
+from .biased_fourier import frame_summary
+from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .ensembles import (
     EnsembleSpec,
@@ -34,7 +38,7 @@ from .families import (
     random_interleaved_circuit,
 )
 from .linalg import StateVector, partial_trace, trace_distance
-from .phases import phase_mean, pmf_vector
+from .phases import phase_mean
 from .query_sim import average_density, run_purified
 
 __all__ = [
@@ -95,6 +99,7 @@ def _map_cells(fn, args_list, jobs: int):
 # --------------------------------------------------------------- lemma suite
 
 
+@one_blas_thread()
 def lemma_rows(q_grid, eps_grid, master_seed: int = 0, jobs: int = 1) -> list:
     """Spectral-window, basis-quality, overlap, and mean-window checks.
 
@@ -112,9 +117,7 @@ def lemma_rows(q_grid, eps_grid, master_seed: int = 0, jobs: int = 1) -> list:
                     summary["sigma_min"] >= lo))
         out.append(("singular_high", (q, eps), summary["sigma_max"], hi,
                     summary["sigma_max"] <= hi))
-        spectrum = np.sort(singular_spectrum(q, eps))
-        target = np.sort(np.sqrt(q * pmf_vector(eps, q)))
-        gap = float(np.abs(spectrum - target).max())
+        gap = summary["singular_gap"]
         out.append(("singular_match", (q, eps), gap, 1e-10, gap <= 1e-10))
         sharp = 1.0 - 2.0 * eps**2 / (1.0 - eps) - 1e-9 if eps < 1.0 else 0.0
         # same numeric slack as the sharp bound; exact at eps=0 up to rounding
@@ -233,6 +236,7 @@ _INVERSE_D = 4
 _INVERSE_N = 8
 
 
+@one_blas_thread()
 def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Forward-ceiling cells plus the inverse-family block.
 
@@ -332,6 +336,7 @@ def _distinguisher_trial(method: str, eps: float, d: int, q: int, seed: int):
     return truth, out
 
 
+@one_blas_thread()
 def endtoend_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
     """Success rates with Wilson intervals, query accounting, budget ratios.
 
@@ -409,6 +414,7 @@ def endtoend_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
 _TAIL_MULTIPLIERS = (0.3, 0.5)
 
 
+@one_blas_thread()
 def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Hoeffding-tail rows and the two calibrated trace-gap rows.
 

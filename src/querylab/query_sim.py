@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -244,14 +243,12 @@ def _layout(p: PurifiedState):
 
 
 def average_density(p: PurifiedState, eps: float, q: int,
-                    jobs: int = 1, block: int = 512) -> AveragedOutput:
+                    block: int = 512) -> AveragedOutput:
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
     The weight matrix is never materialized whole: each row block looks the
     per-coordinate exponent differences up in a shared moment table, so the
-    cost is O(K^2 d / block) lookups and one small matmul per block. Results
-    are bit-identical for any ``jobs`` because partial sums are reduced in
-    block order.
+    cost is O(K^2 d / block) lookups and one small matmul per block.
     """
     dim = p.d * p.aux_dim
     if not p.components:
@@ -261,7 +258,6 @@ def average_density(p: PurifiedState, eps: float, q: int,
     table = _moment_table(float(eps), int(q), span).values
     conj = vecs.conj()
     nkeys = len(keys)
-    starts = list(range(0, nkeys, max(1, int(block))))
 
     def partial(a: int) -> np.ndarray:
         b = min(a + block, nkeys)
@@ -270,14 +266,9 @@ def average_density(p: PurifiedState, eps: float, q: int,
             w *= table[(expo[a:b, i, None] - expo[None, :, i]) + span]
         return vecs[a:b].T @ w @ conj
 
-    if jobs and jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            parts = list(pool.map(partial, starts))
-    else:
-        parts = [partial(a) for a in starts]
     rho = np.zeros((dim, dim), dtype=complex)
-    for part in parts:
-        rho += part
+    for a in range(0, nkeys, max(1, int(block))):
+        rho += partial(a)
     rho = (rho + rho.conj().T) / 2
     return AveragedOutput(
         density=DensityMatrix(rho, (p.d, p.aux_dim)), bias=float(eps), order=int(q)
@@ -339,26 +330,19 @@ def brute_force_average(circuit: QueryCircuit, eps: float, q: int,
 
 
 def distinguishing_advantage(circuit: QueryCircuit, eps: float, q: int,
-                             initial: StateVector = None, jobs: int = 1,
+                             initial: StateVector = None,
                              key_cap: int = DEFAULT_KEY_CAP) -> float:
     """Trace distance between the bias-0 and bias-eps averaged outputs.
 
     The histogram decomposition is bias-independent, so the circuit runs
-    once; the two averages can be evaluated concurrently. The implied success
-    probability of the best single-shot distinguisher is
-    ``1/2 + advantage/2``.
+    once. The implied success probability of the best single-shot
+    distinguisher is ``1/2 + advantage/2``.
     """
     p = run_purified(circuit, initial, key_cap=key_cap)
     if eps == 0.0:
         return 0.0
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f0 = pool.submit(average_density, p, 0.0, q)
-            f1 = pool.submit(average_density, p, eps, q)
-            rho0, rho1 = f0.result(), f1.result()
-    else:
-        rho0 = average_density(p, 0.0, q)
-        rho1 = average_density(p, eps, q)
+    rho0 = average_density(p, 0.0, q)
+    rho1 = average_density(p, eps, q)
     return trace_distance(rho0.density, rho1.density)
 
 

@@ -9,7 +9,6 @@ from querylab.biased_fourier import (
     moment_power_sum,
     overlap_bound_check,
     singular_spectrum,
-    singular_window,
 )
 from querylab.linalg import dft_matrix
 from querylab.phases import phase_moment, pmf_vector, window_halfwidth
@@ -85,13 +84,15 @@ class TestSingularWindow:
         assert np.abs(s - expect).max() < 1e-10
 
     def test_half_bias_extremes(self):
-        smin, smax = singular_window(8, 0.5)
+        s = singular_spectrum(8, 0.5)
+        smin, smax = s.min(), s.max()
         assert smax == pytest.approx(np.sqrt(1.3), abs=1e-10)
         assert smin == pytest.approx(np.sqrt(0.5), abs=1e-10)
 
     def test_window_bounds(self):
         for q, eps in [(8, 0.1), (16, 0.3), (32, 0.45), (8, 0.5), (64, 0.25)]:
-            smin, smax = singular_window(q, eps)
+            s = singular_spectrum(q, eps)
+            smin, smax = s.min(), s.max()
             assert smin >= np.sqrt(1 - eps) - 1e-10
             assert smax <= np.sqrt(1 + 2 * eps) + 1e-10
 
@@ -148,7 +149,11 @@ class TestProjectionProperty:
 class TestSummary:
     def test_row_fields_and_consistency(self):
         row = frame_summary(16, 0.3)
-        assert set(row) == {"q", "eps", "min_alpha_sq", "sigma_min", "sigma_max", "max_overlap"}
+        assert set(row) == {"q", "eps", "min_alpha_sq", "sigma_min", "sigma_max",
+                            "singular_gap", "max_overlap"}
+        s = singular_spectrum(16, 0.3)
+        assert (row["sigma_min"], row["sigma_max"]) == (s[-1], s[0])
+        assert row["singular_gap"] <= 1e-10
         assert row["min_alpha_sq"] >= 1 - 2 * 0.3**2 / 0.7 - 1e-10
         assert row["max_overlap"] <= 2 * 0.3**2 / 0.7 + 1e-10
         assert row["sigma_min"] >= np.sqrt(0.7) - 1e-10

@@ -3,13 +3,15 @@
 import ast
 import csv
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from querylab import cli, experiments
+from querylab import biased_fourier, blas, cli, experiments
 from querylab.config import (
     KINDS,
     ExperimentConfig,
@@ -119,6 +121,23 @@ def test_lemma_rows_pass_on_small_grid():
     kinds = {r.kind for r in rows}
     assert "singular_match" in kinds and "mean_limit" in kinds
     assert "mean_window" not in kinds  # both q below the window threshold
+
+
+def test_lemma_cell_runs_one_svd_and_two_frame_builds(monkeypatch):
+    calls = {"svd": 0, "frame": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(biased_fourier, "frame_matrix",
+                        counted("frame", biased_fourier.frame_matrix))
+    rows = experiments.lemma_rows((8,), (0.1,), jobs=1)
+    assert calls == {"svd": 1, "frame": 2}
+    assert all(r.passed for r in rows)
 
 
 def test_lemma_rows_mean_window_only_for_large_q():
@@ -272,6 +291,72 @@ def test_cli_csv_is_byte_identical_across_jobs(tmp_path, capsys):
     assert header[0] == "# querylab 0.1.0"
     assert "# kind = concentration" in header
     assert not any("jobs" in ln for ln in header if ln.startswith("#"))
+
+
+def test_separation_csv_independent_of_jobs_and_blas_threads(tmp_path):
+    # every sweep pins OpenBLAS to one thread, so neither the worker count
+    # nor the BLAS thread count the process starts with moves a byte
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("QUERYLAB_JOBS", "QUERYLAB_OUT", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    outs = {}
+    for jobs in (1, 2):
+        for threads in (1, 2):
+            out = tmp_path / f"sep_j{jobs}_t{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "querylab", "separation", "--jobs", str(jobs),
+                 "--out", str(out)],
+                env={**base, "OPENBLAS_NUM_THREADS": str(threads)},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs[jobs, threads] = out.read_bytes()
+    assert len(set(outs.values())) == 1
+
+
+TINY_SWEEPS = {
+    "lemmas": lambda: experiments.lemma_rows((8,), (0.1,), jobs=2),
+    "separation": lambda: experiments.separation_rows(ExperimentConfig(
+        "separation", eps=(0.1, 0.2), d=(2,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
+    "endtoend": lambda: experiments.endtoend_rows(ExperimentConfig(
+        "endtoend", eps=(0.1,), d=(500,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
+    "concentration": lambda: experiments.concentration_rows(ExperimentConfig(
+        "concentration", eps=(0.2,), d=(500,), q=(8,), n=(1,), trials=100, seed=0,
+        cap=10**5), 2),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(TINY_SWEEPS))
+def test_sweeps_run_at_one_blas_thread_and_restore_it(sweep, monkeypatch):
+    controls = blas._controls()
+    if controls is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    get, put = controls
+    before = get()
+    put(2)
+    outer = get()  # 2, or fewer where OpenBLAS was built for fewer threads
+    seen, fail = [], []
+    real = experiments._map_cells
+
+    def spy(fn, args_list, jobs):
+        seen.append(get())
+        if fail:
+            raise RuntimeError("cell pool failed")
+        return real(fn, args_list, jobs)
+
+    monkeypatch.setattr(experiments, "_map_cells", spy)
+    try:
+        TINY_SWEEPS[sweep]()
+        assert seen and set(seen) == {1}
+        assert get() == outer
+        seen.clear()
+        fail.append(True)
+        with pytest.raises(RuntimeError, match="cell pool failed"):
+            TINY_SWEEPS[sweep]()
+        assert seen == [1]
+        assert get() == outer
+    finally:
+        put(before)
 
 
 def test_cli_verify_lemmas_zero_bias_only(tmp_path):

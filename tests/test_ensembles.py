@@ -58,6 +58,17 @@ class TestDiagonalOracle:
         with pytest.raises(ValueError):
             u.exponents[0] = 3
 
+    def test_exponents_copied_from_caller(self):
+        # out-of-range entries are reduced, in-range ones kept; either way the
+        # oracle holds a frozen copy and the caller's array stays writeable
+        for raw, want in (([9, -1, 16, 3], [1, 7, 0, 3]), ([0, 7, 3, 1], [0, 7, 3, 1])):
+            mine = np.array(raw)
+            u = DiagonalOracle(mine, order=8, dimension=4)
+            assert list(u.exponents) == want
+            assert u.exponents.dtype == np.int64 and not u.exponents.flags.writeable
+            assert mine.flags.writeable and list(mine) == raw
+            assert not np.shares_memory(mine, u.exponents)
+
     def test_ramp_compose_roundtrip(self):
         u = DiagonalOracle(np.array([1, 2, 3, 4]), order=8, dimension=4, ramp_turns=1)
         back = u.compose_ramp(-1)

@@ -2,14 +2,14 @@
 
 Library layout:
 
-- ``phases``: biased distributions over order-q roots of unity and their moments.
-- ``linalg``: statevectors, density matrices, gates, measurements.
+- ``phases``: biased distributions over order-q roots of unity, their moments and moment table.
+- ``linalg``: statevectors, density matrices, partial trace, trace distance, the unitarity check.
 - ``ensembles``: diagonal-oracle ensembles and their normalized-trace statistics.
 - ``biased_fourier``: near-orthonormal frames built from biased phase columns.
-- ``query_sim``: query circuits, exact purified averaging, distinguishing advantage.
-- ``families``: circuit generators (amplification probes, random circuits).
+- ``query_sim``: query circuits and exact purified averaging.
+- ``families``: probe pieces and circuit generators (amplification probes, random circuits).
 - ``amplitude``: amplitude estimation and amplification against black-box preparations.
-- ``experiments``: parameter sweeps behind the CLI subcommands.
+- ``experiments``: parameter sweeps behind the CLI subcommands, and the advantage profile.
 - ``config``: experiment configs and their key=value file format.
 - ``cli``: the ``querylab`` command-line harness.
 """

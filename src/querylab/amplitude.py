@@ -22,7 +22,8 @@ import numpy as np
 
 from .ensembles import DiagonalOracle, normalized_trace
 from .errors import DegeneracyError, DimensionError, ParameterError
-from .linalg import StateVector, dft_matrix, gram_schmidt
+from .families import probe_pieces
+from .linalg import StateVector, checked_unitary, dft_matrix, gram_schmidt
 
 __all__ = [
     "PreparationOracle",
@@ -150,11 +151,7 @@ class DensePreparation(PreparationOracle):
     """Preparation given by an explicit unitary and a flagged-index mask."""
 
     def __init__(self, matrix: np.ndarray, good_mask: np.ndarray, register_dims=None):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"preparation matrix must be square, got {m.shape}")
-        if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > 1e-10:
-            raise ParameterError("preparation matrix is not unitary within 1e-10")
+        m = checked_unitary(matrix, "preparation matrix")
         mask = np.array(good_mask, dtype=bool)
         if mask.shape != (m.shape[0],):
             raise DimensionError("flag mask length must match the matrix dimension")
@@ -416,27 +413,22 @@ def uniform_ramp_unitary(d: int) -> np.ndarray:
     return np.column_stack(ortho)
 
 
-def _pair_flip_matrix(d: int) -> np.ndarray:
-    z = np.eye(2 * d)
-    z[[0, 1]] = z[[1, 0]]
-    z[[2, 3]] = z[[3, 2]]
-    return z
-
-
 def _dense_probe_matrix(oracle: DiagonalOracle, variant: str) -> np.ndarray:
+    # the trace probe flags index 0 after the DFT; the paired probe flags
+    # indices 0 and 1 after the ramp unitary
     d = oracle.dimension
     if variant == "trace":
-        t = dft_matrix(d)
-        z = np.eye(2 * d)
-        z[[0, 1]] = z[[1, 0]]
+        ti, tdi, z = probe_pieces(dft_matrix(d))
     else:
-        t = uniform_ramp_unitary(d)
-        z = _pair_flip_matrix(d)
-    eye2 = np.eye(2)
-    ti = np.kron(t, eye2)
-    tdi = np.kron(t.conj().T, eye2)
+        ti, tdi, z = probe_pieces(uniform_ramp_unitary(d), flagged=(0, 1))
     diag = np.repeat(oracle.values, 2)
     return z @ (tdi @ (diag[:, None] * ti))
+
+
+def _dense_probe(oracle: DiagonalOracle, variant: str) -> DensePreparation:
+    d = oracle.dimension
+    return DensePreparation(_dense_probe_matrix(oracle, variant),
+                            np.tile([False, True], d), register_dims=(d, 2))
 
 
 _DENSE_PROBE_LIMIT = 64
@@ -454,9 +446,7 @@ def trace_probe(oracle: DiagonalOracle, method: str = "auto") -> PreparationOrac
         raise ParameterError(f"unknown probe method {method!r}")
     d = oracle.dimension
     if method == "dense" or (method == "auto" and d <= _DENSE_PROBE_LIMIT):
-        matrix = _dense_probe_matrix(oracle, "trace")
-        mask = np.tile([False, True], d)
-        return DensePreparation(matrix, mask, register_dims=(d, 2))
+        return _dense_probe(oracle, "trace")
     ntr = normalized_trace(oracle)
 
     def factory():
@@ -480,9 +470,7 @@ def pair_probe(oracle: DiagonalOracle, method: str = "auto") -> PreparationOracl
     if d < 2:
         raise ParameterError(f"pair probe needs dimension >= 2, got {d}")
     if method == "dense" or (method == "auto" and d <= _DENSE_PROBE_LIMIT):
-        matrix = _dense_probe_matrix(oracle, "paired")
-        mask = np.tile([False, True], d)
-        return DensePreparation(matrix, mask, register_dims=(d, 2))
+        return _dense_probe(oracle, "paired")
     alpha = normalized_trace(oracle)
     beta = normalized_trace(oracle.compose_ramp(-1))
     return PairedPreparation(alpha, beta, d)

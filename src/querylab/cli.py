@@ -18,22 +18,18 @@ from . import __version__
 from .config import KINDS, ExperimentConfig, config_to_text, default_config, load_config
 from .errors import ConfigError, QuerylabError
 from .experiments import (
+    advantage_profile,
     concentration_rows,
     endtoend_rows,
     lemma_rows,
     separation_rows,
 )
-from .linalg import trace_distance
-from .query_sim import DEFAULT_KEY_CAP, average_density, circuit_from_text, run_purified
+from .query_sim import DEFAULT_KEY_CAP, circuit_from_text
 
 __all__ = [
     "main",
     "rows_to_csv",
     "trials_to_csv",
-    "cmd_verify_lemmas",
-    "cmd_separation",
-    "cmd_endtoend",
-    "cmd_concentration",
     "cmd_circuit_run",
 ]
 
@@ -80,23 +76,6 @@ def trials_to_csv(records, comment_lines) -> str:
     return buf.getvalue()
 
 
-def cmd_verify_lemmas(cfg: ExperimentConfig, jobs: int = 1):
-    return lemma_rows(cfg.q, cfg.eps, cfg.seed, jobs)
-
-
-def cmd_separation(cfg: ExperimentConfig, jobs: int = 1):
-    return separation_rows(cfg, jobs)
-
-
-def cmd_endtoend(cfg: ExperimentConfig, jobs: int = 1):
-    """Returns (summary rows, per-trial records)."""
-    return endtoend_rows(cfg, jobs)
-
-
-def cmd_concentration(cfg: ExperimentConfig, jobs: int = 1):
-    return concentration_rows(cfg, jobs)
-
-
 def cmd_circuit_run(path: str, eps_list=_CIRCUIT_RUN_EPS, cap: int = DEFAULT_KEY_CAP):
     """Run one circuit file exactly and report its bias-advantage profile.
 
@@ -105,26 +84,20 @@ def cmd_circuit_run(path: str, eps_list=_CIRCUIT_RUN_EPS, cap: int = DEFAULT_KEY
     """
     with open(path, "r", encoding="utf-8") as fh:
         circuit, q = circuit_from_text(fh.read())
-    state = run_purified(circuit, key_cap=cap)
+    keys, advantages = advantage_profile(circuit, eps_list, q, cap)
     rows = [
         ("circuit_dims", (circuit.d, circuit.aux_dim, q), float(len(circuit.steps))),
         ("circuit_forward_queries", (q,), float(circuit.forward_count)),
         ("circuit_inverse_queries", (q,), float(circuit.inverse_count)),
-        ("circuit_keys", (q,), float(len(state.components))),
+        ("circuit_keys", (q,), float(keys)),
     ]
-    base = average_density(state, 0.0, q).density
-    for eps in eps_list:
-        adv = 0.0 if eps == 0.0 else float(
-            trace_distance(base, average_density(state, eps, q).density))
-        rows.append(("circuit_adv", (q, eps), adv))
+    rows += [("circuit_adv", (q, eps), adv) for eps, adv in zip(eps_list, advantages)]
     return rows
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; defaults are per-command")
-    p.add_argument("--seed", type=int, help="master seed override")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--jobs", type=int, help="worker threads (default: all cores)")
     p.add_argument("--cap", type=int, help="histogram key cap override")
 
 
@@ -177,17 +150,12 @@ def _run_experiment(args) -> int:
     out_path = _resolve_out(args.out, cfg.out, f"{kind}.csv")
 
     runners = {
-        "verify-lemmas": cmd_verify_lemmas,
-        "separation": cmd_separation,
-        "endtoend": cmd_endtoend,
-        "concentration": cmd_concentration,
+        "verify-lemmas": lambda: (lemma_rows(cfg.q, cfg.eps, cfg.seed, jobs), None),
+        "separation": lambda: (separation_rows(cfg, jobs), None),
+        "endtoend": lambda: endtoend_rows(cfg, jobs),
+        "concentration": lambda: (concentration_rows(cfg, jobs), None),
     }
-    result = runners[kind](cfg, jobs)
-    records = None
-    if kind == "endtoend":
-        rows, records = result
-    else:
-        rows = result
+    rows, records = runners[kind]()
 
     comments = _config_comments(cfg)
     _emit(rows_to_csv(rows, comments), out_path)
@@ -234,7 +202,10 @@ def main(argv=None) -> int:
         "concentration": "trace concentration tails at the calibrated dimension",
     }
     for kind in KINDS:
-        _add_common_flags(sub.add_parser(kind, help=helps[kind]))
+        sweep = sub.add_parser(kind, help=helps[kind])
+        _add_common_flags(sweep)
+        sweep.add_argument("--seed", type=int, help="master seed override")
+        sweep.add_argument("--jobs", type=int, help="worker threads (default: all cores)")
     circ = sub.add_parser("circuit-run", help="run one circuit file and report advantages")
     circ.add_argument("file", help="circuit in the text line format")
     _add_common_flags(circ)

@@ -105,25 +105,6 @@ class DiagonalOracle:
         """Multiply by ``turns`` additional ramp turns (negative to undo)."""
         return replace(self, ramp_turns=(self.ramp_turns + int(turns)) % self.dimension)
 
-    def apply(self, amplitudes: np.ndarray, dims=None, register: int = 0,
-              inverse: bool = False) -> np.ndarray:
-        """Elementwise application to the query register of a flat state vector."""
-        amps = np.asarray(amplitudes, dtype=complex)
-        if dims is None:
-            dims = (self.dimension,)
-        dims = tuple(int(x) for x in dims)
-        if math.prod(dims) != amps.size or dims[register] != self.dimension:
-            raise DimensionError(
-                f"state of shape {amps.shape} with dims {dims} does not expose a "
-                f"dimension-{self.dimension} register at index {register}"
-            )
-        phases = self.values
-        if inverse:
-            phases = phases.conj()
-        t = np.moveaxis(amps.reshape(dims), register, 0)
-        t = t * phases.reshape((self.dimension,) + (1,) * (t.ndim - 1))
-        return np.moveaxis(t, 0, register).reshape(-1)
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:

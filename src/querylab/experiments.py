@@ -204,8 +204,15 @@ def purification_scaling_rows(eps_grid=(1e-1, 1e-2, 1e-3), master_seed: int = 0)
 # ---------------------------------------------------------------- separation
 
 
-def advantage_profile(circuit, eps_list, q: int, cap: int) -> list:
-    """Distinguishing advantage of one circuit at each bias, purifying once."""
+def advantage_profile(circuit, eps_list, q: int, cap: int) -> tuple:
+    """(histogram key count, advantage at each bias) of one circuit.
+
+    The advantage at bias eps is the trace distance between the bias-0 and
+    bias-eps averaged outputs; the implied success probability of the best
+    single-shot distinguisher is ``1/2 + advantage/2``. The histogram
+    decomposition does not depend on the bias, so the circuit is purified
+    once, with at most ``cap`` keys.
+    """
     state = run_purified(circuit, key_cap=cap)
     base = average_density(state, 0.0, q).density
     out = []
@@ -214,7 +221,7 @@ def advantage_profile(circuit, eps_list, q: int, cap: int) -> list:
             out.append(0.0)
             continue
         out.append(float(trace_distance(base, average_density(state, eps, q).density)))
-    return out
+    return state.key_count, out
 
 
 def forward_ceiling_cell(d: int, q: int, n: int, eps_list, count: int, seed: int, cap: int) -> list:
@@ -226,7 +233,7 @@ def forward_ceiling_cell(d: int, q: int, n: int, eps_list, count: int, seed: int
     profiles = []
     for _ in range(count):
         circuit = random_interleaved_circuit(d, 2, "+" * n, rng)
-        profiles.append(advantage_profile(circuit, eps_list, q, cap))
+        profiles.append(advantage_profile(circuit, eps_list, q, cap)[1])
     return profiles
 
 
@@ -282,7 +289,7 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     # Inverse block: the iterate family against its matched forward family.
     n_inv = min(_INVERSE_N, q)
     inv_circuit = grover_iterate_circuit(_INVERSE_D, n_inv)
-    inv_adv = advantage_profile(inv_circuit, positive, q, cfg.cap)
+    _, inv_adv = advantage_profile(inv_circuit, positive, q, cfg.cap)
     for eps, adv in zip(positive, inv_adv):
         rows.append(ResultRow("inverse_adv", (_INVERSE_D, q, n_inv, eps), adv, None, True,
                               cell_seed(cfg.seed, 30_000)))
@@ -299,7 +306,7 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     matched_profiles = _map_cells(
         advantage_profile, [(c, positive, q, cfg.cap) for c in matched], jobs)
     for j, eps in enumerate(positive):
-        best = max(p[j] for p in matched_profiles)
+        best = max(adv[j] for _, adv in matched_profiles)
         bound = 4.0 * n_inv * eps**2 + 1e-9
         rows.append(ResultRow("matched_adv", (_INVERSE_D, q, n_inv, eps), best, bound,
                               best <= bound, matched_seed))

@@ -6,9 +6,12 @@ Two families matter:
   query, flag-flip on index 0, Fourier out) advanced by Grover-style
   iterates, which consumes inverse queries through the reflection about the
   initial state;
-- matched forward-only families at equal (d, aux, n): the all-forward twin of
-  the probe circuit plus seeded random interleavings, providing the ceiling
+- matched forward-only circuits at equal (d, aux, n): the all-forward twin of
+  the probe circuit and seeded random interleavings, providing the ceiling
   that the inverse-using family is compared against.
+
+The probe pieces are built here once, for these circuits and for the dense
+probes of ``amplitude``.
 """
 
 from __future__ import annotations
@@ -21,32 +24,34 @@ from .query_sim import FORWARD, INVERSE, FixedGate, InverseQuery, QueryCircuit
 
 __all__ = [
     "flag_flip_matrix",
+    "probe_pieces",
     "grover_iterate_circuit",
     "matched_forward_circuit",
     "random_interleaved_circuit",
-    "matched_forward_family",
 ]
 
 
-def flag_flip_matrix(d: int, aux: int = 2) -> np.ndarray:
-    """Permutation swapping the two flag values on query-register index 0."""
-    if aux != 2:
-        raise ParameterError("the flag flip is defined for a 2-dimensional flag register")
-    z = np.eye(d * aux)
-    z[[0, 1]] = z[[1, 0]]
+def flag_flip_matrix(d: int, flagged=(0,)) -> np.ndarray:
+    """Permutation swapping the two flag values on each listed query-register index.
+
+    The flag register is 2-dimensional, so the matrix is 2d x 2d.
+    """
+    z = np.eye(2 * d)
+    for x in flagged:
+        z[[2 * x, 2 * x + 1]] = z[[2 * x + 1, 2 * x]]
     return z
 
 
-def _probe_pieces(d: int):
-    t = dft_matrix(d)
+def probe_pieces(t: np.ndarray, flagged=(0,)) -> tuple:
+    """(Fourier in, Fourier out, flag flip) of a probe built on the unitary ``t``.
+
+    Fourier in is ``t`` on the query register and the identity on the flag,
+    Fourier out its adjoint; the flag flip acts on the ``flagged`` indices.
+    The probe preparation is then flip @ out @ oracle @ in.
+    """
     eye2 = np.eye(2)
-    ti = np.kron(t, eye2)
-    tdi = np.kron(t.conj().T, eye2)
-    z = flag_flip_matrix(d)
-    s_good = np.kron(np.eye(d), np.diag([1.0, -1.0]))
-    s_zero = np.eye(2 * d)
-    s_zero[0, 0] = -1.0
-    return ti, tdi, z, s_good, s_zero
+    return (np.kron(t, eye2), np.kron(t.conj().T, eye2),
+            flag_flip_matrix(t.shape[0], flagged))
 
 
 def grover_iterate_circuit(d: int, n: int) -> QueryCircuit:
@@ -60,7 +65,10 @@ def grover_iterate_circuit(d: int, n: int) -> QueryCircuit:
     n = int(n)
     if n < 1:
         raise ParameterError(f"query budget must be >= 1, got {n!r}")
-    ti, tdi, z, s_good, s_zero = _probe_pieces(d)
+    ti, tdi, z = probe_pieces(dft_matrix(d))
+    s_good = np.kron(np.eye(d), np.diag([1.0, -1.0]))
+    s_zero = np.eye(2 * d)
+    s_zero[0, 0] = -1.0
     steps = [FixedGate(ti), FORWARD, FixedGate(z @ tdi)]
     used = 1
     while used < n:
@@ -98,17 +106,3 @@ def random_interleaved_circuit(d: int, aux: int, pattern: str, rng) -> QueryCirc
             raise ParameterError(f"pattern characters must be '+' or '-', got {ch!r}")
         steps.append(FixedGate(random_unitary(d * aux, rng)))
     return QueryCircuit(d, aux, tuple(steps))
-
-
-def matched_forward_family(d: int, n: int, count: int = 20, seed: int = 0) -> list:
-    """The forward twin plus ``count`` seeded random forward circuits.
-
-    All members share (d, aux=2, n); the family's maximum advantage is the
-    comparison ceiling for the inverse-using family.
-    """
-    out = [matched_forward_circuit(d, n)]
-    root = np.random.SeedSequence((int(seed), d, n))
-    for child in root.spawn(int(count)):
-        rng = np.random.default_rng(child)
-        out.append(random_interleaved_circuit(d, 2, "+" * n, rng))
-    return out

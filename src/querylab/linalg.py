@@ -17,12 +17,10 @@ from .errors import DegeneracyError, DimensionError, ParameterError
 __all__ = [
     "StateVector",
     "DensityMatrix",
-    "UnitaryGate",
-    "apply_gate",
+    "checked_unitary",
     "partial_trace",
     "trace_distance",
     "gram_schmidt",
-    "povm_measure",
     "dft_matrix",
     "random_unitary",
 ]
@@ -75,17 +73,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized_copy(self) -> "StateVector":
-        n = self.norm
-        if n == 0:
-            raise DegeneracyError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.register_dims)
-
-    def inner(self, other: "StateVector") -> complex:
-        if other.register_dims != self.register_dims:
-            raise DimensionError("inner product needs matching register layouts")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density_matrix(self) -> "DensityMatrix":
         if not self.normalized:
             raise ParameterError("normalize before forming a density matrix")
@@ -120,59 +107,17 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class UnitaryGate:
-    """A unitary matrix acting on an ordered subset of registers.
+def checked_unitary(matrix, what: str) -> np.ndarray:
+    """A complex copy of ``matrix``, checked to be square and unitary within 1e-10.
 
-    ``targets`` lists register indices in the order the gate's tensor factors
-    address them; the gate dimension must equal the product of the targeted
-    register dimensions at application time.
+    ``what`` names the matrix in the error message.
     """
-
-    entries: np.ndarray
-    targets: tuple = (0,)
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"gate must be square, got shape {m.shape}")
-        if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > _ATOL:
-            raise ParameterError("gate is not unitary within 1e-10")
-        try:
-            targets = tuple(int(t) for t in self.targets)
-        except TypeError:
-            targets = (int(self.targets),)
-        if len(set(targets)) != len(targets):
-            raise DimensionError(f"duplicate target registers in {targets!r}")
-        object.__setattr__(self, "entries", _frozen(m))
-        object.__setattr__(self, "targets", targets)
-
-    def dagger(self) -> "UnitaryGate":
-        return UnitaryGate(self.entries.conj().T, self.targets)
-
-
-def _apply_matrix(amps: np.ndarray, dims: tuple, matrix: np.ndarray, targets: tuple) -> np.ndarray:
-    # Applies `matrix` to the targeted axes of the C-ordered register tensor.
-    if any(not 0 <= t < len(dims) for t in targets):
-        raise DimensionError(f"targets {targets!r} out of range for {len(dims)} registers")
-    sub = math.prod(dims[t] for t in targets)
-    if matrix.shape[0] != sub:
-        raise DimensionError(
-            f"gate dimension {matrix.shape[0]} does not match targeted dims {targets!r} of {dims}"
-        )
-    psi = amps.reshape(dims)
-    psi = np.moveaxis(psi, targets, range(len(targets)))
-    kept_shape = psi.shape[len(targets):]
-    out = matrix @ psi.reshape(sub, -1)
-    out = out.reshape(tuple(dims[t] for t in targets) + kept_shape)
-    out = np.moveaxis(out, range(len(targets)), targets)
-    return out.reshape(-1)
-
-
-def apply_gate(state: StateVector, gate: UnitaryGate) -> StateVector:
-    """Apply a unitary to its target registers; norm is preserved."""
-    out = _apply_matrix(state.amplitudes, state.register_dims, gate.entries, gate.targets)
-    return StateVector(out, state.register_dims, normalized=state.normalized)
+    m = np.array(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {m.shape}")
+    if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > _ATOL:
+        raise ParameterError(f"{what} is not unitary within 1e-10")
+    return m
 
 
 def partial_trace(rho: DensityMatrix, register) -> DensityMatrix:
@@ -231,48 +176,6 @@ def gram_schmidt(columns) -> list:
     phase = diag / np.abs(diag)
     qmat = qmat * phase.conj()  # makes <out_k, in_k> = |r_kk| > 0
     return [qmat[:, i].copy() for i in range(k)]
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if w.min() < -_ATOL:
-        raise ParameterError("POVM element has an eigenvalue below -1e-10")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def povm_measure(state: StateVector, elements, register: int = 0):
-    """Measure one register with a POVM.
-
-    Returns ``(probabilities, post_states)``: outcome probabilities and the
-    normalized post-measurement states under the canonical square-root
-    instrument, with ``None`` in place of probability-(~0) outcomes.
-    """
-    if not state.normalized:
-        raise ParameterError("measurement requires a normalized state")
-    dims = state.register_dims
-    register = int(register)
-    if not 0 <= register < len(dims):
-        raise DimensionError(f"register {register} out of range for dims {dims}")
-    d = dims[register]
-    mats = [np.asarray(e, dtype=complex) for e in elements]
-    if any(m.shape != (d, d) for m in mats):
-        raise DimensionError(f"POVM elements must be {d}x{d} for register {register}")
-    total = sum(mats)
-    if np.abs(total - np.eye(d)).max() > _ATOL:
-        raise ParameterError("POVM elements do not sum to the identity within 1e-10")
-    probs = np.empty(len(mats))
-    posts = []
-    for i, m in enumerate(mats):
-        branch = _apply_matrix(state.amplitudes, dims, _psd_sqrt(m), (register,))
-        p = float(np.vdot(branch, branch).real)
-        probs[i] = p
-        if p > 1e-14:
-            posts.append(StateVector(branch / math.sqrt(p), dims))
-        else:
-            posts.append(None)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return probs, posts
 
 
 def dft_matrix(d: int) -> np.ndarray:

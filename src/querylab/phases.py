@@ -13,7 +13,6 @@ All distribution functions work with integer exponents ``k`` in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -21,14 +20,11 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "CyclicPhase",
-    "PhaseDistribution",
-    "MomentTable",
     "phase_pmf",
     "pmf_vector",
     "phase_mean",
     "phase_moment",
-    "sample_phase",
+    "moment_table",
     "sample_exponents",
     "window_halfwidth",
 ]
@@ -51,38 +47,6 @@ def _check_order(q: int) -> int:
 def window_halfwidth(q: int) -> int:
     """Half-width M of the favored exponent window for order ``q``."""
     return _check_order(q) // 4
-
-
-@dataclass(frozen=True)
-class CyclicPhase:
-    """An exact root of unity, stored as an exponent of order ``q``.
-
-    The exponent is reduced mod ``q`` at construction.
-    """
-
-    exponent: int
-    order: int
-
-    def __post_init__(self):
-        q = _check_order(self.order)
-        object.__setattr__(self, "order", q)
-        object.__setattr__(self, "exponent", int(self.exponent) % q)
-
-    @property
-    def value(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.exponent / self.order))
-
-    def __mul__(self, other: "CyclicPhase") -> "CyclicPhase":
-        if not isinstance(other, CyclicPhase):
-            return NotImplemented
-        if other.order != self.order:
-            raise ParameterError(
-                f"cannot multiply phases of orders {self.order} and {other.order}"
-            )
-        return CyclicPhase(self.exponent + other.exponent, self.order)
-
-    def inverse(self) -> "CyclicPhase":
-        return CyclicPhase(-self.exponent, self.order)
 
 
 def phase_pmf(eps: float, q: int, k: int) -> float:
@@ -109,34 +73,6 @@ def pmf_vector(eps: float, q: int) -> np.ndarray:
     if M > 0:
         out[q - M :] = hi
     return out
-
-
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """The bias-``eps`` measure over order-``q`` exponents, pmf materialized."""
-
-    order: int
-    bias: float
-    pmf: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        q = _check_order(self.order)
-        eps = _check_bias(self.bias)
-        object.__setattr__(self, "order", q)
-        object.__setattr__(self, "bias", eps)
-        v = pmf_vector(eps, q)
-        v.flags.writeable = False
-        object.__setattr__(self, "pmf", v)
-
-    @property
-    def mean(self) -> float:
-        return phase_mean(self.bias, self.order)
-
-    def moment(self, m: int) -> float:
-        return phase_moment(self.bias, self.order, m)
-
-    def sample(self, rng: np.random.Generator) -> CyclicPhase:
-        return sample_phase(self.bias, self.order, rng)
 
 
 def _dirichlet(q: int, m: int) -> float:
@@ -179,37 +115,23 @@ def phase_moment(eps: float, q: int, m: int) -> float:
     return eps * _dirichlet(q, m)
 
 
-class MomentTable:
-    """Precomputed power moments for integer powers ``-max_power..max_power``.
+@lru_cache(maxsize=64)
+def moment_table(eps: float, q: int, max_power: int) -> np.ndarray:
+    """Read-only power moments for the integer powers ``-max_power..max_power``.
 
-    The averaged-output engine evaluates products of per-coordinate moments
-    over large index grids; this table makes each evaluation an array lookup.
+    Index ``i`` holds the moment of power ``i - max_power``. The
+    averaged-output engine evaluates products of per-coordinate moments over
+    large index grids; this table makes each evaluation an array lookup.
+    Cached per argument triple, so callers share one table.
     """
-
-    def __init__(self, eps: float, q: int, max_power: int):
-        self.eps = _check_bias(eps)
-        self.q = _check_order(q)
-        max_power = int(max_power)
-        if max_power < 0:
-            raise ParameterError(f"max_power must be >= 0, got {max_power!r}")
-        self.max_power = max_power
-        ms = np.arange(-max_power, max_power + 1)
-        self._table = np.array([phase_moment(self.eps, self.q, m) for m in ms])
-        self._table.flags.writeable = False
-
-    def lookup(self, m) -> np.ndarray:
-        """Moments for an integer array ``m`` (any shape), validated against the range."""
-        m = np.asarray(m, dtype=np.int64)
-        if m.size and (m.min() < -self.max_power or m.max() > self.max_power):
-            raise ParameterError(
-                f"moment power out of table range [-{self.max_power}, {self.max_power}]"
-            )
-        return self._table[m + self.max_power]
-
-    @property
-    def values(self) -> np.ndarray:
-        """The raw table, index ``i`` holding power ``i - max_power``."""
-        return self._table
+    eps = _check_bias(eps)
+    q = _check_order(q)
+    max_power = int(max_power)
+    if max_power < 0:
+        raise ParameterError(f"max_power must be >= 0, got {max_power!r}")
+    table = np.array([phase_moment(eps, q, m) for m in range(-max_power, max_power + 1)])
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -254,8 +176,3 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size=None):
     if size is None:
         return int(k[0])
     return k.reshape(np.shape(u))
-
-
-def sample_phase(eps: float, q: int, rng: np.random.Generator) -> CyclicPhase:
-    """One draw from the bias-``eps`` distribution, as a CyclicPhase."""
-    return CyclicPhase(sample_exponents(eps, q, rng), q)

@@ -16,16 +16,14 @@ which factorizes per coordinate because the diagonal entries are independent.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .biased_fourier import build_biased_frame
 from .errors import ConfigError, DimensionError, ParameterError, QuerylabError, ResourceLimitError
-from .linalg import DensityMatrix, StateVector, trace_distance
-from .phases import MomentTable, pmf_vector
+from .linalg import DensityMatrix, StateVector, checked_unitary, trace_distance
+from .phases import moment_table, pmf_vector
 
 __all__ = [
     "FixedGate",
@@ -38,8 +36,6 @@ __all__ = [
     "run_purified",
     "average_density",
     "brute_force_average",
-    "distinguishing_advantage",
-    "success_probability_bound",
     "biased_ft_rotate",
     "moment_gram",
     "circuit_to_text",
@@ -57,11 +53,7 @@ class FixedGate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"gate must be square, got {m.shape}")
-        if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > 1e-10:
-            raise ParameterError("fixed gate is not unitary within 1e-10")
+        m = checked_unitary(self.matrix, "fixed gate")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -230,16 +222,24 @@ def run_purified(circuit: QueryCircuit, initial: StateVector = None,
     return PurifiedState(d, aux, comps, circuit.forward_count, circuit.inverse_count)
 
 
-@lru_cache(maxsize=64)
-def _moment_table(eps: float, q: int, span: int) -> MomentTable:
-    return MomentTable(eps, q, span)
-
-
-def _layout(p: PurifiedState):
+def _layout(p: PurifiedState, eps: float, q: int):
+    # sorted keys, their stacked vectors and exponent rows, and the moment
+    # table covering every coordinate difference between two keys
     keys = sorted(p.components.keys())
     vecs = np.stack([p.components[k] for k in keys])
     expo = np.array(keys, dtype=np.int64)
-    return keys, vecs, expo
+    span = int(expo.max() - expo.min())
+    return keys, vecs, expo, moment_table(float(eps), int(q), span)
+
+
+def _moment_weights(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # M(e - e') = prod_i moment(e_i - e'_i) for every (row key, column key)
+    # pair, multiplied coordinate by coordinate in index order
+    span = len(table) // 2
+    w = np.ones((len(rows), len(cols)))
+    for i in range(rows.shape[1]):
+        w *= table[(rows[:, i, None] - cols[None, :, i]) + span]
+    return w
 
 
 def average_density(p: PurifiedState, eps: float, q: int,
@@ -253,22 +253,13 @@ def average_density(p: PurifiedState, eps: float, q: int,
     dim = p.d * p.aux_dim
     if not p.components:
         raise QuerylabError("empty purified state")
-    keys, vecs, expo = _layout(p)
-    span = int(expo.max() - expo.min()) if expo.size else 0
-    table = _moment_table(float(eps), int(q), span).values
+    keys, vecs, expo, table = _layout(p, eps, q)
     conj = vecs.conj()
     nkeys = len(keys)
-
-    def partial(a: int) -> np.ndarray:
-        b = min(a + block, nkeys)
-        w = np.ones((b - a, nkeys))
-        for i in range(p.d):
-            w *= table[(expo[a:b, i, None] - expo[None, :, i]) + span]
-        return vecs[a:b].T @ w @ conj
-
     rho = np.zeros((dim, dim), dtype=complex)
     for a in range(0, nkeys, max(1, int(block))):
-        rho += partial(a)
+        b = min(a + block, nkeys)
+        rho += vecs[a:b].T @ _moment_weights(table, expo[a:b], expo) @ conj
     rho = (rho + rho.conj().T) / 2
     return AveragedOutput(
         density=DensityMatrix(rho, (p.d, p.aux_dim)), bias=float(eps), order=int(q)
@@ -277,15 +268,10 @@ def average_density(p: PurifiedState, eps: float, q: int,
 
 def moment_gram(p: PurifiedState, eps: float, q: int, max_keys: int = 4000) -> tuple:
     """(sorted keys, K x K moment matrix) for a small purified state."""
-    keys, _, expo = _layout(p)
+    keys, _, expo, table = _layout(p, eps, q)
     if len(keys) > max_keys:
         raise ResourceLimitError(f"{len(keys)} keys exceed the dense Gram cap {max_keys}")
-    span = int(expo.max() - expo.min()) if expo.size else 0
-    table = _moment_table(float(eps), int(q), span).values
-    gram = np.ones((len(keys), len(keys)))
-    for i in range(p.d):
-        gram *= table[(expo[:, i, None] - expo[None, :, i]) + span]
-    return keys, gram
+    return keys, _moment_weights(table, expo, expo)
 
 
 def _dense_run(circuit: QueryCircuit, phases: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -327,28 +313,6 @@ def brute_force_average(circuit: QueryCircuit, eps: float, q: int,
         rho += weight * np.outer(out, out.conj())
     rho = (rho + rho.conj().T) / 2
     return AveragedOutput(DensityMatrix(rho, (circuit.d, circuit.aux_dim)), float(eps), q)
-
-
-def distinguishing_advantage(circuit: QueryCircuit, eps: float, q: int,
-                             initial: StateVector = None,
-                             key_cap: int = DEFAULT_KEY_CAP) -> float:
-    """Trace distance between the bias-0 and bias-eps averaged outputs.
-
-    The histogram decomposition is bias-independent, so the circuit runs
-    once. The implied success probability of the best single-shot
-    distinguisher is ``1/2 + advantage/2``.
-    """
-    p = run_purified(circuit, initial, key_cap=key_cap)
-    if eps == 0.0:
-        return 0.0
-    rho0 = average_density(p, 0.0, q)
-    rho1 = average_density(p, eps, q)
-    return trace_distance(rho0.density, rho1.density)
-
-
-def success_probability_bound(advantage: float) -> float:
-    """Best single-shot success probability implied by a trace-distance gap."""
-    return 0.5 + float(advantage) / 2
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,18 @@
 
 import ast
 import csv
+import importlib
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import querylab
 from querylab import biased_fourier, blas, cli, experiments
 from querylab.config import (
     KINDS,
@@ -467,6 +470,34 @@ def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
         eps = ast.literal_eval(params)[1]
         expected = trace_distance(base, average_density(state, eps, 8).density)
         assert math.isclose(float(measured), expected, rel_tol=0, abs_tol=1e-15)
+
+
+def test_cli_circuit_run_has_no_sweep_flags(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    for flag in ("--seed", "--jobs"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["circuit-run", str(path), flag, "3"])
+        assert exc.value.code == 2
+
+
+def test_cli_circuit_run_rejects_non_unitary_gate(tmp_path, capsys):
+    path = tmp_path / "shear.txt"
+    path.write_text("1 4 2\nG 1.0,0.0 1.0,0.0 0.0,0.0 1.0,0.0\nQ+\n")
+    assert cli.main(["circuit-run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not unitary" in err
+
+
+def test_every_export_resolves():
+    # perfbench's tracer looks each exported name up with getattr
+    missing = []
+    for info in pkgutil.iter_modules(querylab.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"querylab.{info.name}")
+        missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []
 
 
 def test_cli_module_entry_point(tmp_path):

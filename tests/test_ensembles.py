@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from querylab.errors import DimensionError, ParameterError
+from querylab.errors import ParameterError
 from querylab.ensembles import (
     DiagonalOracle,
     EnsembleSpec,
@@ -24,33 +24,10 @@ class _ZeroStream:
 
 
 class TestDiagonalOracle:
-    def test_forward_then_inverse_is_identity(self):
-        rng = np.random.default_rng(0)
-        u = draw(EnsembleSpec("biased", 6, 8, bias=0.4), rng)
-        amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        amps /= np.linalg.norm(amps)
-        back = u.apply(u.apply(amps), inverse=True)
-        assert np.abs(back - amps).max() < 1e-12
-
     def test_trace_formula(self):
         u = DiagonalOracle(np.array([0, 2, 5]), order=8, dimension=3)
         direct = np.exp(2j * np.pi * np.array([0, 2, 5]) / 8).mean()
         assert abs(normalized_trace(u) - direct) < 1e-12
-
-    def test_apply_targets_register(self):
-        u = DiagonalOracle(np.array([0, 4]), order=8, dimension=2)  # diag(1, -1)
-        amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        out = u.apply(amps, dims=(2, 2), register=1)
-        assert np.allclose(out, [1 / np.sqrt(2), 0, 0, -1 / np.sqrt(2)])
-        out0 = u.apply(amps, dims=(2, 2), register=0)
-        assert np.allclose(out0, [1 / np.sqrt(2), 0, 0, -1 / np.sqrt(2)])
-
-    def test_apply_shape_checks(self):
-        u = DiagonalOracle(np.zeros(3, dtype=int), order=4, dimension=3)
-        with pytest.raises(DimensionError):
-            u.apply(np.ones(4) / 2)
-        with pytest.raises(DimensionError):
-            u.apply(np.ones(6) / np.sqrt(6), dims=(2, 3), register=0)
 
     def test_exponents_reduced_and_frozen(self):
         u = DiagonalOracle(np.array([9, -1]), order=8, dimension=2)

@@ -3,21 +3,17 @@
 import numpy as np
 import pytest
 
+from querylab import amplitude
 from querylab.ensembles import DiagonalOracle, EnsembleSpec, draw, normalized_trace
 from querylab.errors import ParameterError
+from querylab.experiments import advantage_profile
 from querylab.families import (
     flag_flip_matrix,
     grover_iterate_circuit,
     matched_forward_circuit,
-    matched_forward_family,
     random_interleaved_circuit,
 )
-from querylab.query_sim import (
-    FixedGate,
-    ForwardQuery,
-    InverseQuery,
-    distinguishing_advantage,
-)
+from querylab.query_sim import DEFAULT_KEY_CAP, FixedGate, ForwardQuery
 
 
 def run_with_oracle(circuit, oracle: DiagonalOracle) -> np.ndarray:
@@ -27,10 +23,9 @@ def run_with_oracle(circuit, oracle: DiagonalOracle) -> np.ndarray:
     for step in circuit.steps:
         if isinstance(step, FixedGate):
             v = step.matrix @ v
-        elif isinstance(step, ForwardQuery):
-            v = oracle.apply(v, dims=dims)
         else:
-            v = oracle.apply(v, dims=dims, inverse=True)
+            phases = oracle.values if isinstance(step, ForwardQuery) else oracle.values.conj()
+            v = (v.reshape(dims) * phases[:, None]).reshape(-1)
     return v
 
 
@@ -41,11 +36,6 @@ def test_flag_flip_swaps_first_pair():
     assert w[0] == 1.0 and w[1] == 0.0
     assert np.array_equal(w[2:], v[2:])
     assert np.array_equal(z @ z, np.eye(6))
-
-
-def test_flag_flip_needs_binary_flag():
-    with pytest.raises(ParameterError):
-        flag_flip_matrix(3, aux=3)
 
 
 @pytest.mark.parametrize(
@@ -73,6 +63,16 @@ def test_single_query_probe_amplitude_is_normalized_trace():
     assert abs(out[1] - normalized_trace(oracle)) < 1e-10
     flagged = out[1::2]
     assert abs(np.linalg.norm(flagged) - abs(normalized_trace(oracle))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_dense_probe_matches_one_query_circuit(d):
+    # the dense trace probe and the one-query iterate circuit share their
+    # probe pieces, so the probe's first column is the circuit's output
+    oracle = draw(EnsembleSpec("biased", d, 8, 0.3), np.random.default_rng(d))
+    column = amplitude._dense_probe_matrix(oracle, "trace")[:, 0]
+    out = run_with_oracle(grover_iterate_circuit(d, 1), oracle)
+    assert np.abs(column - out).max() < 1e-12
 
 
 def test_probe_run_stays_normalized():
@@ -129,26 +129,6 @@ def test_random_interleaved_deterministic():
             assert np.array_equal(sa.matrix, sb.matrix)
 
 
-def test_matched_family_membership():
-    fam = matched_forward_family(3, 4, count=5, seed=9)
-    assert len(fam) == 6
-    for c in fam:
-        assert c.forward_only
-        assert c.query_count == 4
-        assert c.d == 3 and c.aux_dim == 2
-    again = matched_forward_family(3, 4, count=5, seed=9)
-    for a, b in zip(fam, again):
-        for sa, sb in zip(a.steps, b.steps):
-            if isinstance(sa, FixedGate):
-                assert np.array_equal(sa.matrix, sb.matrix)
-
-
-def test_matched_family_seed_sensitivity():
-    a = matched_forward_family(3, 2, count=1, seed=0)[1]
-    b = matched_forward_family(3, 2, count=1, seed=1)[1]
-    assert not np.allclose(a.steps[0].matrix, b.steps[0].matrix)
-
-
 def test_forward_family_advantage_scales_quadratically():
     """Max advantage of a forward-only family drops as bias squared.
 
@@ -161,15 +141,11 @@ def test_forward_family_advantage_scales_quadratically():
     rng = np.random.default_rng(2024)
     circuits = [random_interleaved_circuit(d, 2, "+" * n, rng) for _ in range(8)]
     circuits.append(matched_forward_circuit(d, n))
-    best = []
-    for eps in eps_grid:
-        best.append(max(distinguishing_advantage(c, eps, q) for c in circuits))
+    profiles = [advantage_profile(c, eps_grid, q, DEFAULT_KEY_CAP)[1] for c in circuits]
+    best = np.max(profiles, axis=0)
     slope = np.polyfit(np.log(eps_grid), np.log(best), 1)[0]
     assert 1.85 <= slope <= 2.15
 
-    inv_best = [
-        distinguishing_advantage(grover_iterate_circuit(4, 6), eps, q)
-        for eps in eps_grid
-    ]
+    _, inv_best = advantage_profile(grover_iterate_circuit(4, 6), eps_grid, q, DEFAULT_KEY_CAP)
     inv_slope = np.polyfit(np.log(eps_grid), np.log(inv_best), 1)[0]
     print(f"\ninverse-family advantage exponent over eps {eps_grid}: {inv_slope:.3f}")

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from querylab.amplitude import DensePreparation
 from querylab.errors import DegeneracyError, DimensionError, ParameterError
 from querylab.linalg import (
     DensityMatrix,
     StateVector,
-    UnitaryGate,
-    apply_gate,
     dft_matrix,
     gram_schmidt,
     partial_trace,
-    povm_measure,
     random_unitary,
     trace_distance,
 )
 from querylab.phases import pmf_vector
+from querylab.query_sim import FixedGate
 
 
 def basis_state(i, dims):
@@ -33,8 +32,6 @@ class TestStateVector:
     def test_unnormalized_is_first_class(self):
         s = StateVector([1.0, 0, 0, 1.0], (2, 2), normalized=False)
         assert s.norm == pytest.approx(math.sqrt(2))
-        n = s.normalized_copy()
-        assert n.norm == pytest.approx(1.0)
 
     def test_dims_must_match_length(self):
         with pytest.raises(DimensionError):
@@ -44,13 +41,6 @@ class TestStateVector:
         s = basis_state(0, (2,))
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0
-
-    def test_inner(self):
-        a = basis_state(0, (2,))
-        b = StateVector([1 / math.sqrt(2), 1j / math.sqrt(2)], (2,))
-        assert a.inner(b) == pytest.approx(1 / math.sqrt(2))
-        with pytest.raises(DimensionError):
-            a.inner(basis_state(0, (4,)))
 
 
 class TestDensityMatrix:
@@ -75,64 +65,6 @@ class TestDensityMatrix:
     def test_from_state(self):
         rho = basis_state(1, (2,)).density_matrix()
         assert rho.entries[1, 1] == 1.0
-
-
-class TestUnitaryGate:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ParameterError):
-            UnitaryGate(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_dagger_composes_to_identity_action(self):
-        rng = np.random.default_rng(0)
-        u = UnitaryGate(random_unitary(4, rng), targets=(0,))
-        s = StateVector(random_unitary(4, rng)[:, 0], (4,))
-        out = apply_gate(apply_gate(s, u), u.dagger())
-        assert np.abs(out.amplitudes - s.amplitudes).max() < 1e-10
-
-
-class TestApplyGate:
-    def test_identity_unchanged(self):
-        s = StateVector([0.6, 0.8j], (2,))
-        out = apply_gate(s, UnitaryGate(np.eye(2)))
-        assert np.allclose(out.amplitudes, s.amplitudes)
-
-    def test_qubit_dft_on_zero(self):
-        out = apply_gate(basis_state(0, (2,)), UnitaryGate(dft_matrix(2)))
-        assert np.allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-
-    def test_dft_prepares_uniform(self):
-        for d in (3, 5, 8):
-            out = apply_gate(basis_state(0, (d,)), UnitaryGate(dft_matrix(d)))
-            assert np.abs(out.amplitudes - 1 / math.sqrt(d)).max() < 1e-12
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(3)
-        s = StateVector(random_unitary(6, rng)[:, 2], (6,))
-        out = apply_gate(s, UnitaryGate(random_unitary(6, rng)))
-        assert out.norm == pytest.approx(1.0, abs=1e-10)
-
-    def test_targeted_register(self):
-        flip = UnitaryGate(np.array([[0, 1], [1, 0]], dtype=float), targets=(1,))
-        out = apply_gate(basis_state(0, (2, 2)), flip)
-        assert out.amplitudes[1] == 1.0  # |0,0> -> |0,1>
-
-    def test_two_register_gate_order(self):
-        # swap on registers (1, 0) of a 3-register state
-        d0, d1 = 2, 2
-        swap = np.zeros((4, 4))
-        for a in range(2):
-            for b in range(2):
-                swap[b * 2 + a, a * 2 + b] = 1.0
-        g = UnitaryGate(swap, targets=(1, 0))
-        s = basis_state(0b100, (2, 2, 2))  # |1,0,0>
-        out = apply_gate(s, g)
-        assert out.amplitudes[0b010] == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply_gate(basis_state(0, (3,)), UnitaryGate(np.eye(2)))
-        with pytest.raises(DimensionError):
-            apply_gate(basis_state(0, (2,)), UnitaryGate(np.eye(2), targets=(1,)))
 
 
 class TestPartialTrace:
@@ -178,7 +110,7 @@ class TestPartialTrace:
         for _ in range(5):
             s = StateVector(random_unitary(6, rng)[:, 0], (2, 3))
             u = random_unitary(2, rng)
-            moved = apply_gate(s, UnitaryGate(u, targets=(0,)))
+            moved = StateVector(np.kron(u, np.eye(3)) @ s.amplitudes, (2, 3))
             lhs = partial_trace(moved.density_matrix(), 1).entries
             rhs = u @ partial_trace(s.density_matrix(), 1).entries @ u.conj().T
             assert np.abs(lhs - rhs).max() < 1e-10
@@ -188,7 +120,7 @@ class TestPartialTrace:
         for _ in range(5):
             s = StateVector(random_unitary(6, rng)[:, 0], (2, 3))
             u = random_unitary(3, rng)
-            moved = apply_gate(s, UnitaryGate(u, targets=(1,)))
+            moved = StateVector(np.kron(np.eye(2), u) @ s.amplitudes, (2, 3))
             lhs = partial_trace(moved.density_matrix(), 1).entries
             rhs = partial_trace(s.density_matrix(), 1).entries
             assert np.abs(lhs - rhs).max() < 1e-10
@@ -297,57 +229,33 @@ class TestGramSchmidt:
             gram_schmidt([np.ones(2), np.array([1.0, 2.0]), np.array([3.0, 1.0])])
 
 
-class TestPovmMeasure:
-    def test_computational_basis_on_zero(self):
-        probs, posts = povm_measure(basis_state(0, (2,)), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        assert probs[0] == pytest.approx(1.0, abs=1e-12)
-        assert posts[1] is None
-        assert np.abs(posts[0].amplitudes - [1, 0]).max() < 1e-12
-
-    def test_uniform_povm(self):
-        s = StateVector([0.6, 0.8j], (2,))
-        probs, posts = povm_measure(s, [np.eye(2) / 2, np.eye(2) / 2])
-        assert np.allclose(probs, [0.5, 0.5])
-        for p in posts:
-            assert np.abs(np.abs(np.vdot(p.amplitudes, s.amplitudes)) - 1) < 1e-10
-
-    def test_incomplete_povm_rejected(self):
-        with pytest.raises(ParameterError):
-            povm_measure(basis_state(0, (2,)), [np.diag([1.0, 0.0])])
-
-    def test_remainder_outcome_bounded_by_overlap_deficit(self):
-        # three tagged branches, each mostly on its own marker direction
-        delta = 0.2
-        alphas2 = [0.85, 0.9, 0.95]
-        dims = (3, 4)
-        v = np.zeros(12, dtype=complex)
-        c = 1 / math.sqrt(3)
-        for i, a2 in enumerate(alphas2):
-            v[i * 4 + i] = c * math.sqrt(a2)
-            v[i * 4 + 3] = c * math.sqrt(1 - a2)
-        state = StateVector(v, dims)
-        elements = [np.diag([1.0 if j == i else 0.0 for j in range(4)]) for i in range(3)]
-        elements.append(np.diag([0.0, 0.0, 0.0, 1.0]))
-        probs, _ = povm_measure(state, elements, register=1)
-        assert probs[-1] <= delta
-        assert probs[-1] == pytest.approx(np.mean([1 - a for a in alphas2]), abs=1e-12)
-
-    def test_measure_on_second_register(self):
-        bell = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2), (2, 2))
-        probs, posts = povm_measure(bell, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], register=1)
-        assert np.allclose(probs, [0.5, 0.5])
-        assert np.abs(posts[0].amplitudes - [1, 0, 0, 0]).max() < 1e-12
-        assert np.abs(posts[1].amplitudes - [0, 0, 0, 1]).max() < 1e-12
-
-
 class TestHelpers:
     def test_dft_unitary(self):
         for d in (2, 3, 7):
             f = dft_matrix(d)
             assert np.abs(f @ f.conj().T - np.eye(d)).max() < 1e-12
+            # column 0, the image of |0>, is the uniform state
+            assert np.abs(f[:, 0] - 1 / math.sqrt(d)).max() < 1e-12
 
     def test_random_unitary_seeded(self):
         a = random_unitary(5, np.random.default_rng(42))
         b = random_unitary(5, np.random.default_rng(42))
         assert np.array_equal(a, b)
         assert np.abs(a @ a.conj().T - np.eye(5)).max() < 1e-12
+
+
+# the two constructors that take a caller's matrix share one unitarity check
+_GATE_BUILDERS = {
+    "FixedGate": FixedGate,
+    "DensePreparation": lambda m: DensePreparation(m, np.arange(len(m)) == 0),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_GATE_BUILDERS))
+@pytest.mark.parametrize("matrix,error", [
+    (np.eye(4)[:, :3], DimensionError),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), ParameterError),
+], ids=["non-square", "non-unitary"])
+def test_constructors_reject_non_unitary(builder, matrix, error):
+    with pytest.raises(error):
+        _GATE_BUILDERS[builder](matrix)

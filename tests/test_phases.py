@@ -3,15 +3,12 @@ import pytest
 
 from querylab.errors import ParameterError
 from querylab.phases import (
-    CyclicPhase,
-    MomentTable,
-    PhaseDistribution,
+    moment_table,
     phase_mean,
     phase_moment,
     phase_pmf,
     pmf_vector,
     sample_exponents,
-    sample_phase,
     window_halfwidth,
 )
 
@@ -24,26 +21,6 @@ class _FixedStream:
 
     def random(self, size=None):
         return self.u.reshape(size)
-
-
-class TestCyclicPhase:
-    def test_exponent_reduced_and_value(self):
-        p = CyclicPhase(exponent=11, order=8)
-        assert p.exponent == 3
-        assert 0 <= p.exponent < p.order
-        assert abs(p.value - np.exp(2j * np.pi * 3 / 8)) < 1e-12
-
-    def test_group_ops(self):
-        a = CyclicPhase(3, 8)
-        b = CyclicPhase(7, 8)
-        assert (a * b).exponent == 2
-        assert (a * a.inverse()).exponent == 0
-        with pytest.raises(ParameterError):
-            a * CyclicPhase(1, 5)
-
-    def test_bad_order(self):
-        with pytest.raises(ParameterError):
-            CyclicPhase(0, 1)
 
 
 class TestPmf:
@@ -95,21 +72,6 @@ class TestPmf:
             else:
                 assert v[k] < 1 / 8
         assert window_halfwidth(8) == 2
-
-
-class TestPhaseDistribution:
-    def test_pmf_closed_form(self):
-        d = PhaseDistribution(order=8, bias=0.5)
-        assert np.array_equal(d.pmf, pmf_vector(0.5, 8))
-        assert abs(d.pmf.sum() - 1.0) < 1e-12
-        assert not d.pmf.flags.writeable
-
-    def test_methods_delegate(self):
-        d = PhaseDistribution(order=8, bias=0.3)
-        assert d.mean == phase_mean(0.3, 8)
-        assert d.moment(2) == phase_moment(0.3, 8, 2)
-        p = d.sample(np.random.default_rng(0))
-        assert isinstance(p, CyclicPhase) and p.order == 8
 
 
 class TestMean:
@@ -185,28 +147,22 @@ class TestMoment:
 
 class TestMomentTable:
     def test_invariants(self):
-        t = MomentTable(0.4, 8, max_power=20)
-        assert t.lookup(0) == 1.0
+        t = moment_table(0.4, 8, 20)
+        assert t[20] == 1.0
         for m in range(1, 20):
-            assert abs(t.lookup(-m) - np.conj(t.lookup(m))) < 1e-12
+            assert abs(t[20 - m] - np.conj(t[20 + m])) < 1e-12
+            assert t[20 + m] == phase_moment(0.4, 8, m)
+        # one cached, read-only table per argument triple
+        assert moment_table(0.4, 8, 20) is t
+        assert not t.flags.writeable
+        with pytest.raises(ParameterError):
+            moment_table(0.4, 8, -1)
 
     def test_uniform_is_lattice_indicator(self):
-        t = MomentTable(0.0, 5, max_power=12)
+        t = moment_table(0.0, 5, 12)
         for m in range(-12, 13):
             expect = 1.0 if m % 5 == 0 else 0.0
-            assert abs(t.lookup(m) - expect) < 1e-12
-
-    def test_vectorized_lookup_and_range_check(self):
-        t = MomentTable(0.3, 8, max_power=6)
-        ms = np.array([[-6, 0], [3, 6]])
-        got = t.lookup(ms)
-        assert got.shape == (2, 2)
-        assert got[0, 1] == 1.0
-        assert got[1, 0] == phase_moment(0.3, 8, 3)
-        with pytest.raises(ParameterError):
-            t.lookup(7)
-        with pytest.raises(ParameterError):
-            t.lookup([-7, 0])
+            assert abs(t[m + 12] - expect) < 1e-12
 
 
 class TestSampling:
@@ -260,6 +216,6 @@ class TestSampling:
         assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
     def test_scalar_sample(self):
-        p = sample_phase(0.5, 8, np.random.default_rng(1))
-        assert isinstance(p, CyclicPhase)
-        assert p.order == 8
+        k = sample_exponents(0.5, 8, np.random.default_rng(1))
+        assert isinstance(k, int)
+        assert k == sample_exponents(0.5, 8, np.random.default_rng(1), size=1)[0]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from querylab.errors import ConfigError, ParameterError, QuerylabError, ResourceLimitError
+from querylab.experiments import advantage_profile
 from querylab.linalg import StateVector, dft_matrix, random_unitary, trace_distance
 from querylab.query_sim import (
+    DEFAULT_KEY_CAP,
     FORWARD,
     INVERSE,
     AveragedOutput,
@@ -16,10 +18,8 @@ from querylab.query_sim import (
     brute_force_average,
     circuit_from_text,
     circuit_to_text,
-    distinguishing_advantage,
     moment_gram,
     run_purified,
-    success_probability_bound,
 )
 
 
@@ -184,7 +184,9 @@ class TestDistinguishingAdvantage:
     def test_zero_bias_zero(self):
         rng = np.random.default_rng(6)
         c = random_circuit(2, 2, "+-", rng)
-        assert distinguishing_advantage(c, 0.0, q=8) == 0.0
+        keys, adv = advantage_profile(c, [0.0, 0.3], 8, DEFAULT_KEY_CAP)
+        assert keys == run_purified(c).key_count
+        assert adv[0] == 0.0 and adv[1] > 0.0
 
     def test_forward_only_quadratic_ceiling(self):
         rng = np.random.default_rng(11)
@@ -192,11 +194,8 @@ class TestDistinguishingAdvantage:
             for _ in range(3):
                 n = int(rng.integers(1, 4))
                 c = random_circuit(2, 2, "+" * n, rng)
-                adv = distinguishing_advantage(c, eps, q=8)
+                _, (adv,) = advantage_profile(c, [eps], 8, DEFAULT_KEY_CAP)
                 assert adv <= 4 * n * eps**2 + 1e-10
-
-    def test_success_bound_form(self):
-        assert success_probability_bound(0.3) == pytest.approx(0.65)
 
 
 class TestBiasedRotation:

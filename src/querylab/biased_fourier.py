@@ -10,14 +10,13 @@ retained weight on ``|k>`` controlled by the bias.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, QuerylabError
 from .linalg import gram_schmidt
-from .phases import phase_moment, pmf_vector, window_halfwidth
+from .phases import pmf_vector, window_halfwidth
 
 __all__ = [
     "BiasedBasis",

@@ -170,11 +170,10 @@ def _run_experiment(args) -> int:
 
 
 def _run_circuit(args) -> int:
-    eps_list = _CIRCUIT_RUN_EPS
-    cap = DEFAULT_KEY_CAP
+    eps_list, cap, cfg_out = _CIRCUIT_RUN_EPS, DEFAULT_KEY_CAP, None
     if args.config:
         cfg = load_config(args.config)
-        eps_list, cap = cfg.eps, cfg.cap
+        eps_list, cap, cfg_out = cfg.eps, cfg.cap, cfg.out
     if args.cap is not None:
         cap = args.cap
     rows = cmd_circuit_run(args.file, eps_list, cap)
@@ -185,7 +184,7 @@ def _run_circuit(args) -> int:
     w.writerow(("kind", "params", "measured"))
     for kind, params, measured in rows:
         w.writerow([kind, repr(params), repr(measured)])
-    _emit(buf.getvalue(), _resolve_out(args.out, None, "circuit-run.csv"))
+    _emit(buf.getvalue(), _resolve_out(args.out, cfg_out, "circuit-run.csv"))
     return 0
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "cell_seed",
     "lemma_rows",
     "purification_scaling_rows",
-    "forward_ceiling_cell",
     "advantage_profile",
     "separation_rows",
     "endtoend_rows",
@@ -224,19 +223,6 @@ def advantage_profile(circuit, eps_list, q: int, cap: int) -> tuple:
     return state.key_count, out
 
 
-def forward_ceiling_cell(d: int, q: int, n: int, eps_list, count: int, seed: int, cap: int) -> list:
-    """Advantages of `count` seeded random forward circuits at each bias.
-
-    Returns one list per circuit, aligned with eps_list.
-    """
-    rng = np.random.default_rng(seed)
-    profiles = []
-    for _ in range(count):
-        circuit = random_interleaved_circuit(d, 2, "+" * n, rng)
-        profiles.append(advantage_profile(circuit, eps_list, q, cap)[1])
-    return profiles
-
-
 # Inverse-demonstration block: probe family dimension and query budget, per
 # the documented experiment layout.
 _INVERSE_D = 4
@@ -251,32 +237,46 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     inverse and matched-family rows report measured advantages and ratio
     without a bound: the ceiling only constrains forward-only circuits, and
     the comparison thresholds live in the acceptance suite.
+
+    Every circuit is drawn first, each forward cell from its own seed, and
+    each circuit is then one unit of work; cell maxima are taken afterwards.
     """
     q = cfg.q[0]
     if max(cfg.n) > q:
         raise ParameterError(
             f"query count {max(cfg.n)} exceeds phase order {q}; need n <= q")
     eps_list = list(cfg.eps)
+    positive = [e for e in eps_list if e > 0]
     forward_cells = [(d, n) for d in cfg.d for n in cfg.n]
-
-    def run_forward(index, d, n):
-        seed = cell_seed(cfg.seed, index)
-        profiles = forward_ceiling_cell(d, q, n, eps_list, cfg.trials, seed, cfg.cap)
-        return seed, profiles
-
-    results = _map_cells(run_forward, [(i, d, n) for i, (d, n) in enumerate(forward_cells)], jobs)
+    seeds = [cell_seed(cfg.seed, index) for index in range(len(forward_cells))]
+    units = []
+    for (d, n), seed in zip(forward_cells, seeds):
+        rng = np.random.default_rng(seed)
+        units += [(random_interleaved_circuit(d, 2, "+" * n, rng), eps_list, q, cfg.cap)
+                  for _ in range(cfg.trials)]
+    # Inverse block: the iterate family against its matched forward family.
+    n_inv = min(_INVERSE_N, q)
+    matched_seed = cell_seed(cfg.seed, 40_000)
+    if positive:
+        rng = np.random.default_rng(matched_seed)
+        inverse_block = [grover_iterate_circuit(_INVERSE_D, n_inv),
+                         matched_forward_circuit(_INVERSE_D, n_inv)]
+        inverse_block += [random_interleaved_circuit(_INVERSE_D, 2, "+" * n_inv, rng)
+                          for _ in range(cfg.trials)]
+        units += [(c, positive, q, cfg.cap) for c in inverse_block]
+    profiles = [adv for _, adv in _map_cells(advantage_profile, units, jobs)]
 
     rows = []
     best_by_eps = {eps: 0.0 for eps in eps_list}
-    for (d, n), (seed, profiles) in zip(forward_cells, results):
+    for index, ((d, n), seed) in enumerate(zip(forward_cells, seeds)):
+        cell = profiles[index * cfg.trials:(index + 1) * cfg.trials]
         for j, eps in enumerate(eps_list):
-            cell_max = max(p[j] for p in profiles)
+            cell_max = max(p[j] for p in cell)
             best_by_eps[eps] = max(best_by_eps[eps], cell_max)
             bound = 4.0 * n * eps**2 + 1e-9
             rows.append(ResultRow("forward_adv", (d, q, n, eps), cell_max, bound,
                                   cell_max <= bound, seed))
 
-    positive = [e for e in eps_list if e > 0]
     if len(positive) >= 2:
         slope = float(np.polyfit(np.log(positive),
                                  np.log([max(best_by_eps[e], 1e-300) for e in positive]), 1)[0])
@@ -286,10 +286,7 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     if not positive:
         return rows
 
-    # Inverse block: the iterate family against its matched forward family.
-    n_inv = min(_INVERSE_N, q)
-    inv_circuit = grover_iterate_circuit(_INVERSE_D, n_inv)
-    _, inv_adv = advantage_profile(inv_circuit, positive, q, cfg.cap)
+    inv_adv, *matched_profiles = profiles[len(forward_cells) * cfg.trials:]
     for eps, adv in zip(positive, inv_adv):
         rows.append(ResultRow("inverse_adv", (_INVERSE_D, q, n_inv, eps), adv, None, True,
                               cell_seed(cfg.seed, 30_000)))
@@ -298,15 +295,8 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
         rows.append(ResultRow("inverse_slope", (_INVERSE_D, q, n_inv, tuple(positive)), slope,
                               None, True, cell_seed(cfg.seed, 30_001)))
 
-    matched_seed = cell_seed(cfg.seed, 40_000)
-    rng = np.random.default_rng(matched_seed)
-    matched = [matched_forward_circuit(_INVERSE_D, n_inv)]
-    matched += [random_interleaved_circuit(_INVERSE_D, 2, "+" * n_inv, rng)
-                for _ in range(cfg.trials)]
-    matched_profiles = _map_cells(
-        advantage_profile, [(c, positive, q, cfg.cap) for c in matched], jobs)
     for j, eps in enumerate(positive):
-        best = max(adv[j] for _, adv in matched_profiles)
+        best = max(adv[j] for adv in matched_profiles)
         bound = 4.0 * n_inv * eps**2 + 1e-9
         rows.append(ResultRow("matched_adv", (_INVERSE_D, q, n_inv, eps), best, bound,
                               best <= bound, matched_seed))

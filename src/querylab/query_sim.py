@@ -11,11 +11,19 @@ average is then a moment-weighted double sum over histogram keys,
     rho = sum_{e, e'} M(e - e') |v_e><v_{e'}|,   M(m) = prod_i moment(eps, q, m_i),
 
 which factorizes per coordinate because the diagonal entries are independent.
+
+The decomposition is held as two aligned arrays, histogram keys (K x d) and
+component vectors (K x d*aux): a gate is one matrix product, and a query
+shifts the live keys and merges duplicates through a mixed-radix key code.
+Every key sums to forward - inverse, so the weight M(e - e') is read from a
+table indexed by the difference of two keys' codes over a prefix of the
+coordinates, with each product formed in coordinate order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,17 +134,23 @@ class QueryCircuit:
 
 @dataclass(frozen=True)
 class PurifiedState:
-    """Sparse map from integer exponent histograms to component vectors."""
+    """Exponent histograms and their component vectors, as two aligned arrays.
+
+    Row k of ``keys`` (K x d, int64) is one histogram e; row k of ``vectors``
+    (K x d*aux, complex) is the part of the output state that acquired the
+    monomial ``prod_i U_i^{e_i}``. Rows are in first-seen order.
+    """
 
     d: int
     aux_dim: int
-    components: dict
+    keys: np.ndarray
+    vectors: np.ndarray
     forward_count: int
     inverse_count: int
 
     @property
     def key_count(self) -> int:
-        return len(self.components)
+        return len(self.keys)
 
     @property
     def query_count(self) -> int:
@@ -147,18 +161,20 @@ class PurifiedState:
         return self.inverse_count == 0
 
     def total_mass(self) -> float:
-        return float(sum(np.vdot(v, v).real for v in self.components.values()))
+        return float(np.vdot(self.vectors, self.vectors).real)
 
     def validate(self):
         """Assert the histogram invariants; returns self for chaining."""
         if abs(self.total_mass() - 1.0) > 1e-10:
             raise QuerylabError(f"purified mass {self.total_mass()!r} drifted from 1")
         net = self.forward_count - self.inverse_count
-        for e in self.components:
-            if sum(e) != net:
-                raise QuerylabError(f"histogram key {e} does not sum to {net}")
-            if self.forward_only and any(x < 0 for x in e):
-                raise QuerylabError(f"negative exponent in forward-only key {e}")
+        bad = self.keys.sum(axis=1) != net
+        if bad.any():
+            e = tuple(self.keys[bad.argmax()].tolist())
+            raise QuerylabError(f"histogram key {e} does not sum to {net}")
+        if self.forward_only and (self.keys < 0).any():
+            e = tuple(self.keys[(self.keys < 0).any(axis=1).argmax()].tolist())
+            raise QuerylabError(f"negative exponent in forward-only key {e}")
         return self
 
 
@@ -171,14 +187,34 @@ class AveragedOutput:
     order: int
 
 
+def _first_seen_unique(keys: np.ndarray) -> tuple:
+    # (index of each distinct row's first occurrence, in first-seen order;
+    # each row's position among the distinct rows), via one mixed-radix code
+    # per row when the code fits in int64
+    lo = keys.min(axis=0)
+    radix = (keys.max(axis=0) - lo + 1).tolist()
+    if math.prod(radix) < 2**63:
+        strides = np.cumprod([1] + radix[:0:-1])[::-1].astype(np.int64)
+        _, first, inverse = np.unique((keys - lo) @ strides,
+                                      return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
 def run_purified(circuit: QueryCircuit, initial: StateVector = None,
                  key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
     """Evolve the histogram decomposition of a circuit run, exactly.
 
-    Gates act on every component; a forward query splits each component by
-    query-register index x and increments that key coordinate (inverse
-    queries decrement). Exceeding ``key_cap`` histogram keys raises a
-    resource error rather than pruning.
+    A gate is one matrix product over all component vectors. A forward query
+    splits each component by query-register index x and increments that key
+    coordinate (inverse queries decrement); only nonzero rows make keys.
+    Destination (key, x) slots have exactly one source, key minus the shift
+    at x, so each slot is written once, as that row added to zero. Exceeding
+    ``key_cap`` histogram keys raises a resource error rather than pruning.
     """
     d, aux = circuit.d, circuit.aux_dim
     if initial is None:
@@ -189,77 +225,115 @@ def run_purified(circuit: QueryCircuit, initial: StateVector = None,
         )
     if not initial.normalized:
         raise ParameterError("purified evolution requires a normalized initial state")
-    zero = (0,) * d
-    comps = {zero: initial.amplitudes.astype(complex)}
+    keys = np.zeros((1, d), dtype=np.int64)
+    vecs = initial.amplitudes.astype(complex)[None, :]
     for step in circuit.steps:
         if isinstance(step, FixedGate):
-            keys = list(comps.keys())
-            block = np.stack([comps[k] for k in keys])
-            block = block @ step.matrix.T
-            comps = {k: block[i] for i, k in enumerate(keys)}
-        else:
-            delta = 1 if isinstance(step, ForwardQuery) else -1
-            new = {}
-            for e, v in comps.items():
-                rows = v.reshape(d, aux)
-                for x in range(d):
-                    row = rows[x]
-                    if not row.any():
-                        continue
-                    ke = list(e)
-                    ke[x] += delta
-                    ke = tuple(ke)
-                    slot = new.get(ke)
-                    if slot is None:
-                        slot = np.zeros((d, aux), dtype=complex)
-                        new[ke] = slot
-                    slot[x] += row
-            comps = {k: v.reshape(-1) for k, v in new.items()}
-            if len(comps) > key_cap:
-                raise ResourceLimitError(
-                    f"purified run produced {len(comps)} histogram keys, above the cap {key_cap}"
-                )
-    return PurifiedState(d, aux, comps, circuit.forward_count, circuit.inverse_count)
+            vecs = vecs @ step.matrix.T
+            continue
+        delta = 1 if isinstance(step, ForwardQuery) else -1
+        rows = vecs.reshape(-1, d, aux)
+        src, x = np.nonzero(rows.any(axis=2))
+        shifted = keys[src]
+        shifted[np.arange(len(src)), x] += delta
+        first, dest = _first_seen_unique(shifted)
+        if len(first) > key_cap:
+            raise ResourceLimitError(
+                f"purified run produced {len(first)} histogram keys, above the cap {key_cap}"
+            )
+        keys = shifted[first]
+        out = np.zeros((len(first), d, aux), dtype=complex)
+        out[dest, x] += rows[src, x]
+        vecs = out.reshape(len(first), d * aux)
+    return PurifiedState(d, aux, keys, vecs, circuit.forward_count, circuit.inverse_count)
+
+
+# Column width of the weight tiles in `average_density`.
+_TILE = 256
 
 
 def _layout(p: PurifiedState, eps: float, q: int):
-    # sorted keys, their stacked vectors and exponent rows, and the moment
-    # table covering every coordinate difference between two keys
-    keys = sorted(p.components.keys())
-    vecs = np.stack([p.components[k] for k in keys])
-    expo = np.array(keys, dtype=np.int64)
+    # lexsorted exponent rows, their vectors, and the moment table covering
+    # every coordinate difference between two keys
+    if not p.key_count:
+        raise QuerylabError("empty purified state")
+    order = np.lexsort(p.keys.T[::-1])
+    expo = p.keys[order]
     span = int(expo.max() - expo.min())
-    return keys, vecs, expo, moment_table(float(eps), int(q), span)
+    return expo, p.vectors[order], moment_table(float(eps), int(q), span)
 
 
-def _moment_weights(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # M(e - e') = prod_i moment(e_i - e'_i) for every (row key, column key)
-    # pair, multiplied coordinate by coordinate in index order
+def _moment_weights(expo: np.ndarray, table: np.ndarray, budget: int):
+    """weights(rows, cols) -> M(e_r - e_c) for two slices of the key rows.
+
+    Each coordinate's moment is multiplied in index order, ((1*t[m_0])*t[m_1])...,
+    as a per-coordinate loop would. A prefix of the coordinates is
+    difference-coded: each key gets a mixed-radix code over the prefix, and
+    the difference of two codes indexes a table of the prefix's moment
+    products, built in the same order. The prefix is the longest one whose
+    table holds at most ``budget`` entries. Every key sums to the same net
+    count, so d - 1 coordinates fix the last; a full prefix folds that
+    implied factor into the table. The remaining coordinates are multiplied
+    in one by one.
+    """
+    d = expo.shape[1]
     span = len(table) // 2
-    w = np.ones((len(rows), len(cols)))
-    for i in range(rows.shape[1]):
-        w *= table[(rows[:, i, None] - cols[None, :, i]) + span]
-    return w
+    spans = (expo.max(axis=0) - expo.min(axis=0)).tolist()
+    prefix, size = 0, 1
+    while prefix < d - 1 and size * (2 * spans[prefix] + 1) <= budget:
+        size *= 2 * spans[prefix] + 1
+        prefix += 1
+    prod = np.ones(1)
+    digit_sum = np.zeros(1, dtype=np.int64)
+    strides = np.zeros(prefix, dtype=np.int64)
+    for i in range(prefix):
+        m = np.arange(-spans[i], spans[i] + 1)
+        strides[:i] *= len(m)
+        strides[i] = 1
+        prod = (prod[:, None] * table[m + span][None, :]).reshape(-1)
+        digit_sum = (digit_sum[:, None] + m[None, :]).reshape(-1)
+    done = prefix
+    if prefix == d - 1:
+        # digit combinations that no key pair realizes may imply a last
+        # difference outside the table; their entries are never read
+        prod *= table[np.clip(-digit_sum, -span, span) + span]
+        done = d
+    codes = expo[:, :prefix] @ strides
+    row_codes = codes + int(np.dot(spans[:prefix], strides))
+
+    def weights(rows: slice, cols: slice) -> np.ndarray:
+        w = prod[row_codes[rows, None] - codes[None, cols]]
+        for i in range(done, d):
+            w *= table[(expo[rows, i, None] - expo[None, cols, i]) + span]
+        return w
+
+    return weights
 
 
 def average_density(p: PurifiedState, eps: float, q: int,
                     block: int = 512) -> AveragedOutput:
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
-    The weight matrix is never materialized whole: each row block looks the
-    per-coordinate exponent differences up in a shared moment table, so the
-    cost is O(K^2 d / block) lookups and one small matmul per block.
+    The weight matrix is never materialized whole: each row block gathers
+    its weights from a difference-coded moment table (see
+    `_moment_weights`) in tiles of `_TILE` columns, so one block costs a
+    few table lookups per key pair and two small matmuls. Column tiles keep
+    every element's reduction order; the row blocks fix it.
     """
-    dim = p.d * p.aux_dim
-    if not p.components:
-        raise QuerylabError("empty purified state")
-    keys, vecs, expo, table = _layout(p, eps, q)
+    expo, vecs, table = _layout(p, eps, q)
+    nkeys = len(expo)
+    block = max(1, int(block))
+    weights = _moment_weights(expo, table, min(block, nkeys) * nkeys)
     conj = vecs.conj()
-    nkeys = len(keys)
+    dim = vecs.shape[1]
+    part = np.empty((dim, nkeys), dtype=complex)
     rho = np.zeros((dim, dim), dtype=complex)
-    for a in range(0, nkeys, max(1, int(block))):
-        b = min(a + block, nkeys)
-        rho += vecs[a:b].T @ _moment_weights(table, expo[a:b], expo) @ conj
+    for a in range(0, nkeys, block):
+        rows = slice(a, min(a + block, nkeys))
+        for c in range(0, nkeys, _TILE):
+            cols = slice(c, min(c + _TILE, nkeys))
+            part[:, cols] = vecs[rows].T @ weights(rows, cols)
+        rho += part @ conj
     rho = (rho + rho.conj().T) / 2
     return AveragedOutput(
         density=DensityMatrix(rho, (p.d, p.aux_dim)), bias=float(eps), order=int(q)
@@ -267,11 +341,12 @@ def average_density(p: PurifiedState, eps: float, q: int,
 
 
 def moment_gram(p: PurifiedState, eps: float, q: int, max_keys: int = 4000) -> tuple:
-    """(sorted keys, K x K moment matrix) for a small purified state."""
-    keys, _, expo, table = _layout(p, eps, q)
-    if len(keys) > max_keys:
-        raise ResourceLimitError(f"{len(keys)} keys exceed the dense Gram cap {max_keys}")
-    return keys, _moment_weights(table, expo, expo)
+    """(lexsorted K x d keys, K x K moment matrix) for a small purified state."""
+    expo, _, table = _layout(p, eps, q)
+    if len(expo) > max_keys:
+        raise ResourceLimitError(f"{len(expo)} keys exceed the dense Gram cap {max_keys}")
+    everything = slice(None)
+    return expo, _moment_weights(expo, table, len(expo) ** 2)(everything, everything)
 
 
 def _dense_run(circuit: QueryCircuit, phases: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -347,16 +422,16 @@ def biased_ft_rotate(p: PurifiedState, eps: float, q: int) -> RotatedPurificatio
     if not p.forward_only:
         raise ParameterError("label rounding is defined for forward-only purifications")
     q = int(q)
-    for e in p.components:
-        if any(x >= q for x in e):
-            raise ParameterError(f"histogram key {e} has an exponent >= q={q}")
+    if (p.keys >= q).any():
+        e = tuple(p.keys[(p.keys >= q).any(axis=1).argmax()].tolist())
+        raise ParameterError(f"histogram key {e} has an exponent >= q={q}")
     basis = build_biased_frame(q, eps)
     c = basis.coeffs
     alphas = basis.alphas
     retained, error_mass = {}, {}
     rotated = {}
     dim = p.d * p.aux_dim
-    for e, v in p.components.items():
+    for e, v in zip(map(tuple, p.keys.tolist()), p.vectors):
         amp = float(np.prod(alphas[list(e)]))
         retained[e] = amp
         error_mass[e] = 1.0 - amp * amp

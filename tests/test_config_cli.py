@@ -298,23 +298,30 @@ def test_cli_csv_is_byte_identical_across_jobs(tmp_path, capsys):
 
 def test_separation_csv_independent_of_jobs_and_blas_threads(tmp_path):
     # every sweep pins OpenBLAS to one thread, so neither the worker count
-    # nor the BLAS thread count the process starts with moves a byte
+    # nor the BLAS thread count the process starts with moves a byte. The
+    # default grid stays at <= 84 keys (one row block, one weight tile); the
+    # d = 5, n = 10 grid reaches 1,001 keys: two row blocks, four tiles and
+    # circuits of unequal cost sharing the pool.
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items()
             if k not in ("QUERYLAB_JOBS", "QUERYLAB_OUT", "OMP_NUM_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
-    outs = {}
-    for jobs in (1, 2):
-        for threads in (1, 2):
-            out = tmp_path / f"sep_j{jobs}_t{threads}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "querylab", "separation", "--jobs", str(jobs),
-                 "--out", str(out)],
-                env={**base, "OPENBLAS_NUM_THREADS": str(threads)},
-                capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            outs[jobs, threads] = out.read_bytes()
-    assert len(set(outs.values())) == 1
+    deep = tmp_path / "deep.ini"
+    deep.write_text("[experiment]\nkind = separation\n\n"
+                    "[grid]\nd = 5\nq = 16\nn = 10\ntrials = 2\n")
+    for name, config in (("default", []), ("deep", ["--config", str(deep)])):
+        outs = {}
+        for jobs in (1, 2):
+            for threads in (1, 2):
+                out = tmp_path / f"{name}_j{jobs}_t{threads}.csv"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "querylab", "separation", *config,
+                     "--jobs", str(jobs), "--out", str(out)],
+                    env={**base, "OPENBLAS_NUM_THREADS": str(threads)},
+                    capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                outs[jobs, threads] = out.read_bytes()
+        assert len(set(outs.values())) == 1, name
 
 
 TINY_SWEEPS = {
@@ -472,6 +479,20 @@ def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
         assert math.isclose(float(measured), expected, rel_tol=0, abs_tol=1e-15)
 
 
+def test_cli_circuit_run_honours_config_output_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    (tmp_path / "run.ini").write_text(
+        "[experiment]\nkind = separation\n\n[grid]\neps = 0.1\n\n[output]\npath = x.csv\n")
+    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini"]) == 0
+    assert capsys.readouterr().out == ""
+    body = [ln for ln in (tmp_path / "x.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert [row[0] for row in csv.reader(body)][-1] == "circuit_adv"
+    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini", "--out", "y.csv"]) == 0
+    assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
+
+
 def test_cli_circuit_run_has_no_sweep_flags(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
@@ -498,6 +519,28 @@ def test_every_export_resolves():
         mod = importlib.import_module(f"querylab.{info.name}")
         missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_no_unused_imports_in_src():
+    # every name a module imports is referenced in it, or re-exported
+    # through __all__; the package __init__ only re-exports
+    unused = []
+    for path in sorted(pathlib.Path(querylab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= set(getattr(importlib.import_module(f"querylab.{path.stem}"), "__all__", ()))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from querylab.errors import ConfigError, ParameterError, QuerylabError, ResourceLimitError
 from querylab.experiments import advantage_profile
+from querylab.families import grover_iterate_circuit, random_interleaved_circuit
 from querylab.linalg import StateVector, dft_matrix, random_unitary, trace_distance
+from querylab.phases import moment_table
 from querylab.query_sim import (
     DEFAULT_KEY_CAP,
     FORWARD,
@@ -30,6 +33,11 @@ def random_circuit(d, aux, pattern, rng):
         steps.append(FORWARD if ch == "+" else INVERSE)
         steps.append(FixedGate(random_unitary(d * aux, rng)))
     return QueryCircuit(d, aux, tuple(steps))
+
+
+def components(p):
+    """{histogram key tuple: component vector} of a purified state."""
+    return dict(zip(map(tuple, p.keys.tolist()), p.vectors))
 
 
 def uniform_state(d, aux=1):
@@ -57,44 +65,88 @@ class TestQueryCircuit:
         assert s.amplitudes[0] == 1.0
 
 
+def reference_purify(circuit, initial=None):
+    """The dict-of-tuples loop: (keys in first-seen order, stacked vectors)."""
+    d, aux = circuit.d, circuit.aux_dim
+    initial = circuit.initial_state() if initial is None else initial
+    comps = {(0,) * d: initial.amplitudes.astype(complex)}
+    for step in circuit.steps:
+        if isinstance(step, FixedGate):
+            keys = list(comps)
+            block = np.stack([comps[k] for k in keys]) @ step.matrix.T
+            comps = {k: block[i] for i, k in enumerate(keys)}
+            continue
+        delta = 1 if step is FORWARD else -1
+        new = {}
+        for e, v in comps.items():
+            for x, row in enumerate(v.reshape(d, aux)):
+                if row.any():
+                    ke = e[:x] + (e[x] + delta,) + e[x + 1:]
+                    new.setdefault(ke, np.zeros((d, aux), dtype=complex))[x] += row
+        comps = {k: v.reshape(-1) for k, v in new.items()}
+    return np.array(list(comps), dtype=np.int64), np.stack(list(comps.values()))
+
+
 class TestRunPurified:
+    @pytest.mark.parametrize("build", [
+        lambda rng: random_interleaved_circuit(5, 2, "+" * 6, rng),
+        lambda rng: random_interleaved_circuit(3, 2, "+-+-+", rng),
+        lambda rng: random_interleaved_circuit(12, 2, "++", rng),
+        lambda rng: grover_iterate_circuit(4, 8),
+        lambda rng: QueryCircuit(3, 1, (FORWARD, INVERSE, FORWARD)),
+    ])
+    def test_bit_identical_to_dict_loop(self, build):
+        c = build(np.random.default_rng(12))
+        init = uniform_state(c.d, c.aux_dim) if c.aux_dim == 1 else None
+        keys, vecs = reference_purify(c, init)
+        p = run_purified(c, init)
+        assert np.array_equal(p.keys, keys)
+        assert p.vectors.shape == vecs.shape
+        assert p.vectors.tobytes() == vecs.tobytes()  # signed zeros too
+
     def test_zero_query_single_key(self):
         rng = np.random.default_rng(1)
         g = random_unitary(4, rng)
         c = QueryCircuit(2, 2, (FixedGate(g),))
         p = run_purified(c).validate()
         assert p.key_count == 1
-        assert np.abs(p.components[(0, 0)] - g[:, 0]).max() < 1e-12
+        assert np.abs(components(p)[(0, 0)] - g[:, 0]).max() < 1e-12
 
     def test_single_forward_on_uniform(self):
         c = QueryCircuit(2, 1, (FORWARD,))
         p = run_purified(c, uniform_state(2)).validate()
-        assert set(p.components) == {(1, 0), (0, 1)}
-        for v in p.components.values():
+        assert set(components(p)) == {(1, 0), (0, 1)}
+        for v in p.vectors:
             assert np.vdot(v, v).real == pytest.approx(0.5, abs=1e-12)
 
     def test_forward_then_inverse_cancels(self):
         c = QueryCircuit(2, 1, (FORWARD, INVERSE))
         init = uniform_state(2)
         p = run_purified(c, init).validate()
-        assert set(p.components) == {(0, 0)}
-        assert np.abs(p.components[(0, 0)] - init.amplitudes).max() < 1e-12
+        assert set(components(p)) == {(0, 0)}
+        assert np.abs(components(p)[(0, 0)] - init.amplitudes).max() < 1e-12
 
     def test_mass_preserved_and_sum_law(self):
         rng = np.random.default_rng(7)
         c = random_circuit(3, 2, "++-+", rng)
         p = run_purified(c).validate()
         assert p.total_mass() == pytest.approx(1.0, abs=1e-10)
-        for e in p.components:
-            assert sum(e) == 2  # 3 forward - 1 inverse... pattern ++-+ = 3F,1I
+        assert (p.keys.sum(axis=1) == 2).all()  # pattern ++-+: 3 forward, 1 inverse
 
     def test_forward_only_keys_nonnegative(self):
         rng = np.random.default_rng(8)
         c = random_circuit(2, 2, "+++", rng)
         p = run_purified(c).validate()
-        for e in p.components:
-            assert all(x >= 0 for x in e)
-            assert sum(e) == 3
+        assert (p.keys >= 0).all()
+        assert (p.keys.sum(axis=1) == 3).all()
+
+    def test_wide_keys_merge_without_a_fitting_code(self):
+        # 64 coordinates with 3 values each: no int64 mixed-radix code fits
+        rng = np.random.default_rng(10)
+        c = random_circuit(64, 1, "++", rng)
+        p = run_purified(c).validate()
+        assert p.key_count == 64 * 65 // 2
+        assert len({tuple(k) for k in p.keys.tolist()}) == p.key_count
 
     def test_key_cap(self):
         rng = np.random.default_rng(9)
@@ -124,7 +176,7 @@ class TestAverageDensity:
         c = random_circuit(2, 2, "++", rng)
         p = run_purified(c)
         rho = average_density(p, 0.0, q=8).density
-        mix = sum(np.outer(v, v.conj()) for v in p.components.values())
+        mix = sum(np.outer(v, v.conj()) for v in p.vectors)
         assert np.abs(rho.entries - mix).max() < 1e-12
 
     def test_matches_brute_force_random_instance(self):
@@ -136,6 +188,110 @@ class TestAverageDensity:
         for block in (512, 2):
             got = average_density(p, 0.3, q=3, block=block).density
             assert np.abs(got.entries - want.entries).max() < 1e-10
+
+
+def reference_average(p, eps, q, block=512):
+    """The per-coordinate product loop over sorted keys, in 512-row blocks.
+
+    Each weight is ((1*t[m_0])*t[m_1])*..., one coordinate at a time, and
+    each block's weights are one dense row block.
+    """
+    comps = components(p)
+    keys = sorted(comps)
+    vecs = np.stack([comps[k] for k in keys])
+    expo = np.array(keys, dtype=np.int64)
+    span = int(expo.max() - expo.min())
+    table = moment_table(float(eps), int(q), span)
+    conj = vecs.conj()
+    rho = np.zeros((vecs.shape[1],) * 2, dtype=complex)
+    for a in range(0, len(keys), block):
+        rows = expo[a:a + block]
+        w = np.ones((len(rows), len(keys)))
+        for i in range(expo.shape[1]):
+            w *= table[(rows[:, i, None] - expo[None, :, i]) + span]
+        rho += vecs[a:a + block].T @ w @ conj
+    return (rho + rho.conj().T) / 2
+
+
+def deep_forward_state():
+    # d = 5, n = 10: 1,001 keys, so two row blocks of four weight tiles
+    rng = np.random.default_rng(31)
+    return run_purified(random_interleaved_circuit(5, 2, "+" * 10, rng))
+
+
+class TestWeightPath:
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    def test_bit_identical_to_coordinate_loop(self, eps):
+        wide = run_purified(random_interleaved_circuit(12, 2, "++", np.random.default_rng(32)))
+        cases = [
+            (deep_forward_state(), 16, 1001, 512),
+            # inverse queries: keys with negative exponents
+            (run_purified(grover_iterate_circuit(4, 8)), 16, 309, 512),
+            # 78 keys over 12 coordinates: a full code table would hold 5^11
+            # entries, far above one row block, so the prefix stops short
+            (wide, 8, 78, 512),
+            # 7-row blocks: a smaller table budget, and four row blocks
+            (run_purified(grover_iterate_circuit(3, 5)), 8, 27, 7),
+        ]
+        for p, q, keys, block in cases:
+            assert p.key_count == keys
+            got = average_density(p, eps, q, block=block).density.entries
+            assert np.array_equal(got, reference_average(p, eps, q, block=block))
+
+    def test_traced_peak_of_one_average(self):
+        p = deep_forward_state()
+        moment_table(0.1, 16, 10)  # the shared, cached table is not per call
+        tracemalloc.start()
+        try:
+            average_density(p, 0.1, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
+def pair_terms(p, q):
+    """(off-lattice count h, moment product at eps = 1) of every key pair.
+
+    Every off-lattice moment is eps times a Dirichlet kernel value and every
+    on-lattice moment is 1, so M_eps(e - e') = eps^h * (the eps = 1 product).
+    """
+    diff = p.keys[:, None, :] - p.keys[None, :, :]
+    span = int(np.abs(diff).max())
+    unit = moment_table(1.0, q, span)[diff + span].prod(axis=2)
+    return (diff % q != 0).sum(axis=2), unit
+
+
+class TestFirstOrderCancellation:
+    CASES = [
+        ("forward", lambda rng: random_interleaved_circuit(3, 2, "+++++", rng), 3),
+        ("forward", lambda rng: random_interleaved_circuit(4, 2, "++++", rng), 8),
+        ("mixed", lambda rng: random_interleaved_circuit(3, 2, "+-+-+", rng), 2),
+        ("mixed", lambda rng: random_interleaved_circuit(4, 2, "+-+-+", rng), 8),
+        ("inverse", lambda rng: grover_iterate_circuit(4, 8), 16),
+        ("inverse", lambda rng: grover_iterate_circuit(3, 6), 4),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_no_pair_differs_in_exactly_one_coordinate(self, index):
+        _, build, q = self.CASES[index]
+        p = run_purified(build(np.random.default_rng(40 + index)))
+        h, _ = pair_terms(p, q)
+        assert (h == 1).sum() == 0
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_pair_decomposition_reproduces_average(self, index):
+        _, build, q = self.CASES[index]
+        p = run_purified(build(np.random.default_rng(40 + index)))
+        h, unit = pair_terms(p, q)
+        v = p.vectors
+        terms = [v.T @ np.where(h == k, unit, 0.0) @ v.conj() for k in range(p.d + 1)]
+        assert np.abs(terms[1]).max() == 0.0
+        base = average_density(p, 0.0, q).density.entries
+        assert np.abs(terms[0] - base).max() < 1e-12
+        for eps in (0.05, 0.3):
+            series = sum(eps**k * r for k, r in enumerate(terms))
+            assert np.abs(series - average_density(p, eps, q).density.entries).max() < 1e-12
 
 
 class TestBruteForce:
@@ -247,7 +403,7 @@ class TestPurificationBasisInvariance:
         keys, gram = moment_gram(p, 0.3, q=5)
         w, u = np.linalg.eigh(gram)
         labels = u * np.sqrt(np.clip(w, 0, None))  # rows are label vectors
-        vecs = np.stack([p.components[k] for k in keys])
+        vecs = np.stack([components(p)[k] for k in map(tuple, keys.tolist())])
         rho_direct = average_density(p, 0.3, q=5).density.entries
 
         def embed(lab):

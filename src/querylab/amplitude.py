@@ -39,7 +39,6 @@ __all__ = [
     "uniform_ramp_unitary",
     "trace_probe",
     "pair_probe",
-    "probe_amplitude_check",
     "distinguish_by_estimation",
     "distinguish_by_amplification",
     "distinguish_by_pair_reduction",
@@ -474,42 +473,6 @@ def pair_probe(oracle: DiagonalOracle, method: str = "auto") -> PreparationOracl
     alpha = normalized_trace(oracle)
     beta = normalized_trace(oracle.compose_ramp(-1))
     return PairedPreparation(alpha, beta, d)
-
-
-def probe_amplitude_check(oracle: DiagonalOracle, variant: str = "trace") -> dict:
-    """Simulate a probe on |0,0> and compare flagged data to trace values.
-
-    Returns the measured flagged amplitudes, the trace functionals they
-    should equal, and whether everything matches within 1e-10.
-    """
-    if variant not in ("trace", "paired"):
-        raise ParameterError(f"unknown probe variant {variant!r}")
-    d = oracle.dimension
-    matrix = _dense_probe_matrix(oracle, variant)
-    out = matrix[:, 0]
-    flagged_norm = float(np.linalg.norm(out[1::2]))
-    if variant == "trace":
-        amplitude = complex(out[1])
-        expected = complex(normalized_trace(oracle))
-        expected_norm = abs(expected)
-        ok = abs(amplitude - expected) <= 1e-10
-    else:
-        amplitude = (complex(out[1]), complex(out[3]))
-        expected = (
-            complex(normalized_trace(oracle)),
-            complex(normalized_trace(oracle.compose_ramp(-1))),
-        )
-        expected_norm = math.hypot(abs(expected[0]), abs(expected[1]))
-        ok = max(abs(amplitude[0] - expected[0]), abs(amplitude[1] - expected[1])) <= 1e-10
-    ok = ok and abs(flagged_norm - expected_norm) <= 1e-10
-    return {
-        "variant": variant,
-        "flag_amplitude": amplitude,
-        "expected": expected,
-        "flagged_norm": flagged_norm,
-        "expected_norm": expected_norm,
-        "ok": bool(ok),
-    }
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ bias-``eps`` pmf. At bias 0 these are exactly the DFT columns; for small bias
 they stay close to orthonormal, and orthonormalizing them yields a unitary
 that maps frame column k onto basis states ``{|0>, ..., |k>}`` only, with the
 retained weight on ``|k>`` controlled by the bias.
+
+The frame's Gram matrix ``G[j, k] = phase_moment(eps, q, k - j)`` is the real
+symmetric circulant Toeplitz matrix of phase moments. The lemma sweep reads
+every quantity it checks from that moment row in O(q^2) time: the retained
+weights from the Levinson-Durbin recursion, the singular values from one FFT
+(Gray, "Toeplitz and Circulant Matrices: A Review", 2006). The dense frame and
+its rounding unitary remain for ``query_sim.biased_ft_rotate``.
 """
 
 from __future__ import annotations
@@ -16,15 +23,13 @@ import numpy as np
 
 from .errors import ParameterError, QuerylabError
 from .linalg import gram_schmidt
-from .phases import pmf_vector, window_halfwidth
+from .phases import moment_table, pmf_vector
 
 __all__ = [
     "BiasedBasis",
     "build_biased_frame",
     "frame_matrix",
-    "singular_spectrum",
-    "overlap_bound_check",
-    "moment_power_sum",
+    "prediction_errors",
     "frame_summary",
 ]
 
@@ -84,64 +89,62 @@ def build_biased_frame(q: int, eps: float) -> BiasedBasis:
     return BiasedBasis(order=q, bias=eps, frame=frame, transform=transform, coeffs=coeffs)
 
 
-def singular_spectrum(q: int, eps: float) -> np.ndarray:
-    """All singular values of the frame matrix, descending."""
-    return np.linalg.svd(frame_matrix(q, eps), compute_uv=False)
+def _moment_row(q: int, eps: float) -> np.ndarray:
+    # r[m] = phase_moment(eps, q, m) for m = 0..q-1: the Gram matrix's first row
+    row = moment_table(eps, q, q - 1)[q - 1 :]
+    if row[0] != 1.0:
+        raise QuerylabError("frame columns lost unit norm; moment construction is broken")
+    return row
 
 
-def overlap_bound_check(q: int, eps: float, k: int) -> float:
-    """Mass of frame column k inside the span of the previous orthonormal columns.
+def prediction_errors(q: int, eps: float) -> np.ndarray:
+    """Squared retained weights ``alphas**2`` of the frame, without building it.
 
-    Computed as <f_k| P_{k-1} |f_k> with P_{k-1} the projector onto the first
-    k orthonormalized columns, and cross-checked against 1 - |residual|^2.
+    The QR factor R of the frame is the Cholesky factor of its Gram matrix,
+    so ``alphas[k]**2 = R[k, k]**2`` is the error of predicting column k from
+    columns 0..k-1: the order-k prediction error ``E_k`` of the
+    Levinson-Durbin recursion on the moment row (Levinson 1947, Durbin 1960).
+    O(q^2) real operations. A Gram matrix that is not numerically positive
+    definite (some ``E_k`` outside (0, 1]) raises.
     """
     q, eps = _check_args(q, eps)
-    k = int(k)
-    if not 1 <= k < q:
-        raise ParameterError(f"column index must lie in [1, {q}), got {k!r}")
-    basis = build_biased_frame(q, eps)
-    f_k = basis.frame[:, k]
-    prev = basis.transform.conj().T[:, :k]  # orthonormal columns 0..k-1
-    proj_mass = float(np.linalg.norm(prev.conj().T @ f_k) ** 2)
-    residual = f_k - prev @ (prev.conj().T @ f_k)
-    alt = 1.0 - float(np.linalg.norm(residual) ** 2)
-    if abs(proj_mass - alt) > 1e-10:
-        raise QuerylabError("projector and residual computations of the overlap disagree")
-    return proj_mass
-
-
-def moment_power_sum(eps: float, q: int) -> float:
-    """Sum over nonzero powers of the squared moment magnitude.
-
-    Equals ``eps^2 * (q/(2M+1) - 1)`` with ``M = q // 4``; the closed form is
-    returned and the caller can verify it against direct summation of
-    ``|phase_moment|^2``.
-    """
-    q, eps = _check_args(q, eps)
-    M = window_halfwidth(q)
-    return eps**2 * (q / (2 * M + 1) - 1.0)
+    row = _moment_row(q, eps)
+    moments = row.tolist()  # scalar steps in Python floats, not numpy scalars
+    flipped = row[::-1].copy()  # flipped[q-k : q-1] = r[k-1], ..., r[1]
+    coeffs = np.zeros(q)  # order-k predictor of column k from columns k-1, ..., 0
+    errors = np.empty(q)
+    errors[0] = err = moments[0]
+    for k in range(1, q):
+        head = coeffs[: k - 1]
+        reflection = (moments[k] - float(head @ flipped[q - k : q - 1])) / err
+        head -= reflection * head[::-1]  # the product is a new array, so no aliasing
+        coeffs[k - 1] = reflection
+        errors[k] = err = err * (1.0 - reflection * reflection)
+    if not ((errors > 0.0) & (errors <= 1.0)).all():
+        raise QuerylabError("frame Gram matrix is not positive definite; the frame is degenerate")
+    return errors
 
 
 def frame_summary(q: int, eps: float) -> dict:
     """One sweep row: retained-weight floor, singular values, worst overlap.
 
-    The frame's one SVD gives the singular window and ``singular_gap``, the
-    largest distance between the singular values and their closed form
-    ``sqrt(q * pmf)``, compared in sorted order.
+    Read from the moment row in O(q^2) time and O(q) memory. Columns have
+    unit norm, so column k's overlap with the span of its predecessors is
+    ``1 - E_k``. The Gram matrix is circulant, so its eigenvalues, the squared
+    singular values, are the FFT of the moment row: ``q * pmf`` in permuted
+    order. ``singular_gap`` is the largest distance between the singular
+    values and their closed form ``sqrt(q * pmf)``, compared in sorted order.
     """
-    # the SVD runs first, so its workspace is freed before the basis is built
-    spectrum = singular_spectrum(q, eps)
-    basis = build_biased_frame(q, eps)
-    target = np.sqrt(q * pmf_vector(eps, q))
-    # column k's overlap with the span of its predecessors is the squared
-    # mass of its strictly-upper coefficients
-    upper = np.triu(np.abs(basis.coeffs) ** 2, 1)
+    q, eps = _check_args(q, eps)
+    errors = prediction_errors(q, eps)
+    spectrum = np.sqrt(np.sort(np.fft.fft(_moment_row(q, eps)).real))
+    target = np.sort(np.sqrt(q * pmf_vector(eps, q)))
     return {
         "q": q,
         "eps": eps,
-        "min_alpha_sq": float((basis.alphas**2).min()),
-        "sigma_min": float(spectrum[-1]),
-        "sigma_max": float(spectrum[0]),
-        "singular_gap": float(np.abs(np.sort(spectrum) - np.sort(target)).max()),
-        "max_overlap": float(upper.sum(axis=0).max()),
+        "min_alpha_sq": float(errors.min()),
+        "sigma_min": float(spectrum[0]),
+        "sigma_max": float(spectrum[-1]),
+        "singular_gap": float(np.abs(spectrum - target).max()),
+        "max_overlap": float((1.0 - errors).max()),
     }

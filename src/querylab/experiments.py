@@ -104,6 +104,10 @@ def lemma_rows(q_grid, eps_grid, master_seed: int = 0, jobs: int = 1) -> list:
 
     One row per (check, q, eps). The two mean rows additionally pin the
     large-q limit of the full-bias phase mean against 2/pi.
+
+    The cells run in order whatever ``jobs`` is: each is a Levinson loop of
+    small numpy steps that holds the GIL, so worker threads would take turns
+    on it and only add hand-offs. ``jobs`` is kept so every sweep takes it.
     """
     cells = [(q, eps) for q in q_grid for eps in eps_grid]
 
@@ -131,7 +135,7 @@ def lemma_rows(q_grid, eps_grid, master_seed: int = 0, jobs: int = 1) -> list:
         return out
 
     rows = []
-    for index, cell_rows in enumerate(_map_cells(run, cells, jobs)):
+    for index, cell_rows in enumerate(_map_cells(run, cells, 1)):
         seed = cell_seed(master_seed, index)
         rows.extend(ResultRow(kind, params, float(m), b, bool(p), seed)
                     for kind, params, m, b, p in cell_rows)

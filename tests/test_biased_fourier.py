@@ -1,17 +1,81 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from querylab.errors import DegeneracyError, ParameterError
+from querylab import biased_fourier
+from querylab.errors import DegeneracyError, ParameterError, QuerylabError
 from querylab.biased_fourier import (
     build_biased_frame,
     frame_matrix,
     frame_summary,
-    moment_power_sum,
-    overlap_bound_check,
-    singular_spectrum,
+    prediction_errors,
 )
 from querylab.linalg import dft_matrix
 from querylab.phases import phase_moment, pmf_vector, window_halfwidth
+
+# Dense references: the SVD and QR of the q x q frame. The library reads the
+# same quantities from the Toeplitz moment Gram in O(q^2); these cross-check it.
+
+
+def singular_spectrum(q: int, eps: float) -> np.ndarray:
+    """All singular values of the frame matrix, descending."""
+    return np.linalg.svd(frame_matrix(q, eps), compute_uv=False)
+
+
+def overlap_bound_check(q: int, eps: float, k: int) -> float:
+    """Mass of frame column k inside the span of the previous orthonormal columns.
+
+    Computed as <f_k| P_{k-1} |f_k> with P_{k-1} the projector onto the first
+    k orthonormalized columns, and cross-checked against 1 - |residual|^2.
+    """
+    if not 1 <= k < q:
+        raise ParameterError(f"column index must lie in [1, {q}), got {k!r}")
+    basis = build_biased_frame(q, eps)
+    f_k = basis.frame[:, k]
+    prev = basis.transform.conj().T[:, :k]  # orthonormal columns 0..k-1
+    proj_mass = float(np.linalg.norm(prev.conj().T @ f_k) ** 2)
+    residual = f_k - prev @ (prev.conj().T @ f_k)
+    alt = 1.0 - float(np.linalg.norm(residual) ** 2)
+    assert abs(proj_mass - alt) <= 1e-10
+    return proj_mass
+
+
+def moment_power_sum(eps: float, q: int) -> float:
+    """Closed form ``eps^2 * (q/(2M+1) - 1)`` of the summed squared nonzero moments."""
+    M = window_halfwidth(q)
+    return eps**2 * (q / (2 * M + 1) - 1.0)
+
+
+@lru_cache(maxsize=None)
+def dense_columns(q: int, eps: float) -> tuple:
+    """Per-column ``alphas**2`` and strictly-upper coefficient mass of the QR."""
+    basis = build_biased_frame(q, eps)
+    overlaps = np.triu(np.abs(basis.coeffs) ** 2, 1).sum(axis=0)
+    return basis.alphas**2, overlaps
+
+
+@lru_cache(maxsize=None)
+def dense_summary(q: int, eps: float) -> dict:
+    """The summary row from the frame's SVD and its QR coefficients."""
+    spectrum = singular_spectrum(q, eps)
+    alphas_sq, overlaps = dense_columns(q, eps)
+    target = np.sqrt(q * pmf_vector(eps, q))
+    return {
+        "q": q,
+        "eps": eps,
+        "min_alpha_sq": float(alphas_sq.min()),
+        "sigma_min": float(spectrum[-1]),
+        "sigma_max": float(spectrum[0]),
+        "singular_gap": float(np.abs(np.sort(spectrum) - np.sort(target)).max()),
+        "max_overlap": float(overlaps.max()),
+    }
+
+
+# the default verify-lemmas grid plus an odd order
+REFERENCE_CELLS = [(q, eps) for q in (8, 31, 64, 257, 1024) for eps in (0.0, 0.1, 0.25, 0.45)]
+# worst difference seen on these cells is 1.93e-13 (sigma_min at q = 1024)
+FAST_TOL = 1e-12
 
 
 class TestBuild:
@@ -152,7 +216,8 @@ class TestSummary:
         assert set(row) == {"q", "eps", "min_alpha_sq", "sigma_min", "sigma_max",
                             "singular_gap", "max_overlap"}
         s = singular_spectrum(16, 0.3)
-        assert (row["sigma_min"], row["sigma_max"]) == (s[-1], s[0])
+        assert abs(row["sigma_min"] - s[-1]) <= FAST_TOL
+        assert abs(row["sigma_max"] - s[0]) <= FAST_TOL
         assert row["singular_gap"] <= 1e-10
         assert row["min_alpha_sq"] >= 1 - 2 * 0.3**2 / 0.7 - 1e-10
         assert row["max_overlap"] <= 2 * 0.3**2 / 0.7 + 1e-10
@@ -160,3 +225,50 @@ class TestSummary:
         # worst overlap matches the dedicated op at its maximizing column
         per_k = [overlap_bound_check(16, 0.3, k) for k in range(1, 16)]
         assert row["max_overlap"] == pytest.approx(max(per_k), abs=1e-10)
+
+
+class TestToeplitzPath:
+    @pytest.mark.parametrize("q,eps", REFERENCE_CELLS)
+    def test_summary_matches_dense_reference(self, q, eps):
+        fast = frame_summary(q, eps)
+        dense = dense_summary(q, eps)
+        assert set(fast) == set(dense)
+        for key, value in dense.items():
+            assert abs(fast[key] - value) <= FAST_TOL, key
+
+    @pytest.mark.parametrize("q,eps", REFERENCE_CELLS)
+    def test_prediction_errors_are_squared_alphas(self, q, eps):
+        alphas_sq, overlaps = dense_columns(q, eps)
+        assert np.abs(prediction_errors(q, eps) - alphas_sq).max() <= FAST_TOL
+        # unit-norm columns: retained weight plus overlap is 1 in every column,
+        # which is what max_overlap = max(1 - E_k) rests on
+        assert np.abs(alphas_sq + overlaps - 1.0).max() <= FAST_TOL
+
+    def test_unbiased_errors_exactly_one(self):
+        assert (prediction_errors(64, 0.0) == 1.0).all()
+
+    def test_lost_unit_norm_raises(self, monkeypatch):
+        table = biased_fourier.moment_table
+        monkeypatch.setattr(biased_fourier, "moment_table",
+                            lambda eps, q, p: 1.01 * table(eps, q, p))
+        with pytest.raises(QuerylabError):
+            frame_summary(8, 0.2)
+
+    def test_indefinite_gram_raises(self, monkeypatch):
+        # r = (1, 0.5, 1.2, 0, ...) is not positive definite: E_2 < 0
+        def table(eps, q, max_power):
+            row = np.zeros(q)
+            row[:3] = (1.0, 0.5, 1.2)
+            return np.concatenate([row[:0:-1], row])
+
+        monkeypatch.setattr(biased_fourier, "moment_table", table)
+        with pytest.raises(QuerylabError):
+            prediction_errors(8, 0.2)
+        with pytest.raises(QuerylabError):
+            frame_summary(8, 0.2)
+
+    def test_parameter_validation(self):
+        with pytest.raises(ParameterError):
+            frame_summary(1, 0.2)
+        with pytest.raises(ParameterError):
+            prediction_errors(8, 1.0)

@@ -126,8 +126,10 @@ def test_lemma_rows_pass_on_small_grid():
     assert "mean_window" not in kinds  # both q below the window threshold
 
 
-def test_lemma_cell_runs_one_svd_and_two_frame_builds(monkeypatch):
-    calls = {"svd": 0, "frame": 0}
+def test_lemma_cell_builds_no_dense_frame(monkeypatch):
+    # a lemma cell reads everything from the moment row: no SVD, no q x q
+    # frame, no orthonormalization
+    calls = {"svd": 0, "frame": 0, "gram_schmidt": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -138,9 +140,21 @@ def test_lemma_cell_runs_one_svd_and_two_frame_builds(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(biased_fourier, "frame_matrix",
                         counted("frame", biased_fourier.frame_matrix))
-    rows = experiments.lemma_rows((8,), (0.1,), jobs=1)
-    assert calls == {"svd": 1, "frame": 2}
-    assert all(r.passed for r in rows)
+    monkeypatch.setattr(biased_fourier, "gram_schmidt",
+                        counted("gram_schmidt", biased_fourier.gram_schmidt))
+    rows = experiments.lemma_rows((8, 64), (0.1,), jobs=1)
+    assert calls == {"svd": 0, "frame": 0, "gram_schmidt": 0}
+    assert len(rows) == 2 * 6 + 1 and all(r.passed for r in rows)  # plus mean_limit
+
+
+def test_lemma_cells_run_in_order_without_a_pool(monkeypatch):
+    # the cells hold the GIL, so jobs > 1 must not start worker threads
+    def no_pool(*args, **kwargs):
+        raise AssertionError("lemma_rows started a worker pool")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    rows = experiments.lemma_rows((8, 64), (0.0, 0.1), jobs=4)
+    assert [r.params for r in rows[::6]][:4] == [(8, 0.0), (8, 0.1), (64, 0.0), (64, 0.1)]
 
 
 def test_lemma_rows_mean_window_only_for_large_q():
@@ -296,32 +310,46 @@ def test_cli_csv_is_byte_identical_across_jobs(tmp_path, capsys):
     assert not any("jobs" in ln for ln in header if ln.startswith("#"))
 
 
+def _csv_bytes_over_jobs_and_blas_threads(tmp_path, name, command) -> set:
+    # the distinct CSV outputs of one command at --jobs {1, 2} x
+    # OPENBLAS_NUM_THREADS {1, 2}
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("QUERYLAB_JOBS", "QUERYLAB_OUT", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    outs = set()
+    for jobs in (1, 2):
+        for threads in (1, 2):
+            out = tmp_path / f"{name}_j{jobs}_t{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "querylab", *command,
+                 "--jobs", str(jobs), "--out", str(out)],
+                env={**base, "OPENBLAS_NUM_THREADS": str(threads)},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(out.read_bytes())
+    return outs
+
+
 def test_separation_csv_independent_of_jobs_and_blas_threads(tmp_path):
     # every sweep pins OpenBLAS to one thread, so neither the worker count
     # nor the BLAS thread count the process starts with moves a byte. The
     # default grid stays at <= 84 keys (one row block, one weight tile); the
     # d = 5, n = 10 grid reaches 1,001 keys: two row blocks, four tiles and
     # circuits of unequal cost sharing the pool.
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("QUERYLAB_JOBS", "QUERYLAB_OUT", "OMP_NUM_THREADS")}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
     deep = tmp_path / "deep.ini"
     deep.write_text("[experiment]\nkind = separation\n\n"
                     "[grid]\nd = 5\nq = 16\nn = 10\ntrials = 2\n")
     for name, config in (("default", []), ("deep", ["--config", str(deep)])):
-        outs = {}
-        for jobs in (1, 2):
-            for threads in (1, 2):
-                out = tmp_path / f"{name}_j{jobs}_t{threads}.csv"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "querylab", "separation", *config,
-                     "--jobs", str(jobs), "--out", str(out)],
-                    env={**base, "OPENBLAS_NUM_THREADS": str(threads)},
-                    capture_output=True, text=True, timeout=300)
-                assert proc.returncode == 0, proc.stderr
-                outs[jobs, threads] = out.read_bytes()
-        assert len(set(outs.values())) == 1, name
+        outs = _csv_bytes_over_jobs_and_blas_threads(tmp_path, name, ["separation", *config])
+        assert len(outs) == 1, name
+
+
+def test_lemma_csv_independent_of_jobs_and_blas_threads(tmp_path):
+    # the default lemma grid runs the Levinson recursion and the FFT up to
+    # q = 1024 in both workers
+    outs = _csv_bytes_over_jobs_and_blas_threads(tmp_path, "lemmas", ["verify-lemmas"])
+    assert len(outs) == 1
 
 
 TINY_SWEEPS = {

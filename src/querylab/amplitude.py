@@ -6,8 +6,9 @@ X*S0*Xdag*S_good, the flag probability of a state, and collapse onto the
 flagged component. Forward and inverse applications of X are counted on the
 oracle; the two reflections are fixed gates and are free. The estimation and
 amplification routines below touch nothing else, so any subclass of
-PreparationOracle can be driven, including the O(1)-per-iterate reduction
-used for diagonal-oracle probes at large dimension.
+PreparationOracle can be driven. The diagonal-oracle probes use the exact
+O(1)-per-iterate two-level reduction at every dimension; the dense probe
+unitary is kept as the reference the reduction is tested against.
 
 No controlled application of X exists anywhere on this surface.
 """
@@ -41,7 +42,6 @@ __all__ = [
     "pair_probe",
     "distinguish_by_estimation",
     "distinguish_by_amplification",
-    "distinguish_by_pair_reduction",
     "ESTIMATE_SHOTS",
     "ESTIMATE_REPEATS",
     "ESTIMATE_CHAIN_CONSTANT",
@@ -141,10 +141,6 @@ class PreparationOracle(ABC):
     def total_queries(self) -> int:
         return self.forward_queries + self.inverse_queries
 
-    def reset_counters(self):
-        self.forward_queries = 0
-        self.inverse_queries = 0
-
 
 class DensePreparation(PreparationOracle):
     """Preparation given by an explicit unitary and a flagged-index mask."""
@@ -190,24 +186,20 @@ class TwoLevelPreparation(PreparationOracle):
 
     Grover iterates of any preparation stay inside the plane spanned by the
     flagged and unflagged components of X|0>, where they act as a rotation by
-    twice the flagged angle (up to a global sign). Tracking the plane
-    coordinates makes prepare and iterate O(1) regardless of dimension; the
-    flagged unit state, needed only on collapse, comes from a factory.
+    twice the flagged angle (up to a global sign; Brassard, Hoyer, Mosca and
+    Tapp, quant-ph/0005055). Tracking the plane coordinates makes prepare and
+    iterate O(1) regardless of dimension. The flagged unit state is the
+    first plane axis; subclasses that know its full vector override
+    _good_component.
     """
 
-    def __init__(self, amplitude: float, dimension: int = 2, good_state_factory=None):
+    def __init__(self, amplitude: float, dimension: int = 2):
         a = float(abs(amplitude))
         if a > 1.0 + 1e-12:
             raise ParameterError(f"amplitude must lie in [0, 1], got {a}")
         super().__init__(dimension)
         self._a = min(1.0, a)
         self._theta = math.asin(self._a)
-        self._factory = good_state_factory
-        self._good_cache = None
-
-    @property
-    def amplitude(self) -> float:
-        return self._a
 
     def _prepared(self):
         return np.array([self._a, math.sqrt(max(0.0, 1.0 - self._a**2))])
@@ -222,39 +214,37 @@ class TwoLevelPreparation(PreparationOracle):
         return float(state[0] ** 2)
 
     def _good_component(self, state):
-        if self._factory is None:
-            return StateVector(np.array([1.0, 0.0], dtype=complex), (2,))
-        if self._good_cache is None:
-            self._good_cache = self._factory()
-        return self._good_cache
+        return StateVector(np.array([1.0, 0.0], dtype=complex), (2,))
 
 
 class PairedPreparation(TwoLevelPreparation):
     """Two-level preparation whose flagged part is alpha|0,1> + beta|1,1>.
 
-    Used by the pair probe: the first register of the flagged state carries
-    which of the two trace functionals dominates.
+    The register is (d, 2), the second factor holding the flag. Both probes
+    use it: the trace probe with beta = 0 (so d = 1 is allowed), and the pair
+    probe, where the first register of the flagged state carries which of
+    the two trace functionals dominates. The 2d-entry flagged vector is
+    built only on collapse.
     """
 
     def __init__(self, alpha: complex, beta: complex, d: int = 2):
         d = int(d)
-        if d < 2:
-            raise ParameterError(f"query register dimension must be >= 2, got {d}")
-        alpha = complex(alpha)
-        beta = complex(beta)
-        s = math.hypot(abs(alpha), abs(beta))
+        self.alpha = complex(alpha)
+        self.beta = complex(beta)
+        if d < 1 or (d < 2 and self.beta != 0):
+            raise ParameterError(
+                f"query register dimension {d} cannot hold alpha|0,1> + beta|1,1>")
+        super().__init__(min(1.0, math.hypot(abs(self.alpha), abs(self.beta))), dimension=2 * d)
 
-        def factory():
-            if s < 1e-300:
-                raise DegeneracyError("flagged component vanishes; nothing to collapse onto")
-            vec = np.zeros(2 * d, dtype=complex)
-            vec[1] = alpha / s
-            vec[3] = beta / s
-            return StateVector(vec, (d, 2))
-
-        super().__init__(min(1.0, s), dimension=2 * d, good_state_factory=factory)
-        self.alpha = alpha
-        self.beta = beta
+    def _good_component(self, state):
+        s = math.hypot(abs(self.alpha), abs(self.beta))
+        if s < 1e-300:
+            raise DegeneracyError("flagged component vanishes; nothing to collapse onto")
+        vec = np.zeros((self.dimension // 2, 2), dtype=complex)
+        vec[0, 1] = self.alpha / s
+        if self.beta:
+            vec[1, 1] = self.beta / s
+        return StateVector(vec, vec.shape)
 
 
 def naive_estimate(oracle: PreparationOracle, shots: int, rng) -> float:
@@ -270,9 +260,13 @@ def naive_estimate(oracle: PreparationOracle, shots: int, rng) -> float:
     return math.sqrt(max(0.0, hits / shots))
 
 
-def _halving_chain(deepest: int) -> list:
+def _estimation_chain(eps: float) -> list:
+    """Iterate depths of one estimation repeat: ceil(chain constant / eps), halved down to 0."""
+    eps = float(eps)
+    if not 0.0 < eps < 1.0:
+        raise ParameterError(f"target error must lie in (0, 1), got {eps}")
     chain = []
-    m = int(deepest)
+    m = max(1, math.ceil(ESTIMATE_CHAIN_CONSTANT / eps))
     while m > 0:
         chain.append(m)
         m //= 2
@@ -305,48 +299,29 @@ def _mle_theta(counts, eps: float) -> float:
     return float(fine[int(np.argmax(loglik(fine)))])
 
 
-def amplitude_estimate(
-    oracle: PreparationOracle,
-    eps: float,
-    rng,
-    *,
-    shots: int = ESTIMATE_SHOTS,
-    repeats: int = ESTIMATE_REPEATS,
-    chain_constant: float = ESTIMATE_CHAIN_CONSTANT,
-) -> float:
+def amplitude_estimate(oracle: PreparationOracle, eps: float, rng) -> float:
     """Estimate the flagged amplitude to within eps, with failure rate <= 1%.
 
     Runs a halving chain of iterate depths, fits the angle by maximum
-    likelihood over all levels jointly, and returns the median of `repeats`
-    independent fits. Total queries are schedule-determined and bounded by
-    ESTIMATE_BUDGET_CONSTANT / eps; see estimate_budget for the exact count.
-    Consumes both forward and inverse queries. A zero-amplitude oracle can
-    never produce a flag hit, so the fit returns exactly 0 there.
+    likelihood over all levels jointly, and returns the median of
+    ESTIMATE_REPEATS independent fits. Total queries are schedule-determined
+    and bounded by ESTIMATE_BUDGET_CONSTANT / eps; see estimate_budget for the
+    exact count. Consumes both forward and inverse queries. A zero-amplitude
+    oracle can never produce a flag hit, so the fit returns exactly 0 there.
     """
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"target error must lie in (0, 1), got {eps}")
-    chain = _halving_chain(max(1, math.ceil(chain_constant / eps)))
+    chain = _estimation_chain(eps)
     fits = []
-    for _ in range(int(repeats)):
-        counts = [(m, shots, oracle.sample_flag(shots, rng, iterations=m)) for m in chain]
-        fits.append(math.sin(_mle_theta(counts, eps)))
+    for _ in range(ESTIMATE_REPEATS):
+        counts = [(m, ESTIMATE_SHOTS, oracle.sample_flag(ESTIMATE_SHOTS, rng, iterations=m))
+                  for m in chain]
+        fits.append(math.sin(_mle_theta(counts, float(eps))))
     return float(np.median(fits))
 
 
-def estimate_budget(
-    eps: float,
-    *,
-    shots: int = ESTIMATE_SHOTS,
-    repeats: int = ESTIMATE_REPEATS,
-    chain_constant: float = ESTIMATE_CHAIN_CONSTANT,
-) -> int:
+def estimate_budget(eps: float) -> int:
     """Exact total query count of amplitude_estimate at this target error."""
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"target error must lie in (0, 1), got {eps}")
-    chain = _halving_chain(max(1, math.ceil(chain_constant / eps)))
-    return int(repeats) * int(shots) * sum(1 + 2 * m for m in chain)
+    chain = _estimation_chain(eps)
+    return ESTIMATE_REPEATS * ESTIMATE_SHOTS * sum(1 + 2 * m for m in chain)
 
 
 @dataclass(frozen=True)
@@ -424,52 +399,30 @@ def _dense_probe_matrix(oracle: DiagonalOracle, variant: str) -> np.ndarray:
     return z @ (tdi @ (diag[:, None] * ti))
 
 
-def _dense_probe(oracle: DiagonalOracle, variant: str) -> DensePreparation:
-    d = oracle.dimension
-    return DensePreparation(_dense_probe_matrix(oracle, variant),
-                            np.tile([False, True], d), register_dims=(d, 2))
-
-
-_DENSE_PROBE_LIMIT = 64
-
-
-def trace_probe(oracle: DiagonalOracle, method: str = "auto") -> PreparationOracle:
+def trace_probe(oracle: DiagonalOracle) -> PreparationOracle:
     """Preparation whose flagged amplitude is the oracle's normalized trace.
 
-    Fourier in, one forward query, Fourier out, flag flip on index 0. The
-    dense path materializes the 2d x 2d unitary; the reduced path tracks the
-    exact two-level dynamics so large dimensions stay O(1) per iterate after
-    an O(d) trace computation.
+    Fourier in, one forward query, Fourier out, flag flip on index 0: the
+    flagged component of the prepared state is ntr(U)|0,1>. Its iterates are
+    the exact two-level rotation, so after the O(d) trace computation every
+    iterate is O(1) at any dimension. `_dense_probe_matrix(oracle, "trace")`
+    is the 2d x 2d unitary this reduces.
     """
-    if method not in ("auto", "dense", "reduced"):
-        raise ParameterError(f"unknown probe method {method!r}")
-    d = oracle.dimension
-    if method == "dense" or (method == "auto" and d <= _DENSE_PROBE_LIMIT):
-        return _dense_probe(oracle, "trace")
-    ntr = normalized_trace(oracle)
-
-    def factory():
-        vec = np.zeros(2 * d, dtype=complex)
-        vec[1] = ntr / abs(ntr) if abs(ntr) > 0 else 1.0
-        return StateVector(vec, (d, 2))
-
-    return TwoLevelPreparation(min(1.0, abs(ntr)), dimension=2 * d, good_state_factory=factory)
+    return PairedPreparation(normalized_trace(oracle), 0.0, oracle.dimension)
 
 
-def pair_probe(oracle: DiagonalOracle, method: str = "auto") -> PreparationOracle:
+def pair_probe(oracle: DiagonalOracle) -> PreparationOracle:
     """Preparation flagging both the plain and the ramp-twisted trace.
 
     The flagged component is alpha|0,1> + beta|1,1> with alpha the normalized
     trace of U and beta that of the ramp-conjugated oracle; measuring the
     first register of the flagged state tells which functional dominates.
+    Like trace_probe it is the exact two-level reduction of the dense unitary
+    `_dense_probe_matrix(oracle, "paired")`.
     """
-    if method not in ("auto", "dense", "reduced"):
-        raise ParameterError(f"unknown probe method {method!r}")
     d = oracle.dimension
     if d < 2:
         raise ParameterError(f"pair probe needs dimension >= 2, got {d}")
-    if method == "dense" or (method == "auto" and d <= _DENSE_PROBE_LIMIT):
-        return _dense_probe(oracle, "paired")
     alpha = normalized_trace(oracle)
     beta = normalized_trace(oracle.compose_ramp(-1))
     return PairedPreparation(alpha, beta, d)
@@ -494,7 +447,6 @@ def distinguish_by_estimation(
     eps: float,
     rng,
     method: str = "amplitude",
-    probe_method: str = "auto",
 ) -> DistinguishOutcome:
     """Label an oracle 0 (unbiased) or 1 (biased) from its trace amplitude.
 
@@ -506,7 +458,7 @@ def distinguish_by_estimation(
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"bias parameter must lie in (0, 1), got {eps}")
-    probe = trace_probe(oracle, method=probe_method)
+    probe = trace_probe(oracle)
     if method == "amplitude":
         a_hat = amplitude_estimate(probe, 0.05 * eps, rng)
     elif method == "naive":
@@ -517,13 +469,7 @@ def distinguish_by_estimation(
     return DistinguishOutcome(label, a_hat, probe.forward_queries, probe.inverse_queries)
 
 
-def distinguish_by_amplification(
-    oracle: DiagonalOracle,
-    eps: float,
-    rng,
-    probe_method: str = "auto",
-    cap: int = AMPLIFY_DEFAULT_CAP,
-) -> DistinguishOutcome:
+def distinguish_by_amplification(oracle: DiagonalOracle, eps: float, rng) -> DistinguishOutcome:
     """Label 1 or 2 according to which trace functional the oracle excites.
 
     Amplifies the pair probe's flagged state, then measures its first
@@ -536,8 +482,8 @@ def distinguish_by_amplification(
     eps = float(eps)
     if not 0.0 <= eps < 1.0:
         raise ParameterError(f"bias parameter must lie in [0, 1), got {eps}")
-    probe = pair_probe(oracle, method=probe_method)
-    result = amplitude_amplify(probe, rng, cap=cap)
+    probe = pair_probe(oracle)
+    result = amplitude_amplify(probe, rng)
     if not result.success:
         label = int(rng.integers(1, 3))
     else:
@@ -546,18 +492,3 @@ def distinguish_by_amplification(
         label = 1 if rng.random() < p_zero else 2
     return DistinguishOutcome(label, None, probe.forward_queries, probe.inverse_queries)
 
-
-def distinguish_by_pair_reduction(oracle: DiagonalOracle, eps: float, rng) -> DistinguishOutcome:
-    """Label an oracle 0 (unbiased) or 1 (biased) via the pair distinguisher.
-
-    Flips a fair coin b' in {1, 2}, feeds the oracle through untouched for
-    b'=1 or ramp-composed for b'=2, and declares biased exactly when the pair
-    distinguisher reproduces the coin. An unbiased oracle makes the
-    reproduction a coin flip, so a pair success rate s yields overall success
-    (1/2)(1/2 + s).
-    """
-    bprime = int(rng.integers(1, 3))
-    probed = oracle if bprime == 1 else oracle.compose_ramp(1)
-    out = distinguish_by_amplification(probed, eps, rng)
-    label = 1 if out.label == bprime else 0
-    return DistinguishOutcome(label, None, out.forward_queries, out.inverse_queries)

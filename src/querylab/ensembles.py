@@ -2,15 +2,16 @@
 
 An oracle here is a diagonal unitary on a d-dimensional register, stored as a
 vector of order-q phase exponents (never as a dense matrix) plus an optional
-deterministic phase ramp whose k-th entry is exp(2j*pi*k*ramp_turns/d). Three
+deterministic phase ramp whose k-th entry is exp(2j*pi*k*ramp_turns/d). Two
 ensemble kinds are supported:
 
 - ``"uniform"``: every diagonal entry i.i.d. uniform over the order-q roots.
 - ``"biased"``: entries i.i.d. from the bias-eps window distribution.
-- ``"ramped"``: a ``"biased"`` draw composed with the one-turn ramp.
 
-The bias-0 case of ``"biased"`` coincides with ``"uniform"`` draw-for-draw
-under a shared seed (both consume one uniform per entry).
+Draws carry no ramp; a ramped oracle is a draw composed with
+``DiagonalOracle.compose_ramp``. The bias-0 case of ``"biased"`` coincides
+with ``"uniform"`` draw-for-draw under a shared seed (both consume one
+uniform per entry).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "trace_gap_check",
 ]
 
-ENSEMBLE_KINDS = ("uniform", "biased", "ramped")
+ENSEMBLE_KINDS = ("uniform", "biased")
 
 # Dimension factor calibrated so that at d = GAP_DIMENSION_FACTOR / eps^2 both
 # trace-gap events hold with probability >= 0.99 across the test grid.
@@ -114,7 +115,6 @@ class EnsembleSpec:
     dimension: int
     order: int
     bias: float = 0.0
-    randomize_global_phase: bool = False
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
@@ -130,25 +130,12 @@ class EnsembleSpec:
         object.__setattr__(self, "dimension", int(self.dimension))
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "bias", float(self.bias))
-        object.__setattr__(self, "randomize_global_phase", bool(self.randomize_global_phase))
-
-    @property
-    def effective_bias(self) -> float:
-        return 0.0 if self.kind == "uniform" else self.bias
-
-    @property
-    def ramp_turns(self) -> int:
-        return 1 if self.kind == "ramped" else 0
 
 
 def draw(spec: EnsembleSpec, rng: np.random.Generator) -> DiagonalOracle:
     """Sample one oracle; deterministic under a fixed generator state."""
-    e = sample_exponents(spec.effective_bias, spec.order, rng, size=spec.dimension)
-    if spec.randomize_global_phase:
-        # one shared uniform phase on top of every entry
-        shift = sample_exponents(0.0, spec.order, rng)
-        e = (e + shift) % spec.order
-    return DiagonalOracle(e, spec.order, spec.dimension, ramp_turns=spec.ramp_turns)
+    e = sample_exponents(spec.bias, spec.order, rng, size=spec.dimension)
+    return DiagonalOracle(e, spec.order, spec.dimension)
 
 
 def normalized_trace(oracle: DiagonalOracle) -> complex:
@@ -168,44 +155,19 @@ def normalized_trace(oracle: DiagonalOracle) -> complex:
 
 def expected_normalized_trace(spec: EnsembleSpec) -> complex:
     """Exact ensemble mean of the normalized trace."""
-    base = phase_mean(spec.effective_bias, spec.order)
-    if spec.ramp_turns % spec.dimension == 0:
-        return complex(base)
-    # ramp phases sum to zero over a full period
-    return 0j
+    return complex(phase_mean(spec.bias, spec.order))
 
 
-def _ntr_samples(spec: EnsembleSpec, trials: int, rng: np.random.Generator,
-                 block_entries: int = 2 * 10**7) -> np.ndarray:
-    """Normalized traces of ``trials`` independent draws, blocked to bound memory.
+def _ntr_samples(spec: EnsembleSpec, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized traces of ``trials`` independent draws.
 
-    Without a ramp the trace depends only on the exponent histogram, so one
-    multinomial per trial replaces ``dimension`` categorical draws; a global
-    phase shift commutes out as a scalar factor. The distribution is
+    The trace depends only on the exponent histogram, so one multinomial per
+    trial replaces ``dimension`` categorical draws. The distribution is
     identical to drawing entry by entry.
     """
-    if spec.ramp_turns == 0:
-        pmf = pmf_vector(spec.effective_bias, spec.order)
-        counts = rng.multinomial(spec.dimension, pmf / pmf.sum(), size=trials)
-        out = counts @ _roots(spec.order) / spec.dimension
-        if spec.randomize_global_phase:
-            shift = sample_exponents(0.0, spec.order, rng, size=trials)
-            out = out * _roots(spec.order)[shift]
-        return out
-    out = np.empty(trials, dtype=complex)
-    ramp = _ramp(spec.dimension, spec.ramp_turns)
-    per_block = max(1, block_entries // max(spec.dimension, 1))
-    done = 0
-    while done < trials:
-        t = min(per_block, trials - done)
-        e = sample_exponents(spec.effective_bias, spec.order, rng, size=(t, spec.dimension))
-        if spec.randomize_global_phase:
-            shift = sample_exponents(0.0, spec.order, rng, size=(t, 1))
-            e = (e + shift) % spec.order
-        v = _roots(spec.order)[e] * ramp
-        out[done : done + t] = v.mean(axis=1)
-        done += t
-    return out
+    pmf = pmf_vector(spec.bias, spec.order)
+    counts = rng.multinomial(spec.dimension, pmf / pmf.sum(), size=trials)
+    return counts @ _roots(spec.order) / spec.dimension
 
 
 def concentration_check(spec: EnsembleSpec, t: float, trials: int,

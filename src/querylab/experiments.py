@@ -11,6 +11,7 @@ thread count.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -70,6 +71,21 @@ class ResultRow:
     seed: int
 
 
+def _row(kind: str, params: tuple, measured, seed: int, bound=None, check=None) -> ResultRow:
+    """A ResultRow whose pass flag is ``check(measured, bound)``.
+
+    A row without a check (a reported value, not a tested one) passes.
+    """
+    measured = float(measured)
+    passed = True if check is None else bool(check(measured, bound))
+    return ResultRow(kind, params, measured, bound, passed, seed)
+
+
+def _within(tol: float):
+    """Check that passes when the measured value is within ``tol`` of the bound."""
+    return lambda measured, target: abs(measured - target) <= tol
+
+
 def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple:
     """Wilson score interval for a binomial rate."""
     if trials < 1:
@@ -109,44 +125,35 @@ def lemma_rows(q_grid, eps_grid, master_seed: int = 0, jobs: int = 1) -> list:
     small numpy steps that holds the GIL, so worker threads would take turns
     on it and only add hand-offs. ``jobs`` is kept so every sweep takes it.
     """
-    cells = [(q, eps) for q in q_grid for eps in eps_grid]
+    grid = [(q, eps) for q in q_grid for eps in eps_grid]
+    cells = [(cell_seed(master_seed, index), q, eps) for index, (q, eps) in enumerate(grid)]
 
-    def run(q, eps):
-        out = []
+    def run(seed, q, eps):
         summary = frame_summary(q, eps)
         lo = math.sqrt(1.0 - eps) - 1e-10
         hi = math.sqrt(1.0 + 2.0 * eps) + 1e-10
-        out.append(("singular_low", (q, eps), summary["sigma_min"], lo,
-                    summary["sigma_min"] >= lo))
-        out.append(("singular_high", (q, eps), summary["sigma_max"], hi,
-                    summary["sigma_max"] <= hi))
-        gap = summary["singular_gap"]
-        out.append(("singular_match", (q, eps), gap, 1e-10, gap <= 1e-10))
         sharp = 1.0 - 2.0 * eps**2 / (1.0 - eps) - 1e-9 if eps < 1.0 else 0.0
         # same numeric slack as the sharp bound; exact at eps=0 up to rounding
         coarse = 1.0 - 4.0 * eps**2 - 1e-9
-        out.append(("alpha_min_sharp", (q, eps), summary["min_alpha_sq"], sharp,
-                    summary["min_alpha_sq"] >= sharp))
-        out.append(("alpha_min_coarse", (q, eps), summary["min_alpha_sq"], coarse,
-                    summary["min_alpha_sq"] >= coarse))
         cap = 2.0 * eps**2 / (1.0 - eps) + 1e-10
-        out.append(("overlap_max", (q, eps), summary["max_overlap"], cap,
-                    summary["max_overlap"] <= cap))
-        return out
+        return [
+            _row("singular_low", (q, eps), summary["sigma_min"], seed, lo, operator.ge),
+            _row("singular_high", (q, eps), summary["sigma_max"], seed, hi, operator.le),
+            _row("singular_match", (q, eps), summary["singular_gap"], seed, 1e-10, operator.le),
+            _row("alpha_min_sharp", (q, eps), summary["min_alpha_sq"], seed, sharp, operator.ge),
+            _row("alpha_min_coarse", (q, eps), summary["min_alpha_sq"], seed, coarse, operator.ge),
+            _row("overlap_max", (q, eps), summary["max_overlap"], seed, cap, operator.le),
+        ]
 
-    rows = []
-    for index, cell_rows in enumerate(_map_cells(run, cells, 1)):
-        seed = cell_seed(master_seed, index)
-        rows.extend(ResultRow(kind, params, float(m), b, bool(p), seed)
-                    for kind, params, m, b, p in cell_rows)
+    rows = [row for cell_rows in _map_cells(run, cells, 1) for row in cell_rows]
     for q in q_grid:
         if q >= 100:
-            mean = phase_mean(1.0, q)
-            rows.append(ResultRow("mean_window", (q,), float(mean), 0.5,
-                                  0.5 < mean < 1.0, cell_seed(master_seed, 10_000 + q)))
+            rows.append(_row("mean_window", (q,), phase_mean(1.0, q),
+                             cell_seed(master_seed, 10_000 + q), 0.5,
+                             lambda mean, low: low < mean < 1.0))
     limit_gap = abs(phase_mean(1.0, 10**6) - 2.0 / math.pi)
-    rows.append(ResultRow("mean_limit", (10**6,), float(limit_gap), 1e-5,
-                          limit_gap <= 1e-5, cell_seed(master_seed, 10_001)))
+    rows.append(_row("mean_limit", (10**6,), limit_gap, cell_seed(master_seed, 10_001),
+                     1e-5, operator.le))
     return rows
 
 
@@ -195,12 +202,11 @@ def purification_scaling_rows(eps_grid=(1e-1, 1e-2, 1e-3), master_seed: int = 0)
         for i, eps in enumerate(eps_grid):
             d = _scaling_pair(eps, flavor)
             dists.append(d)
-            gap = abs(d - closed(eps))
-            rows.append(ResultRow(f"pair_{flavor}", (eps,), d, closed(eps),
-                                  gap <= 1e-12, cell_seed(master_seed, i)))
-        slope = float(np.polyfit(np.log(eps_grid), np.log(dists), 1)[0])
-        rows.append(ResultRow(f"pair_{flavor}_slope", tuple(eps_grid), slope, slope_target,
-                              abs(slope - slope_target) <= 0.05, cell_seed(master_seed, 99)))
+            rows.append(_row(f"pair_{flavor}", (eps,), d, cell_seed(master_seed, i),
+                             closed(eps), _within(1e-12)))
+        slope = np.polyfit(np.log(eps_grid), np.log(dists), 1)[0]
+        rows.append(_row(f"pair_{flavor}_slope", tuple(eps_grid), slope,
+                         cell_seed(master_seed, 99), slope_target, _within(0.05)))
     return rows
 
 
@@ -277,36 +283,33 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
         for j, eps in enumerate(eps_list):
             cell_max = max(p[j] for p in cell)
             best_by_eps[eps] = max(best_by_eps[eps], cell_max)
-            bound = 4.0 * n * eps**2 + 1e-9
-            rows.append(ResultRow("forward_adv", (d, q, n, eps), cell_max, bound,
-                                  cell_max <= bound, seed))
+            rows.append(_row("forward_adv", (d, q, n, eps), cell_max, seed,
+                             4.0 * n * eps**2 + 1e-9, operator.le))
 
     if len(positive) >= 2:
-        slope = float(np.polyfit(np.log(positive),
-                                 np.log([max(best_by_eps[e], 1e-300) for e in positive]), 1)[0])
-        rows.append(ResultRow("forward_slope", (q, tuple(positive)), slope, None, True,
-                              cell_seed(cfg.seed, 20_000)))
+        slope = np.polyfit(np.log(positive),
+                           np.log([max(best_by_eps[e], 1e-300) for e in positive]), 1)[0]
+        rows.append(_row("forward_slope", (q, tuple(positive)), slope,
+                         cell_seed(cfg.seed, 20_000)))
 
     if not positive:
         return rows
 
     inv_adv, *matched_profiles = profiles[len(forward_cells) * cfg.trials:]
     for eps, adv in zip(positive, inv_adv):
-        rows.append(ResultRow("inverse_adv", (_INVERSE_D, q, n_inv, eps), adv, None, True,
-                              cell_seed(cfg.seed, 30_000)))
+        rows.append(_row("inverse_adv", (_INVERSE_D, q, n_inv, eps), adv,
+                         cell_seed(cfg.seed, 30_000)))
     if len(positive) >= 2:
-        slope = float(np.polyfit(np.log(positive), np.log([max(a, 1e-300) for a in inv_adv]), 1)[0])
-        rows.append(ResultRow("inverse_slope", (_INVERSE_D, q, n_inv, tuple(positive)), slope,
-                              None, True, cell_seed(cfg.seed, 30_001)))
+        slope = np.polyfit(np.log(positive), np.log([max(a, 1e-300) for a in inv_adv]), 1)[0]
+        rows.append(_row("inverse_slope", (_INVERSE_D, q, n_inv, tuple(positive)), slope,
+                         cell_seed(cfg.seed, 30_001)))
 
     for j, eps in enumerate(positive):
         best = max(adv[j] for adv in matched_profiles)
-        bound = 4.0 * n_inv * eps**2 + 1e-9
-        rows.append(ResultRow("matched_adv", (_INVERSE_D, q, n_inv, eps), best, bound,
-                              best <= bound, matched_seed))
+        rows.append(_row("matched_adv", (_INVERSE_D, q, n_inv, eps), best, matched_seed,
+                         4.0 * n_inv * eps**2 + 1e-9, operator.le))
         ratio = inv_adv[j] / best if best > 0 else math.inf
-        rows.append(ResultRow("inverse_ratio", (_INVERSE_D, q, n_inv, eps), ratio, None, True,
-                              matched_seed))
+        rows.append(_row("inverse_ratio", (_INVERSE_D, q, n_inv, eps), ratio, matched_seed))
     return rows
 
 
@@ -318,6 +321,14 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
 BUDGET_RATIO_BIASES = (5e-6, 1e-6)
 
 _SLOPE_GRID = (0.1, 0.05, 0.02, 0.01)
+
+# Bound and check of each distinguisher's mean inverse-query row: the
+# estimation distinguisher must use inverse queries, the naive one none.
+_MEAN_INVERSE_CHECKS = {
+    "estimation": (0.0, operator.gt),
+    "amplification": (None, None),
+    "naive": (0.0, operator.eq),
+}
 
 
 def _distinguisher_trial(method: str, eps: float, d: int, q: int, seed: int):
@@ -365,48 +376,39 @@ def endtoend_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
         rate = hits / cfg.trials
         lo, hi = wilson_interval(hits, cfg.trials)
         base_seed = cell_seed(cfg.seed, mi * cfg.trials)
-        rows.append(ResultRow(f"{method}_success", (eps, d, q, cfg.trials), rate, 0.85,
-                              rate >= 0.85, base_seed))
-        rows.append(ResultRow(f"{method}_wilson_low", (eps, d, q, cfg.trials), lo, None,
-                              True, base_seed))
-        rows.append(ResultRow(f"{method}_wilson_high", (eps, d, q, cfg.trials), hi, None,
-                              True, base_seed))
-        rows.append(ResultRow(f"{method}_mean_forward", (eps, d, q, cfg.trials),
-                              fwd_total / cfg.trials, None, True, base_seed))
-        mean_inv = inv_total / cfg.trials
+        params = (eps, d, q, cfg.trials)
+        inverse_bound, inverse_check = _MEAN_INVERSE_CHECKS[method]
+        rows += [
+            _row(f"{method}_success", params, rate, base_seed, 0.85, operator.ge),
+            _row(f"{method}_wilson_low", params, lo, base_seed),
+            _row(f"{method}_wilson_high", params, hi, base_seed),
+            _row(f"{method}_mean_forward", params, fwd_total / cfg.trials, base_seed),
+            _row(f"{method}_mean_inverse", params, inv_total / cfg.trials, base_seed,
+                 inverse_bound, inverse_check),
+        ]
         if method == "estimation":
-            rows.append(ResultRow(f"{method}_mean_inverse", (eps, d, q, cfg.trials),
-                                  mean_inv, 0.0, mean_inv > 0.0, base_seed))
-            expected = float(estimate_budget(0.05 * eps))
-            observed = (fwd_total + inv_total) / cfg.trials
-            rows.append(ResultRow("estimation_budget_match", (eps,), observed, expected,
-                                  observed == expected, base_seed))
-        elif method == "naive":
-            rows.append(ResultRow(f"{method}_mean_inverse", (eps, d, q, cfg.trials),
-                                  mean_inv, 0.0, mean_inv == 0.0, base_seed))
-        else:
-            rows.append(ResultRow(f"{method}_mean_inverse", (eps, d, q, cfg.trials),
-                                  mean_inv, None, True, base_seed))
+            rows.append(_row("estimation_budget_match", (eps,),
+                             (fwd_total + inv_total) / cfg.trials, base_seed,
+                             float(estimate_budget(0.05 * eps)), operator.eq))
 
     # Schedule-determined query scaling: the estimation distinguisher's total
     # is Theta(1/eps) and the naive baseline's Theta(1/eps^2).
     ae_totals = [estimate_budget(0.05 * e) for e in _SLOPE_GRID]
     nv_totals = [math.ceil(50.0 / e**2) for e in _SLOPE_GRID]
     x = np.log([1.0 / e for e in _SLOPE_GRID])
-    ae_slope = float(np.polyfit(x, np.log(ae_totals), 1)[0])
-    nv_slope = float(np.polyfit(x, np.log(nv_totals), 1)[0])
-    rows.append(ResultRow("estimation_query_slope", _SLOPE_GRID, ae_slope, 1.0,
-                          abs(ae_slope - 1.0) <= 0.1, cell_seed(cfg.seed, 50_000)))
-    rows.append(ResultRow("naive_query_slope", _SLOPE_GRID, nv_slope, 2.0,
-                          abs(nv_slope - 2.0) <= 0.1, cell_seed(cfg.seed, 50_001)))
+    ae_slope = np.polyfit(x, np.log(ae_totals), 1)[0]
+    nv_slope = np.polyfit(x, np.log(nv_totals), 1)[0]
+    rows.append(_row("estimation_query_slope", _SLOPE_GRID, ae_slope,
+                     cell_seed(cfg.seed, 50_000), 1.0, _within(0.1)))
+    rows.append(_row("naive_query_slope", _SLOPE_GRID, nv_slope,
+                     cell_seed(cfg.seed, 50_001), 2.0, _within(0.1)))
 
-    rows.append(ResultRow("budget_ratio", (eps,),
-                          (1.0 / eps**2) / estimate_budget(0.05 * eps), None, True,
-                          cell_seed(cfg.seed, 50_002)))
+    rows.append(_row("budget_ratio", (eps,), (1.0 / eps**2) / estimate_budget(0.05 * eps),
+                     cell_seed(cfg.seed, 50_002)))
     for i, eps_syn in enumerate(BUDGET_RATIO_BIASES):
-        ratio = (1.0 / eps_syn**2) / estimate_budget(0.05 * eps_syn)
-        rows.append(ResultRow("budget_ratio", (eps_syn,), ratio, 10.0, ratio >= 10.0,
-                              cell_seed(cfg.seed, 50_003 + i)))
+        rows.append(_row("budget_ratio", (eps_syn,),
+                         (1.0 / eps_syn**2) / estimate_budget(0.05 * eps_syn),
+                         cell_seed(cfg.seed, 50_003 + i), 10.0, operator.ge))
     return rows, trial_records
 
 
@@ -456,23 +458,18 @@ def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
             frac = concentration_check(spec, t, trials, rng)
             bound = 4.0 * math.exp(-d * t**2 / 8.0)
             slack = _WILSON_Z * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
-            return [(f"tail_{kind}", (q, eps, d, t), frac, bound + slack,
-                     frac <= bound + slack, seed)]
+            return [_row(f"tail_{kind}", (q, eps, d, t), frac, seed, bound + slack, operator.le)]
         if what == "gap":
             low_frac, high_frac = trace_gap_check(eps, d, q, trials, rng)
-            return [("gap_unbiased_small", (q, eps, d), low_frac, 0.99 - margin,
-                     low_frac >= 0.99 - margin, seed),
-                    ("gap_biased_large", (q, eps, d), high_frac, 0.99 - margin,
-                     high_frac >= 0.99 - margin, seed)]
+            return [_row("gap_unbiased_small", (q, eps, d), low_frac, seed, 0.99 - margin,
+                         operator.ge),
+                    _row("gap_biased_large", (q, eps, d), high_frac, seed, 0.99 - margin,
+                         operator.ge)]
         biased = EnsembleSpec("biased", d, q, eps)
         samples = [abs(normalized_trace(draw(biased, rng)))
                    for _ in range(min(trials, 200))]
-        mean_abs = float(np.mean(samples))
-        return [("gap_mean_window", (q, eps, d), mean_abs, eps,
-                 eps / 2 < mean_abs < eps, seed)]
+        return [_row("gap_mean_window", (q, eps, d), np.mean(samples), seed, eps,
+                     lambda mean, top: top / 2 < mean < top)]
 
-    rows = []
-    for unit_rows in _map_cells(run, [(u,) for u in units], jobs):
-        rows.extend(ResultRow(kind, params, float(m), b, bool(p), s)
-                    for kind, params, m, b, p, s in unit_rows)
-    return rows
+    return [row for unit_rows in _map_cells(run, [(u,) for u in units], jobs)
+            for row in unit_rows]

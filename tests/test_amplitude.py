@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from querylab.amplitude import (
-    AMPLIFY_DEFAULT_CAP,
     ESTIMATE_BUDGET_CONSTANT,
     DensePreparation,
     PairedPreparation,
@@ -16,7 +15,6 @@ from querylab.amplitude import (
     amplitude_estimate,
     distinguish_by_amplification,
     distinguish_by_estimation,
-    distinguish_by_pair_reduction,
     estimate_budget,
     naive_estimate,
     pair_probe,
@@ -31,10 +29,7 @@ from querylab.linalg import random_unitary
 def dense_with_amplitude(dim, mask, rng):
     """Random preparation unitary plus its flagged amplitude."""
     u = random_unitary(dim, rng)
-    oracle = DensePreparation(u, mask)
-    a = math.sqrt(oracle.good_probability(oracle.prepare()))
-    oracle.reset_counters()
-    return oracle, a
+    return DensePreparation(u, mask), float(np.linalg.norm(u[mask, 0]))
 
 
 # ---------------------------------------------------------------- oracles
@@ -59,8 +54,7 @@ def test_counters_track_every_application():
     assert (oracle.forward_queries, oracle.inverse_queries) == (4, 3)
     oracle.sample_flag(10, rng, iterations=2)
     assert (oracle.forward_queries, oracle.inverse_queries) == (34, 23)
-    oracle.reset_counters()
-    assert oracle.total_queries == 0
+    assert oracle.total_queries == 57
 
 
 def test_iterate_power_rejects_negative():
@@ -179,23 +173,37 @@ def test_probe_check_rejects_unknown_variant():
         probe_amplitude_check(oracle, "sideways")
 
 
-@pytest.mark.parametrize("maker", [trace_probe, pair_probe])
-def test_probe_paths_agree(maker):
-    rng = np.random.default_rng(6)
-    oracle = draw(EnsembleSpec("biased", 16, 8, 0.25), rng)
-    dense = maker(oracle, method="dense")
-    reduced = maker(oracle, method="reduced")
-    for m in range(6):
-        pd = dense.good_probability(dense.iterate_power(dense.prepare(), m))
-        pr = reduced.good_probability(reduced.iterate_power(reduced.prepare(), m))
-        assert abs(pd - pr) < 1e-10
-    assert dense.total_queries == reduced.total_queries
+@pytest.mark.parametrize("d", [2, 16, 64])
+@pytest.mark.parametrize("maker,variant", [(trace_probe, "trace"), (pair_probe, "paired")],
+                         ids=["trace_probe", "pair_probe"])
+def test_probes_match_dense_reference(maker, variant, d):
+    # the production probes are the exact two-level reduction of the dense
+    # 2d x 2d probe unitary; step both one iterate at a time to depth 150,
+    # then jump both straight to that depth
+    oracle = draw(EnsembleSpec("biased", d, 8, 0.25), np.random.default_rng((d, 6)))
+    dense = DensePreparation(_dense_probe_matrix(oracle, variant),
+                             np.tile([False, True], d), (d, 2))
+    probe = maker(oracle)
+    depth = 150
 
+    def first_register_zero(state):
+        amps = state.amplitudes.reshape(state.register_dims)
+        return float(np.sum(np.abs(amps[0]) ** 2))
 
-def test_probe_method_validated():
-    oracle = DiagonalOracle([0, 1], 4, 2)
-    with pytest.raises(ParameterError):
-        trace_probe(oracle, method="guess")
+    sd, sp = dense.prepare(), probe.prepare()
+    for m in range(depth + 1):
+        if m:
+            sd, sp = dense.iterate_power(sd, 1), probe.iterate_power(sp, 1)
+        pd = dense.good_probability(sd)
+        assert abs(pd - probe.good_probability(sp)) < 1e-10
+        if variant == "paired" and pd > 1e-3:
+            assert abs(first_register_zero(dense.collapse_good(sd))
+                       - first_register_zero(probe.collapse_good(sp))) < 1e-10
+    jd = dense.iterate_power(dense.prepare(), depth)
+    jp = probe.iterate_power(probe.prepare(), depth)
+    assert abs(dense.good_probability(jd) - probe.good_probability(jp)) < 1e-10
+    assert (dense.forward_queries, dense.inverse_queries) == \
+        (probe.forward_queries, probe.inverse_queries) == (2 * depth + 2, 2 * depth)
 
 
 # --------------------------------------------------------- naive estimator
@@ -360,6 +368,17 @@ def test_amplify_query_count_scales_inversely():
     assert 0.85 <= slope <= 1.15
 
 
+def test_amplify_query_tail():
+    # the expected O(1/a) cost is measured, not proven, at AMPLIFY_GROWTH;
+    # bound the tail directly: at most 2% of runs spend more than 20/a queries
+    for a in (0.05, 0.1, 0.2, 0.4):
+        over = 0
+        for seed in range(600):
+            result = amplitude_amplify(TwoLevelPreparation(a), np.random.default_rng(seed))
+            over += result.total_queries > 20 / a
+        assert over / 600 <= 0.02
+
+
 # ------------------------------------------------------------ ramp unitary
 
 
@@ -443,8 +462,8 @@ def test_query_scaling_iterate_vs_naive():
     for eps in grid:
         rng = np.random.default_rng((int(1000 * eps), 47))
         u = draw(EnsembleSpec("biased", d, q, eps), rng)
-        ae = distinguish_by_estimation(u, eps, rng, probe_method="reduced")
-        nv = distinguish_by_estimation(u, eps, rng, method="naive", probe_method="reduced")
+        ae = distinguish_by_estimation(u, eps, rng)
+        nv = distinguish_by_estimation(u, eps, rng, method="naive")
         assert ae.inverse_queries > 0
         assert nv.inverse_queries == 0
         ae_totals.append(ae.total_queries)
@@ -509,35 +528,3 @@ def test_amplification_relabeling_symmetry():
         two_on_ramped += distinguish_by_amplification(v.compose_ramp(1), eps, rng).label == 2
     assert abs(one_on_plain - two_on_ramped) / trials < 0.05
 
-
-def test_pair_reduction_tracks_pair_success():
-    eps, d, q = 0.1, 10**4, 257
-    trials = 2500
-
-    pair_hits = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((trial, 71))
-        v = draw(EnsembleSpec("biased", d, q, eps), rng)
-        coin = int(rng.integers(1, 3))
-        probed = v if coin == 1 else v.compose_ramp(1)
-        pair_hits += distinguish_by_amplification(probed, eps, rng).label == coin
-    s = pair_hits / trials
-
-    wrapper_hits = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((trial, 71))
-        truth = int(rng.integers(0, 2))
-        spec = (
-            EnsembleSpec("biased", d, q, eps)
-            if truth
-            else EnsembleSpec("uniform", d, q, 0.0)
-        )
-        u = draw(spec, rng)
-        out = distinguish_by_pair_reduction(u, eps, rng)
-        assert out.label in (0, 1)
-        wrapper_hits += out.label == truth
-    rate = wrapper_hits / trials
-
-    predicted = 0.5 * (0.5 + s)
-    assert abs(rate - predicted) < 0.03
-    assert rate >= predicted - 0.03

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from querylab.errors import ParameterError
 from querylab.ensembles import (
@@ -62,10 +61,14 @@ class TestEnsembleSpec:
             EnsembleSpec("uniform", 4, 8, bias=0.2)
         with pytest.raises(ParameterError):
             EnsembleSpec("biased", 4, 8, bias=1.5)
+        with pytest.raises(ParameterError):
+            EnsembleSpec("ramped", 4, 8, bias=0.3)
 
     def test_ramp_turns(self):
-        assert EnsembleSpec("ramped", 4, 8, bias=0.3).ramp_turns == 1
-        assert EnsembleSpec("biased", 4, 8, bias=0.3).ramp_turns == 0
+        # draws carry no ramp; a ramp is composed onto a draw
+        u = draw(EnsembleSpec("biased", 4, 8, bias=0.3), np.random.default_rng(0))
+        assert u.ramp_turns == 0
+        assert u.compose_ramp(1).ramp_turns == 1
 
 
 class TestDraw:
@@ -82,21 +85,10 @@ class TestDraw:
 
     def test_ramp_alone_with_stubbed_rng(self):
         d = 5
-        spec = EnsembleSpec("ramped", d, 8, bias=0.3)
-        u = draw(spec, _ZeroStream())
+        u = draw(EnsembleSpec("biased", d, 8, bias=0.3), _ZeroStream()).compose_ramp(1)
         assert np.array_equal(u.exponents, np.zeros(d, dtype=int))
         expect = np.exp(2j * np.pi * np.arange(d) / d)
         assert np.abs(u.values - expect).max() < 1e-12
-
-    def test_global_phase_flag_shifts_all_entries(self):
-        spec = EnsembleSpec("biased", 50, 8, bias=0.3)
-        base = draw(spec, np.random.default_rng(5))
-        shifted = draw(
-            EnsembleSpec("biased", 50, 8, bias=0.3, randomize_global_phase=True),
-            np.random.default_rng(5),
-        )
-        diff = (shifted.exponents - base.exponents) % 8
-        assert len(set(diff.tolist())) == 1  # one shared offset
 
     def test_zero_bias_matches_uniform_stream(self):
         a = draw(EnsembleSpec("uniform", 20, 8), np.random.default_rng(9))
@@ -104,13 +96,9 @@ class TestDraw:
         assert np.array_equal(a.exponents, b.exponents)
 
     @pytest.mark.parametrize("q", [2, 3, 257, 1024])
-    @pytest.mark.parametrize("global_phase", [False, True])
-    def test_zero_bias_matches_uniform_stream_large_d(self, q, global_phase):
-        a = draw(EnsembleSpec("uniform", 50_000, q, randomize_global_phase=global_phase),
-                 np.random.default_rng(q))
-        b = draw(EnsembleSpec("biased", 50_000, q, bias=0.0,
-                              randomize_global_phase=global_phase),
-                 np.random.default_rng(q))
+    def test_zero_bias_matches_uniform_stream_large_d(self, q):
+        a = draw(EnsembleSpec("uniform", 50_000, q), np.random.default_rng(q))
+        b = draw(EnsembleSpec("biased", 50_000, q, bias=0.0), np.random.default_rng(q))
         assert np.array_equal(a.exponents, b.exponents)
 
 
@@ -150,7 +138,7 @@ class TestNormalizedTrace:
     def test_expected_trace_cross_module(self):
         spec = EnsembleSpec("biased", 4, 8, bias=0.37)
         assert expected_normalized_trace(spec) == phase_mean(0.37, 8)
-        assert expected_normalized_trace(EnsembleSpec("ramped", 4, 8, bias=0.37)) == 0j
+        assert expected_normalized_trace(EnsembleSpec("uniform", 4, 8)) == phase_mean(0.0, 8)
 
     def test_monte_carlo_mean_matches_phase_mean(self):
         spec = EnsembleSpec("biased", 2000, 8, bias=0.3)
@@ -173,7 +161,7 @@ class TestConcentration:
         assert tail <= 4 * np.exp(-d * t**2 / 8) + 0.02
 
     def test_huge_deviation_never_occurs(self):
-        for kind, eps in (("uniform", 0.0), ("biased", 0.3), ("ramped", 0.3)):
+        for kind, eps in (("uniform", 0.0), ("biased", 0.3)):
             spec = EnsembleSpec(kind, 50, 8, bias=eps)
             tail = concentration_check(spec, 2.0, 100, np.random.default_rng(13))
             assert tail == 0.0
@@ -209,19 +197,12 @@ class TestTraceGap:
 
 
 class TestDistributionInvariants:
-    def test_global_phase_preserves_modulus_distribution(self):
-        d, q, eps, n = 50, 8, 0.3, 10**4
-        plain = EnsembleSpec("biased", d, q, bias=eps)
-        randomized = EnsembleSpec("biased", d, q, bias=eps, randomize_global_phase=True)
-        rng = np.random.default_rng(44)
-        a = [abs(normalized_trace(draw(plain, rng))) for _ in range(n)]
-        b = [abs(normalized_trace(draw(randomized, rng))) for _ in range(n)]
-        assert stats.ks_2samp(a, b).pvalue > 0.001
-
     def test_unramping_recovers_base_draw(self):
         # composing the inverse ramp on a ramped draw reproduces, under a
         # shared seed, the plain biased draw's normalized trace exactly
-        dv = draw(EnsembleSpec("ramped", 16, 8, bias=0.3), np.random.default_rng(55))
-        v = draw(EnsembleSpec("biased", 16, 8, bias=0.3), np.random.default_rng(55))
+        spec = EnsembleSpec("biased", 16, 8, bias=0.3)
+        dv = draw(spec, np.random.default_rng(55)).compose_ramp(1)
+        v = draw(spec, np.random.default_rng(55))
+        assert dv.ramp_turns == 1
         assert normalized_trace(dv.compose_ramp(-1)) == normalized_trace(v)
         assert np.array_equal(dv.exponents, v.exponents)

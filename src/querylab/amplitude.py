@@ -70,6 +70,8 @@ ESTIMATE_BUDGET_CONSTANT = 1300
 # of Boyer, Brassard, Hoyer and Tapp (quant-ph/9605034) is proven only for
 # growth 1 < lambda < 4/3.
 AMPLIFY_GROWTH = 1.5
+
+# Most oracle calls one amplitude_amplify run may spend.
 AMPLIFY_DEFAULT_CAP = 10**6
 
 
@@ -339,16 +341,16 @@ class AmplificationResult:
         return self.forward_queries + self.inverse_queries
 
 
-def amplitude_amplify(oracle: PreparationOracle, rng, cap: int = AMPLIFY_DEFAULT_CAP) -> AmplificationResult:
+def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
     """Produce the flagged state of an unknown-amplitude preparation.
 
     Classic exponential schedule: each round draws an iterate depth uniformly
     below a bound that grows by AMPLIFY_GROWTH, measures the flag, and stops
     on a hit, collapsing onto the flagged component. Expected queries were
     measured, not proven, to be O(1/a) at this growth (see AMPLIFY_GROWTH).
-    A round that would push the run past `cap` oracle calls is not started;
-    the run then ends as a documented failure (success=False, state=None),
-    which is the guaranteed outcome at zero amplitude.
+    A round that would push the run past AMPLIFY_DEFAULT_CAP oracle calls is
+    not started; the run then ends as a documented failure (success=False,
+    state=None), which is the guaranteed outcome at zero amplitude.
     """
     f0, i0 = oracle.forward_queries, oracle.inverse_queries
     scale = 1.0
@@ -357,7 +359,7 @@ def amplitude_amplify(oracle: PreparationOracle, rng, cap: int = AMPLIFY_DEFAULT
         bound = max(1, math.ceil(scale))
         m = int(rng.integers(0, bound))
         used = (oracle.forward_queries - f0) + (oracle.inverse_queries - i0)
-        if used + 1 + 2 * m > cap:
+        if used + 1 + 2 * m > AMPLIFY_DEFAULT_CAP:
             return AmplificationResult(False, None, oracle.forward_queries - f0,
                                        oracle.inverse_queries - i0, rounds)
         state = oracle.iterate_power(oracle.prepare(), m)
@@ -383,8 +385,7 @@ def uniform_ramp_unitary(d: int) -> np.ndarray:
     cols[:, 0] = 1.0 / math.sqrt(d)
     cols[:, 1] = np.exp(2j * math.pi * np.arange(d) / d) / math.sqrt(d)
     cols[2:, 2:] = np.eye(d - 2)
-    ortho = gram_schmidt(cols)
-    return np.column_stack(ortho)
+    return gram_schmidt(cols)
 
 
 def _dense_probe_matrix(oracle: DiagonalOracle, variant: str) -> np.ndarray:

@@ -79,8 +79,7 @@ def build_biased_frame(q: int, eps: float) -> BiasedBasis:
     norms = np.linalg.norm(frame, axis=0)
     if np.abs(norms - 1.0).max() > 1e-12:
         raise QuerylabError("frame columns lost unit norm; pmf construction is broken")
-    cols = gram_schmidt(frame)
-    transform = np.stack(cols, axis=1).conj().T
+    transform = gram_schmidt(frame).conj().T
     if np.abs(transform @ transform.conj().T - np.eye(q)).max() > 1e-10:
         raise QuerylabError("orthonormalization failed to produce a unitary within 1e-10")
     coeffs = transform @ frame

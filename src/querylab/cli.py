@@ -42,6 +42,10 @@ TRIAL_COLUMNS = ("method", "trial", "truth", "label", "estimate", "forward", "in
 # Bias points reported by circuit-run when no config supplies a grid.
 _CIRCUIT_RUN_EPS = (0.05, 0.1, 0.2)
 
+# Config keys circuit-run has no use for: the circuit file fixes d and q, and
+# an exact run draws nothing and repeats nothing.
+_CIRCUIT_RUN_UNREAD = ("seed", "d", "q", "n", "trials")
+
 
 def _comment_block(lines) -> str:
     return "".join(f"# {ln}\n" if ln else "#\n" for ln in lines)
@@ -172,7 +176,7 @@ def _run_experiment(args) -> int:
 def _run_circuit(args) -> int:
     eps_list, cap, cfg_out = _CIRCUIT_RUN_EPS, DEFAULT_KEY_CAP, None
     if args.config:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, _CIRCUIT_RUN_UNREAD)
         eps_list, cap, cfg_out = cfg.eps, cfg.cap, cfg.out
     if args.cap is not None:
         cap = args.cap
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
         if args.command == "circuit-run":
             return _run_circuit(args)
         return _run_experiment(args)
-    except QuerylabError as exc:
+    except (QuerylabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,9 +75,16 @@ def default_config(kind: str) -> ExperimentConfig:
 _GRID_KEYS = ("eps", "d", "q", "n", "trials")
 _EXPERIMENT_KEYS = ("kind", "seed", "cap")
 
+# Grid keys of which a kind reads only the first value.
+_SINGLE_VALUED = {"separation": ("q",), "endtoend": ("eps", "d", "q"), "concentration": ("q",)}
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the sectioned key = value format; errors carry line numbers."""
+
+def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
+    """Parse the sectioned key = value format; errors carry line numbers.
+
+    A key the caller names in ``unread``, or a list for a grid key of which
+    the kind reads one value, is an error rather than silently dropped.
+    """
     section = None
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,6 +113,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r} in [output]", line=lineno)
         if (section, key) in seen:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        if key in unread:
+            raise ConfigError(f"key {key!r} is set but this command does not read it",
+                              line=lineno)
         seen[(section, key)] = (value, lineno)
 
     def take(section, key, default=None, required=False):
@@ -133,6 +143,8 @@ def parse_config(text: str) -> ExperimentConfig:
         items = [p.strip() for p in value.split(",") if p.strip()]
         if not items:
             raise ConfigError(f"{key} list is empty", line=lineno)
+        if len(items) > 1 and key in _SINGLE_VALUED.get(kind, ()):
+            raise ConfigError(f"{kind} reads one {key} value, got {value!r}", line=lineno)
         try:
             return tuple(conv(p) for p in items)
         except ValueError:
@@ -176,6 +188,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, unread: tuple = ()) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), unread)

@@ -86,10 +86,11 @@ def _within(tol: float):
     return lambda measured, target: abs(measured - target) <= tol
 
 
-def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple:
-    """Wilson score interval for a binomial rate."""
+def wilson_interval(hits: int, trials: int) -> tuple:
+    """Two-sided 99% Wilson score interval for a binomial rate."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    z = _WILSON_Z
     p = hits / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom

@@ -3,7 +3,7 @@
 Two families matter:
 
 - the amplification probe family: a trace-probe preparation (Fourier in,
-  query, flag-flip on index 0, Fourier out) advanced by Grover-style
+  query, Fourier out, flag-flip on index 0) advanced by Grover-style
   iterates, which consumes inverse queries through the reflection about the
   initial state;
 - matched forward-only circuits at equal (d, aux, n): the all-forward twin of

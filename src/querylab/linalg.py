@@ -45,15 +45,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A complex vector over an ordered product of registers.
-
-    ``normalized=False`` admits intermediate, deliberately unnormalized
-    vectors; normalized states must have unit norm within 1e-10.
-    """
+    """A unit-norm (within 1e-10) complex vector over an ordered product of registers."""
 
     amplitudes: np.ndarray
     register_dims: tuple
-    normalized: bool = True
 
     def __post_init__(self):
         dims = _as_dims(self.register_dims)
@@ -62,20 +57,12 @@ class StateVector:
             raise DimensionError(
                 f"amplitude length {amps.size} does not match register dims {dims}"
             )
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > _ATOL:
-            raise ParameterError(
-                f"state flagged normalized has norm {np.linalg.norm(amps)!r}"
-            )
+        if abs(np.linalg.norm(amps) - 1.0) > _ATOL:
+            raise ParameterError(f"state vector has norm {np.linalg.norm(amps)!r}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
         object.__setattr__(self, "register_dims", dims)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def density_matrix(self) -> "DensityMatrix":
-        if not self.normalized:
-            raise ParameterError("normalize before forming a density matrix")
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()),
                              self.register_dims)
 
@@ -120,32 +107,24 @@ def checked_unitary(matrix, what: str) -> np.ndarray:
     return m
 
 
-def partial_trace(rho: DensityMatrix, register) -> DensityMatrix:
-    """Trace out one register (or several, given a sequence of indices)."""
-    try:
-        drop = sorted({int(r) for r in register})
-    except TypeError:
-        drop = [int(register)]
+def partial_trace(rho: DensityMatrix, register: int) -> DensityMatrix:
+    """Trace out the register at index ``register``."""
     dims = rho.register_dims
-    if any(not 0 <= r < len(dims) for r in drop):
+    r = int(register)
+    if not 0 <= r < len(dims):
         raise DimensionError(f"register index {register!r} out of range for dims {dims}")
-    if len(drop) == len(dims):
+    if len(dims) == 1:
         raise DimensionError("cannot trace out every register")
-    keep = [i for i in range(len(dims)) if i not in drop]
-    t = rho.entries.reshape(dims + dims)
-    # contract each dropped axis with its primed partner, highest index first
-    for off, r in enumerate(reversed(drop)):
-        nd = len(dims) - off
-        t = np.trace(t, axis1=r, axis2=r + nd)
-    kept_dims = tuple(dims[i] for i in keep)
+    # contract the dropped axis with its primed partner
+    t = np.trace(rho.entries.reshape(dims + dims), axis1=r, axis2=r + len(dims))
+    kept_dims = dims[:r] + dims[r + 1:]
     n = math.prod(kept_dims)
     return DensityMatrix(t.reshape(n, n), kept_dims)
 
 
-def trace_distance(rho, sigma) -> float:
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of the Hermitian difference of two density matrices."""
-    a = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    b = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
+    a, b = rho.entries, sigma.entries
     if a.shape != b.shape:
         raise DimensionError(f"trace distance needs equal shapes, got {a.shape} vs {b.shape}")
     diff = a - b
@@ -153,17 +132,14 @@ def trace_distance(rho, sigma) -> float:
     return float(np.abs(np.linalg.eigvalsh(diff)).sum() / 2)
 
 
-def gram_schmidt(columns) -> list:
-    """Orthonormalize an ordered, linearly independent family of vectors.
+def gram_schmidt(columns: np.ndarray) -> np.ndarray:
+    """Orthonormalize the ordered, linearly independent columns of a matrix.
 
-    The k-th output lies in the span of the first k inputs and has a real,
-    positive overlap with the k-th input. A residual below 1e-8 raises a
-    degeneracy error.
+    Column k of the result lies in the span of the first k input columns and
+    has a real, positive overlap with input column k. A residual below 1e-8
+    raises a degeneracy error.
     """
-    if isinstance(columns, np.ndarray) and columns.ndim == 2:
-        a = np.array(columns, dtype=complex)
-    else:
-        a = np.stack([np.asarray(c, dtype=complex).reshape(-1) for c in columns], axis=1)
+    a = np.array(columns, dtype=complex)
     dim, k = a.shape
     if k > dim:
         raise DegeneracyError(f"{k} vectors in dimension {dim} cannot be independent")
@@ -174,8 +150,7 @@ def gram_schmidt(columns) -> list:
             f"residual norm {np.abs(diag).min():.3e} below 1e-8; family is numerically degenerate"
         )
     phase = diag / np.abs(diag)
-    qmat = qmat * phase.conj()  # makes <out_k, in_k> = |r_kk| > 0
-    return [qmat[:, i].copy() for i in range(k)]
+    return qmat * phase.conj()  # makes <out_k, in_k> = |r_kk| > 0
 
 
 def dft_matrix(d: int) -> np.ndarray:

@@ -147,8 +147,8 @@ def _guide_table(eps: float, q: int) -> tuple:
     return cdf, guide, buckets
 
 
-def sample_exponents(eps: float, q: int, rng: np.random.Generator, size=None):
-    """Draw exponents from the bias-``eps`` distribution by inverse CDF.
+def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` exponents from the bias-``eps`` distribution by inverse CDF.
 
     Uses one uniform draw per sample, so two generators seeded identically
     produce identical exponent streams for any two biases that share a pmf
@@ -167,12 +167,9 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size=None):
     """
     cdf, guide, buckets = _guide_table(_check_bias(eps), _check_order(q))
     u = rng.random(size)
-    flat = np.ravel(u)
-    k = guide[(flat * buckets).astype(np.intp)]
-    moving = np.flatnonzero(flat >= cdf[k])
+    k = guide[(u * buckets).astype(np.intp)]
+    moving = np.flatnonzero(u >= cdf[k])
     while moving.size:
         k[moving] += 1
-        moving = moving[flat[moving] >= cdf[k[moving]]]
-    if size is None:
-        return int(k[0])
-    return k.reshape(np.shape(u))
+        moving = moving[u[moving] >= cdf[k[moving]]]
+    return k

@@ -14,7 +14,8 @@ which factorizes per coordinate because the diagonal entries are independent.
 
 The decomposition is held as two aligned arrays, histogram keys (K x d) and
 component vectors (K x d*aux): a gate is one matrix product, and a query
-shifts the live keys and merges duplicates through a mixed-radix key code.
+shifts the live keys and merges duplicates through a mixed-radix key code,
+which also leaves the keys in lexicographic order.
 Every key sums to forward - inverse, so the weight M(e - e') is read from a
 table indexed by the difference of two keys' codes over a prefix of the
 coordinates, with each product formed in coordinate order.
@@ -138,7 +139,7 @@ class PurifiedState:
 
     Row k of ``keys`` (K x d, int64) is one histogram e; row k of ``vectors``
     (K x d*aux, complex) is the part of the output state that acquired the
-    monomial ``prod_i U_i^{e_i}``. Rows are in first-seen order.
+    monomial ``prod_i U_i^{e_i}``. Rows are in lexicographic key order.
     """
 
     d: int
@@ -175,22 +176,29 @@ class PurifiedState:
         if self.forward_only and (self.keys < 0).any():
             e = tuple(self.keys[(self.keys < 0).any(axis=1).argmax()].tolist())
             raise QuerylabError(f"negative exponent in forward-only key {e}")
+        # strictly increasing keys: the first nonzero coordinate step is positive
+        step = np.diff(self.keys, axis=0)
+        lead = np.take_along_axis(step, (step != 0).argmax(axis=1)[:, None], axis=1)
+        if (lead <= 0).any():
+            k = int((lead <= 0).argmax())
+            raise QuerylabError(
+                f"histogram keys {tuple(self.keys[k].tolist())} and "
+                f"{tuple(self.keys[k + 1].tolist())} are not in strictly increasing order")
         return self
 
 
 @dataclass(frozen=True)
 class AveragedOutput:
-    """An ensemble-averaged output density matrix with its noise parameters."""
+    """An ensemble-averaged output density matrix."""
 
     density: DensityMatrix
-    bias: float
-    order: int
 
 
-def _first_seen_unique(keys: np.ndarray) -> tuple:
-    # (index of each distinct row's first occurrence, in first-seen order;
-    # each row's position among the distinct rows), via one mixed-radix code
-    # per row when the code fits in int64
+def _lex_unique(keys: np.ndarray) -> tuple:
+    # (one source row of each distinct key, in lexicographic key order; each
+    # row's position among the distinct keys). np.unique sorts: a mixed-radix
+    # code with coordinate 0 most significant when it fits in int64, else the
+    # rows themselves, compared coordinate by coordinate
     lo = keys.min(axis=0)
     radix = (keys.max(axis=0) - lo + 1).tolist()
     if math.prod(radix) < 2**63:
@@ -199,34 +207,24 @@ def _first_seen_unique(keys: np.ndarray) -> tuple:
                                       return_index=True, return_inverse=True)
     else:
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.reshape(-1)]
+    return first, inverse.reshape(-1)
 
 
-def run_purified(circuit: QueryCircuit, initial: StateVector = None,
-                 key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
-    """Evolve the histogram decomposition of a circuit run, exactly.
+def run_purified(circuit: QueryCircuit, key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
+    """Evolve the histogram decomposition of a circuit run from |0>, exactly.
 
     A gate is one matrix product over all component vectors. A forward query
     splits each component by query-register index x and increments that key
-    coordinate (inverse queries decrement); only nonzero rows make keys.
-    Destination (key, x) slots have exactly one source, key minus the shift
-    at x, so each slot is written once, as that row added to zero. Exceeding
-    ``key_cap`` histogram keys raises a resource error rather than pruning.
+    coordinate (inverse queries decrement); only nonzero rows make keys,
+    which are merged into lexicographic order. Destination (key, x) slots
+    have exactly one source, key minus the shift at x, so each slot is
+    written once, as that row added to zero. Exceeding ``key_cap`` histogram
+    keys raises a resource error rather than pruning. Another start state is
+    a leading `FixedGate`.
     """
     d, aux = circuit.d, circuit.aux_dim
-    if initial is None:
-        initial = circuit.initial_state()
-    if initial.register_dims != (d, aux):
-        raise DimensionError(
-            f"initial state dims {initial.register_dims} do not match circuit ({d}, {aux})"
-        )
-    if not initial.normalized:
-        raise ParameterError("purified evolution requires a normalized initial state")
     keys = np.zeros((1, d), dtype=np.int64)
-    vecs = initial.amplitudes.astype(complex)[None, :]
+    vecs = circuit.initial_state().amplitudes[None, :]
     for step in circuit.steps:
         if isinstance(step, FixedGate):
             vecs = vecs @ step.matrix.T
@@ -236,7 +234,7 @@ def run_purified(circuit: QueryCircuit, initial: StateVector = None,
         src, x = np.nonzero(rows.any(axis=2))
         shifted = keys[src]
         shifted[np.arange(len(src)), x] += delta
-        first, dest = _first_seen_unique(shifted)
+        first, dest = _lex_unique(shifted)
         if len(first) > key_cap:
             raise ResourceLimitError(
                 f"purified run produced {len(first)} histogram keys, above the cap {key_cap}"
@@ -248,19 +246,19 @@ def run_purified(circuit: QueryCircuit, initial: StateVector = None,
     return PurifiedState(d, aux, keys, vecs, circuit.forward_count, circuit.inverse_count)
 
 
-# Column width of the weight tiles in `average_density`.
+# Row block and column tile widths of `average_density`.
+_BLOCK = 512
 _TILE = 256
 
+# Most keys `moment_gram` builds a dense K x K matrix for.
+_GRAM_KEY_CAP = 4000
 
-def _layout(p: PurifiedState, eps: float, q: int):
-    # lexsorted exponent rows, their vectors, and the moment table covering
-    # every coordinate difference between two keys
+
+def _table(p: PurifiedState, eps: float, q: int) -> np.ndarray:
+    # the moment table covering every coordinate difference between two keys
     if not p.key_count:
         raise QuerylabError("empty purified state")
-    order = np.lexsort(p.keys.T[::-1])
-    expo = p.keys[order]
-    span = int(expo.max() - expo.min())
-    return expo, p.vectors[order], moment_table(float(eps), int(q), span)
+    return moment_table(float(eps), int(q), int(p.keys.max() - p.keys.min()))
 
 
 def _moment_weights(expo: np.ndarray, table: np.ndarray, budget: int):
@@ -310,47 +308,43 @@ def _moment_weights(expo: np.ndarray, table: np.ndarray, budget: int):
     return weights
 
 
-def average_density(p: PurifiedState, eps: float, q: int,
-                    block: int = 512) -> AveragedOutput:
+def average_density(p: PurifiedState, eps: float, q: int) -> AveragedOutput:
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
-    The weight matrix is never materialized whole: each row block gathers
-    its weights from a difference-coded moment table (see
+    The weight matrix is never materialized whole: each block of `_BLOCK`
+    rows gathers its weights from a difference-coded moment table (see
     `_moment_weights`) in tiles of `_TILE` columns, so one block costs a
     few table lookups per key pair and two small matmuls. Column tiles keep
     every element's reduction order; the row blocks fix it.
     """
-    expo, vecs, table = _layout(p, eps, q)
+    expo, vecs = p.keys, p.vectors
     nkeys = len(expo)
-    block = max(1, int(block))
-    weights = _moment_weights(expo, table, min(block, nkeys) * nkeys)
+    weights = _moment_weights(expo, _table(p, eps, q), min(_BLOCK, nkeys) * nkeys)
     conj = vecs.conj()
     dim = vecs.shape[1]
     part = np.empty((dim, nkeys), dtype=complex)
     rho = np.zeros((dim, dim), dtype=complex)
-    for a in range(0, nkeys, block):
-        rows = slice(a, min(a + block, nkeys))
+    for a in range(0, nkeys, _BLOCK):
+        rows = slice(a, min(a + _BLOCK, nkeys))
         for c in range(0, nkeys, _TILE):
             cols = slice(c, min(c + _TILE, nkeys))
             part[:, cols] = vecs[rows].T @ weights(rows, cols)
         rho += part @ conj
     rho = (rho + rho.conj().T) / 2
-    return AveragedOutput(
-        density=DensityMatrix(rho, (p.d, p.aux_dim)), bias=float(eps), order=int(q)
-    )
+    return AveragedOutput(DensityMatrix(rho, (p.d, p.aux_dim)))
 
 
-def moment_gram(p: PurifiedState, eps: float, q: int, max_keys: int = 4000) -> tuple:
-    """(lexsorted K x d keys, K x K moment matrix) for a small purified state."""
-    expo, _, table = _layout(p, eps, q)
-    if len(expo) > max_keys:
-        raise ResourceLimitError(f"{len(expo)} keys exceed the dense Gram cap {max_keys}")
+def moment_gram(p: PurifiedState, eps: float, q: int) -> tuple:
+    """(the K x d keys, K x K moment matrix) for a purified state of few keys."""
+    table = _table(p, eps, q)
+    if p.key_count > _GRAM_KEY_CAP:
+        raise ResourceLimitError(f"{p.key_count} keys exceed the dense Gram cap {_GRAM_KEY_CAP}")
     everything = slice(None)
-    return expo, _moment_weights(expo, table, len(expo) ** 2)(everything, everything)
+    return p.keys, _moment_weights(p.keys, table, p.key_count ** 2)(everything, everything)
 
 
-def _dense_run(circuit: QueryCircuit, phases: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    v = initial.copy()
+def _dense_run(circuit: QueryCircuit, phases: np.ndarray, start: np.ndarray) -> np.ndarray:
+    v = start
     d, aux = circuit.d, circuit.aux_dim
     for step in circuit.steps:
         if isinstance(step, FixedGate):
@@ -361,21 +355,17 @@ def _dense_run(circuit: QueryCircuit, phases: np.ndarray, initial: np.ndarray) -
     return v
 
 
-def brute_force_average(circuit: QueryCircuit, eps: float, q: int,
-                        initial: StateVector = None) -> AveragedOutput:
+def brute_force_average(circuit: QueryCircuit, eps: float, q: int) -> AveragedOutput:
     """Independent oracle: enumerate all q^d diagonal oracles and average.
 
-    Guarded to q^d <= 10^4 enumerated oracles.
+    Every run starts at |0>. Guarded to q^d <= 10^4 enumerated oracles.
     """
     q = int(q)
     if q ** circuit.d > 10**4:
         raise ResourceLimitError(
             f"brute force would enumerate q^d = {q ** circuit.d} oracles (cap 10^4)"
         )
-    if initial is None:
-        initial = circuit.initial_state()
-    if initial.register_dims != (circuit.d, circuit.aux_dim):
-        raise DimensionError("initial state does not match circuit registers")
+    start = circuit.initial_state().amplitudes
     pmf = pmf_vector(eps, q)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     dim = circuit.d * circuit.aux_dim
@@ -384,10 +374,10 @@ def brute_force_average(circuit: QueryCircuit, eps: float, q: int,
         weight = float(np.prod(pmf[list(assignment)]))
         if weight == 0.0:
             continue
-        out = _dense_run(circuit, roots[list(assignment)], initial.amplitudes)
+        out = _dense_run(circuit, roots[list(assignment)], start)
         rho += weight * np.outer(out, out.conj())
     rho = (rho + rho.conj().T) / 2
-    return AveragedOutput(DensityMatrix(rho, (circuit.d, circuit.aux_dim)), float(eps), q)
+    return AveragedOutput(DensityMatrix(rho, (circuit.d, circuit.aux_dim)))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from querylab import amplitude
 from querylab.amplitude import (
     ESTIMATE_BUDGET_CONSTANT,
     DensePreparation,
@@ -327,10 +328,11 @@ def test_amplify_full_amplitude_single_query():
     assert np.array_equal(result.state.amplitudes, [1.0, 0.0])
 
 
-def test_amplify_zero_amplitude_fails_at_cap():
+def test_amplify_zero_amplitude_fails_at_cap(monkeypatch):
+    monkeypatch.setattr(amplitude, "AMPLIFY_DEFAULT_CAP", 5000)
     rng = np.random.default_rng(12)
     oracle = TwoLevelPreparation(0.0)
-    result = amplitude_amplify(oracle, rng, cap=5000)
+    result = amplitude_amplify(oracle, rng)
     assert not result.success
     assert result.state is None
     assert result.total_queries <= 5000

@@ -424,7 +424,7 @@ def test_cli_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # passing sweep
     ok = _write_config(tmp_path, SMALL_CONC.replace("d = 2000", "d = 80000"))
     assert cli.main(["concentration", "--config", ok,
@@ -439,6 +439,46 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["concentration", "--config", str(broken)]) == 2
     # kind mismatch
     assert cli.main(["separation", "--config", ok]) == 2
+    # missing config, missing circuit file, output in a missing directory
+    missing_out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+    capsys.readouterr()
+    for argv in (["separation", "--config", str(tmp_path / "nope.cfg")],
+                 ["circuit-run", str(tmp_path / "nope.txt")],
+                 ["concentration", "--config", ok, "--out", missing_out]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("separation", "q"),
+    ("endtoend", "eps"),
+    ("endtoend", "d"),
+    ("endtoend", "q"),
+    ("concentration", "q"),
+])
+def test_config_rejects_lists_a_kind_reads_one_value_of(tmp_path, capsys, kind, key):
+    values = {"eps": "0.1, 0.2", "d": "500, 600", "q": "8, 16"}
+    text = f"[experiment]\nkind = {kind}\n\n[grid]\n{key} = {values[key]}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"one {key} value" in str(err.value)
+    assert err.value.line == 5
+    assert cli.main([kind, "--config", _write_config(tmp_path, text)]) == 2
+    assert f"one {key} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["seed = 7", "d = 3", "q = 64", "n = 2", "trials = 5"])
+def test_cli_circuit_run_rejects_keys_it_does_not_read(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    section = "experiment" if line.startswith("seed") else "grid"
+    (tmp_path / "run.ini").write_text(
+        f"[experiment]\nkind = separation\n\n[grid]\neps = 0.1\n\n[{section}]\n{line}\n")
+    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini"]) == 2
+    key = line.split()[0]
+    assert f"key {key!r}" in capsys.readouterr().err
+    # the sweeps still read the same file
+    assert parse_config((tmp_path / "run.ini").read_text()).kind == "separation"
 
 
 def test_cli_env_output_dir_and_jobs(tmp_path, monkeypatch):
@@ -547,28 +587,6 @@ def test_every_export_resolves():
         mod = importlib.import_module(f"querylab.{info.name}")
         missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
-
-
-def test_no_unused_imports_in_src():
-    # every name a module imports is referenced in it, or re-exported
-    # through __all__; the package __init__ only re-exports
-    unused = []
-    for path in sorted(pathlib.Path(querylab.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        used |= set(getattr(importlib.import_module(f"querylab.{path.stem}"), "__all__", ()))
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
-                   if name not in used]
-    assert unused == []
 
 
 def test_cli_module_entry_point(tmp_path):

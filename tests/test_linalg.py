@@ -29,10 +29,6 @@ class TestStateVector:
         with pytest.raises(ParameterError):
             StateVector([1.0, 1.0], (2,))
 
-    def test_unnormalized_is_first_class(self):
-        s = StateVector([1.0, 0, 0, 1.0], (2, 2), normalized=False)
-        assert s.norm == pytest.approx(math.sqrt(2))
-
     def test_dims_must_match_length(self):
         with pytest.raises(DimensionError):
             StateVector([1.0, 0, 0], (2, 2))
@@ -91,19 +87,12 @@ class TestPartialTrace:
         out = partial_trace(rho, 1)
         assert np.abs(out.entries - np.eye(2) / 2).max() < 1e-12
 
-    def test_multi_register_drop_list(self):
-        rng = np.random.default_rng(5)
-        s = StateVector(random_unitary(8, rng)[:, 0], (2, 2, 2))
-        out = partial_trace(s.density_matrix(), (0, 2))
-        assert out.register_dims == (2,)
-        assert abs(np.trace(out.entries) - 1) < 1e-12
-
     def test_bad_index(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
         with pytest.raises(DimensionError):
             partial_trace(rho, 2)
         with pytest.raises(DimensionError):
-            partial_trace(rho, (0, 1))
+            partial_trace(DensityMatrix(np.eye(2) / 2, (2,)), 0)
 
     def test_commutes_with_kept_register_unitary(self):
         rng = np.random.default_rng(11)
@@ -144,7 +133,7 @@ class TestTraceDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+            trace_distance(DensityMatrix(np.eye(2) / 2, (2,)), DensityMatrix(np.eye(3) / 3, (3,)))
 
     def test_triangle_inequality_fuzz(self):
         rng = np.random.default_rng(99)
@@ -178,55 +167,51 @@ class TestTraceDistance:
 class TestGramSchmidt:
     def test_orthonormal_input_unchanged(self):
         u = random_unitary(5, np.random.default_rng(1))
-        out = gram_schmidt([u[:, i] for i in range(5)])
-        for i in range(5):
-            assert np.abs(out[i] - u[:, i]).max() < 1e-12
+        out = gram_schmidt(u)
+        assert np.abs(out - u).max() < 1e-12
 
     def test_plain_fourier_columns_unchanged(self):
         q = 8
         f = dft_matrix(q)
-        out = gram_schmidt([f[:, k] for k in range(q)])
-        for k in range(q):
-            assert np.abs(out[k] - f[:, k]).max() < 1e-10
+        out = gram_schmidt(f)
+        assert np.abs(out - f).max() < 1e-10
 
     def test_biased_columns_orthonormalize_with_overlap_bound(self):
         q, eps = 8, 0.3
         w = np.sqrt(pmf_vector(eps, q) * q)
         f = dft_matrix(q) * w[:, None]  # columns sum_g sqrt(pmf_g) w^{gk} |g>
-        cols = [f[:, k] for k in range(q)]
-        out = gram_schmidt(cols)
-        g = np.stack(out, axis=1)
+        g = gram_schmidt(f)
         assert np.abs(g.conj().T @ g - np.eye(q)).max() < 1e-10
         bound = math.sqrt(1 - 2 * eps**2 / (1 - eps))
         for k in range(q):
-            ov = np.vdot(out[k], cols[k])
+            ov = np.vdot(g[:, k], f[:, k])
             assert abs(ov.imag) < 1e-12
             assert ov.real >= bound
 
     def test_span_property(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        out = gram_schmidt([a[:, i] for i in range(4)])
+        out = gram_schmidt(a)
         for k in range(4):
-            coeff, res, *_ = np.linalg.lstsq(a[:, : k + 1], out[k], rcond=None)
+            coeff, res, *_ = np.linalg.lstsq(a[:, : k + 1], out[:, k], rcond=None)
             recon = a[:, : k + 1] @ coeff
-            assert np.abs(recon - out[k]).max() < 1e-10
+            assert np.abs(recon - out[:, k]).max() < 1e-10
 
     def test_positive_real_overlap(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        out = gram_schmidt([a[:, i] for i in range(3)])
+        out = gram_schmidt(a)
         for k in range(3):
-            ov = np.vdot(out[k], a[:, k])
+            ov = np.vdot(out[:, k], a[:, k])
             assert abs(ov.imag) < 1e-10
             assert ov.real > 0
 
     def test_degenerate_family_raises(self):
         v = np.array([1.0, 0.0])
         with pytest.raises(DegeneracyError):
-            gram_schmidt([v, v])
+            gram_schmidt(np.column_stack([v, v]))
         with pytest.raises(DegeneracyError):
-            gram_schmidt([np.ones(2), np.array([1.0, 2.0]), np.array([3.0, 1.0])])
+            gram_schmidt(np.array([[1.0, 1.0, 3.0], [1.0, 2.0, 1.0]]))
 
 
 class TestHelpers:

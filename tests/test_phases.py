@@ -214,8 +214,3 @@ class TestSampling:
         got = sample_exponents(eps, q, _FixedStream(u), size=u.size)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
-
-    def test_scalar_sample(self):
-        k = sample_exponents(0.5, 8, np.random.default_rng(1))
-        assert isinstance(k, int)
-        assert k == sample_exponents(0.5, 8, np.random.default_rng(1), size=1)[0]

@@ -1,20 +1,20 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from querylab import query_sim
 from querylab.errors import ConfigError, ParameterError, QuerylabError, ResourceLimitError
 from querylab.experiments import advantage_profile
 from querylab.families import grover_iterate_circuit, random_interleaved_circuit
-from querylab.linalg import StateVector, dft_matrix, random_unitary, trace_distance
+from querylab.linalg import dft_matrix, random_unitary, trace_distance
 from querylab.phases import moment_table
 from querylab.query_sim import (
     DEFAULT_KEY_CAP,
     FORWARD,
     INVERSE,
-    AveragedOutput,
     FixedGate,
+    PurifiedState,
     QueryCircuit,
     average_density,
     biased_ft_rotate,
@@ -40,10 +40,12 @@ def components(p):
     return dict(zip(map(tuple, p.keys.tolist()), p.vectors))
 
 
-def uniform_state(d, aux=1):
-    amps = np.zeros(d * aux, dtype=complex)
-    amps.reshape(d, aux)[:, 0] = 1 / math.sqrt(d)
-    return StateVector(amps, (d, aux))
+def from_uniform(d, *steps):
+    """A workspace-free circuit that first prepares the uniform state.
+
+    Column 0 of the DFT is exactly 1/sqrt(d) in every entry.
+    """
+    return QueryCircuit(d, 1, (FixedGate(dft_matrix(d)),) + steps)
 
 
 class TestQueryCircuit:
@@ -65,11 +67,10 @@ class TestQueryCircuit:
         assert s.amplitudes[0] == 1.0
 
 
-def reference_purify(circuit, initial=None):
-    """The dict-of-tuples loop: (keys in first-seen order, stacked vectors)."""
+def reference_purify(circuit):
+    """The dict-of-tuples loop: (keys in lexicographic order, stacked vectors)."""
     d, aux = circuit.d, circuit.aux_dim
-    initial = circuit.initial_state() if initial is None else initial
-    comps = {(0,) * d: initial.amplitudes.astype(complex)}
+    comps = {(0,) * d: circuit.initial_state().amplitudes.astype(complex)}
     for step in circuit.steps:
         if isinstance(step, FixedGate):
             keys = list(comps)
@@ -84,7 +85,8 @@ def reference_purify(circuit, initial=None):
                     ke = e[:x] + (e[x] + delta,) + e[x + 1:]
                     new.setdefault(ke, np.zeros((d, aux), dtype=complex))[x] += row
         comps = {k: v.reshape(-1) for k, v in new.items()}
-    return np.array(list(comps), dtype=np.int64), np.stack(list(comps.values()))
+    keys = sorted(comps)
+    return np.array(keys, dtype=np.int64), np.stack([comps[k] for k in keys])
 
 
 class TestRunPurified:
@@ -93,13 +95,12 @@ class TestRunPurified:
         lambda rng: random_interleaved_circuit(3, 2, "+-+-+", rng),
         lambda rng: random_interleaved_circuit(12, 2, "++", rng),
         lambda rng: grover_iterate_circuit(4, 8),
-        lambda rng: QueryCircuit(3, 1, (FORWARD, INVERSE, FORWARD)),
+        lambda rng: from_uniform(3, FORWARD, INVERSE, FORWARD),
     ])
     def test_bit_identical_to_dict_loop(self, build):
         c = build(np.random.default_rng(12))
-        init = uniform_state(c.d, c.aux_dim) if c.aux_dim == 1 else None
-        keys, vecs = reference_purify(c, init)
-        p = run_purified(c, init)
+        keys, vecs = reference_purify(c)
+        p = run_purified(c)
         assert np.array_equal(p.keys, keys)
         assert p.vectors.shape == vecs.shape
         assert p.vectors.tobytes() == vecs.tobytes()  # signed zeros too
@@ -113,18 +114,15 @@ class TestRunPurified:
         assert np.abs(components(p)[(0, 0)] - g[:, 0]).max() < 1e-12
 
     def test_single_forward_on_uniform(self):
-        c = QueryCircuit(2, 1, (FORWARD,))
-        p = run_purified(c, uniform_state(2)).validate()
+        p = run_purified(from_uniform(2, FORWARD)).validate()
         assert set(components(p)) == {(1, 0), (0, 1)}
         for v in p.vectors:
             assert np.vdot(v, v).real == pytest.approx(0.5, abs=1e-12)
 
     def test_forward_then_inverse_cancels(self):
-        c = QueryCircuit(2, 1, (FORWARD, INVERSE))
-        init = uniform_state(2)
-        p = run_purified(c, init).validate()
+        p = run_purified(from_uniform(2, FORWARD, INVERSE)).validate()
         assert set(components(p)) == {(0, 0)}
-        assert np.abs(components(p)[(0, 0)] - init.amplitudes).max() < 1e-12
+        assert np.abs(components(p)[(0, 0)] - dft_matrix(2)[:, 0]).max() < 1e-12
 
     def test_mass_preserved_and_sum_law(self):
         rng = np.random.default_rng(7)
@@ -154,10 +152,25 @@ class TestRunPurified:
         with pytest.raises(ResourceLimitError):
             run_purified(c, key_cap=5)
 
-    def test_initial_dims_checked(self):
-        c = QueryCircuit(2, 2, ())
-        with pytest.raises(Exception):
-            run_purified(c, uniform_state(4, 1))
+    @pytest.mark.parametrize("build", [
+        lambda rng: random_interleaved_circuit(4, 2, "+" * 5, rng),
+        lambda rng: random_interleaved_circuit(3, 2, "+-+-+", rng),
+        lambda rng: grover_iterate_circuit(4, 8),
+        # 64 coordinates: the only case that merges through np.unique(axis=0)
+        lambda rng: random_circuit(64, 1, "++", rng),
+        lambda rng: random_circuit(64, 1, "+-", rng),
+    ])
+    def test_keys_strictly_increasing(self, build):
+        p = run_purified(build(np.random.default_rng(33))).validate()
+        assert [tuple(k) for k in p.keys.tolist()] == sorted({tuple(k) for k in p.keys.tolist()})
+
+    def test_validate_rejects_out_of_order_keys(self):
+        p = run_purified(random_interleaved_circuit(3, 2, "+-+", np.random.default_rng(34)))
+        keys, vecs = p.keys.copy(), p.vectors.copy()
+        keys[[1, 2]], vecs[[1, 2]] = keys[[2, 1]], vecs[[2, 1]]
+        swapped = PurifiedState(p.d, p.aux_dim, keys, vecs, p.forward_count, p.inverse_count)
+        with pytest.raises(QuerylabError, match="increasing order"):
+            swapped.validate()
 
 
 class TestAverageDensity:
@@ -179,14 +192,15 @@ class TestAverageDensity:
         mix = sum(np.outer(v, v.conj()) for v in p.vectors)
         assert np.abs(rho.entries - mix).max() < 1e-12
 
-    def test_matches_brute_force_random_instance(self):
+    def test_matches_brute_force_random_instance(self, monkeypatch):
         rng = np.random.default_rng(4)
         c = random_circuit(2, 2, "++", rng)
         p = run_purified(c)
         assert p.key_count > 2  # block=2 reduces more than one row block
         want = brute_force_average(c, 0.3, q=3).density
         for block in (512, 2):
-            got = average_density(p, 0.3, q=3, block=block).density
+            monkeypatch.setattr(query_sim, "_BLOCK", block)
+            got = average_density(p, 0.3, q=3).density
             assert np.abs(got.entries - want.entries).max() < 1e-10
 
 
@@ -221,7 +235,7 @@ def deep_forward_state():
 
 class TestWeightPath:
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
-    def test_bit_identical_to_coordinate_loop(self, eps):
+    def test_bit_identical_to_coordinate_loop(self, eps, monkeypatch):
         wide = run_purified(random_interleaved_circuit(12, 2, "++", np.random.default_rng(32)))
         cases = [
             (deep_forward_state(), 16, 1001, 512),
@@ -235,7 +249,8 @@ class TestWeightPath:
         ]
         for p, q, keys, block in cases:
             assert p.key_count == keys
-            got = average_density(p, eps, q, block=block).density.entries
+            monkeypatch.setattr(query_sim, "_BLOCK", block)
+            got = average_density(p, eps, q).density.entries
             assert np.array_equal(got, reference_average(p, eps, q, block=block))
 
     def test_traced_peak_of_one_average(self):

@@ -5,8 +5,8 @@ Library layout:
 - ``phases``: biased distributions over order-q roots of unity, their moments and moment table.
 - ``linalg``: statevectors, density matrices, partial trace, trace distance, the unitarity check.
 - ``ensembles``: diagonal-oracle ensembles and their normalized-trace statistics.
-- ``biased_fourier``: near-orthonormal frames built from biased phase columns, and their
-  lemma quantities from the Toeplitz moment Gram.
+- ``biased_fourier``: lemma quantities of the near-orthonormal frames built from biased
+  phase columns, read from their Toeplitz moment Gram.
 - ``query_sim``: query circuits and exact purified averaging.
 - ``families``: probe pieces and circuit generators (amplification probes, random circuits).
 - ``amplitude``: amplitude estimation and amplification against black-box preparations.

@@ -6,9 +6,10 @@ X*S0*Xdag*S_good, the flag probability of a state, and collapse onto the
 flagged component. Forward and inverse applications of X are counted on the
 oracle; the two reflections are fixed gates and are free. The estimation and
 amplification routines below touch nothing else, so any subclass of
-PreparationOracle can be driven. The diagonal-oracle probes use the exact
-O(1)-per-iterate two-level reduction at every dimension; the dense probe
-unitary is kept as the reference the reduction is tested against.
+PreparationOracle can be driven. The diagonal-oracle probes are one
+class, PairedPreparation: the exact O(1)-per-iterate two-level reduction,
+at every dimension, of a dense 2d x 2d probe unitary that only the tests
+build.
 
 No controlled application of X exists anywhere on this surface.
 """
@@ -22,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import DiagonalOracle, normalized_trace
-from .errors import DegeneracyError, DimensionError, ParameterError
-from .families import probe_pieces
-from .linalg import StateVector, checked_unitary, dft_matrix, gram_schmidt
+from .errors import DegeneracyError, ParameterError
+from .linalg import StateVector
 
 __all__ = [
     "PreparationOracle",
-    "DensePreparation",
-    "TwoLevelPreparation",
     "PairedPreparation",
     "AmplificationResult",
     "DistinguishOutcome",
@@ -37,7 +35,6 @@ __all__ = [
     "amplitude_estimate",
     "estimate_budget",
     "amplitude_amplify",
-    "uniform_ramp_unitary",
     "trace_probe",
     "pair_probe",
     "distinguish_by_estimation",
@@ -144,83 +141,15 @@ class PreparationOracle(ABC):
         return self.forward_queries + self.inverse_queries
 
 
-class DensePreparation(PreparationOracle):
-    """Preparation given by an explicit unitary and a flagged-index mask."""
-
-    def __init__(self, matrix: np.ndarray, good_mask: np.ndarray, register_dims=None):
-        m = checked_unitary(matrix, "preparation matrix")
-        mask = np.array(good_mask, dtype=bool)
-        if mask.shape != (m.shape[0],):
-            raise DimensionError("flag mask length must match the matrix dimension")
-        super().__init__(m.shape[0])
-        self._matrix = m
-        self._mask = mask
-        self._sign = np.where(mask, -1.0, 1.0)
-        self._dims = tuple(register_dims) if register_dims is not None else (m.shape[0],)
-
-    def _prepared(self):
-        return self._matrix[:, 0].copy()
-
-    def _iterated(self, state, count):
-        v = state
-        for _ in range(count):
-            v = self._sign * v
-            v = self._matrix.conj().T @ v
-            v = v.copy()
-            v[0] = -v[0]
-            v = self._matrix @ v
-        return v
-
-    def _good_probability(self, state):
-        return float(np.sum(np.abs(state[self._mask]) ** 2))
-
-    def _good_component(self, state):
-        w = np.zeros_like(state)
-        w[self._mask] = state[self._mask]
-        n = np.linalg.norm(w)
-        if n < 1e-12:
-            raise DegeneracyError("state has no flagged component to collapse onto")
-        return StateVector(w / n, self._dims)
-
-
-class TwoLevelPreparation(PreparationOracle):
-    """Exact reduced dynamics on span{good, bad}.
+class PairedPreparation(PreparationOracle):
+    """Exact two-level preparation whose flagged part is alpha|0,1> + beta|1,1>.
 
     Grover iterates of any preparation stay inside the plane spanned by the
     flagged and unflagged components of X|0>, where they act as a rotation by
     twice the flagged angle (up to a global sign; Brassard, Hoyer, Mosca and
     Tapp, quant-ph/0005055). Tracking the plane coordinates makes prepare and
-    iterate O(1) regardless of dimension. The flagged unit state is the
-    first plane axis; subclasses that know its full vector override
-    _good_component.
-    """
-
-    def __init__(self, amplitude: float, dimension: int = 2):
-        a = float(abs(amplitude))
-        if a > 1.0 + 1e-12:
-            raise ParameterError(f"amplitude must lie in [0, 1], got {a}")
-        super().__init__(dimension)
-        self._a = min(1.0, a)
-        self._theta = math.asin(self._a)
-
-    def _prepared(self):
-        return np.array([self._a, math.sqrt(max(0.0, 1.0 - self._a**2))])
-
-    def _iterated(self, state, count):
-        phi = math.atan2(state[0], state[1])
-        sign = -1.0 if count % 2 else 1.0
-        out = phi + 2.0 * count * self._theta
-        return sign * np.array([math.sin(out), math.cos(out)])
-
-    def _good_probability(self, state):
-        return float(state[0] ** 2)
-
-    def _good_component(self, state):
-        return StateVector(np.array([1.0, 0.0], dtype=complex), (2,))
-
-
-class PairedPreparation(TwoLevelPreparation):
-    """Two-level preparation whose flagged part is alpha|0,1> + beta|1,1>.
+    iterate O(1) regardless of dimension; the flagged unit state is the first
+    plane axis, and its flagged amplitude is ``hypot(|alpha|, |beta|)``.
 
     The register is (d, 2), the second factor holding the flag. Both probes
     use it: the trace probe with beta = 0 (so d = 1 is allowed), and the pair
@@ -236,7 +165,24 @@ class PairedPreparation(TwoLevelPreparation):
         if d < 1 or (d < 2 and self.beta != 0):
             raise ParameterError(
                 f"query register dimension {d} cannot hold alpha|0,1> + beta|1,1>")
-        super().__init__(min(1.0, math.hypot(abs(self.alpha), abs(self.beta))), dimension=2 * d)
+        a = math.hypot(abs(self.alpha), abs(self.beta))
+        if a > 1.0 + 1e-12:
+            raise ParameterError(f"flagged amplitude must lie in [0, 1], got {a}")
+        super().__init__(2 * d)
+        self._a = min(1.0, a)
+        self._theta = math.asin(self._a)
+
+    def _prepared(self):
+        return np.array([self._a, math.sqrt(max(0.0, 1.0 - self._a**2))])
+
+    def _iterated(self, state, count):
+        phi = math.atan2(state[0], state[1])
+        sign = -1.0 if count % 2 else 1.0
+        out = phi + 2.0 * count * self._theta
+        return sign * np.array([math.sin(out), math.cos(out)])
+
+    def _good_probability(self, state):
+        return float(state[0] ** 2)
 
     def _good_component(self, state):
         s = math.hypot(abs(self.alpha), abs(self.beta))
@@ -371,43 +317,13 @@ def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
         scale *= AMPLIFY_GROWTH
 
 
-def uniform_ramp_unitary(d: int) -> np.ndarray:
-    """Unitary sending |0> to the uniform state and |1> to its ramped twin.
-
-    Column 1 is the uniform superposition with phases e^{2 pi i k / d}, which
-    is exactly orthogonal to column 0; the remaining columns complete the
-    basis by Gram-Schmidt applied to standard basis vectors.
-    """
-    d = int(d)
-    if d < 2:
-        raise ParameterError(f"dimension must be >= 2, got {d}")
-    cols = np.zeros((d, d), dtype=complex)
-    cols[:, 0] = 1.0 / math.sqrt(d)
-    cols[:, 1] = np.exp(2j * math.pi * np.arange(d) / d) / math.sqrt(d)
-    cols[2:, 2:] = np.eye(d - 2)
-    return gram_schmidt(cols)
-
-
-def _dense_probe_matrix(oracle: DiagonalOracle, variant: str) -> np.ndarray:
-    # the trace probe flags index 0 after the DFT; the paired probe flags
-    # indices 0 and 1 after the ramp unitary
-    d = oracle.dimension
-    if variant == "trace":
-        ti, tdi, z = probe_pieces(dft_matrix(d))
-    else:
-        ti, tdi, z = probe_pieces(uniform_ramp_unitary(d), flagged=(0, 1))
-    diag = np.repeat(oracle.values, 2)
-    return z @ (tdi @ (diag[:, None] * ti))
-
-
 def trace_probe(oracle: DiagonalOracle) -> PreparationOracle:
     """Preparation whose flagged amplitude is the oracle's normalized trace.
 
     Fourier in, one forward query, Fourier out, flag flip on index 0: the
     flagged component of the prepared state is ntr(U)|0,1>. Its iterates are
-    the exact two-level rotation, so after the O(d) trace computation every
-    iterate is O(1) at any dimension. `_dense_probe_matrix(oracle, "trace")`
-    is the 2d x 2d unitary this reduces.
+    the exact two-level rotation of that 2d x 2d unitary, so after the O(d)
+    trace computation every iterate is O(1) at any dimension.
     """
     return PairedPreparation(normalized_trace(oracle), 0.0, oracle.dimension)
 
@@ -418,8 +334,9 @@ def pair_probe(oracle: DiagonalOracle) -> PreparationOracle:
     The flagged component is alpha|0,1> + beta|1,1> with alpha the normalized
     trace of U and beta that of the ramp-conjugated oracle; measuring the
     first register of the flagged state tells which functional dominates.
-    Like trace_probe it is the exact two-level reduction of the dense unitary
-    `_dense_probe_matrix(oracle, "paired")`.
+    Like trace_probe it is the exact two-level reduction of a dense probe
+    unitary: the ramp unitary in, one query, its adjoint out, and a flag flip
+    on query indices 0 and 1.
     """
     d = oracle.dimension
     if d < 2:

@@ -1,4 +1,4 @@
-"""Near-orthonormal frames from biased phase distributions.
+"""Lemma quantities of near-orthonormal frames from biased phase distributions.
 
 The frame column for index k is ``sum_g sqrt(pmf(g)) * w^{gk} |g>`` with
 ``w = exp(2j*pi/q)``: a Fourier column reweighted by the square root of the
@@ -8,27 +8,22 @@ that maps frame column k onto basis states ``{|0>, ..., |k>}`` only, with the
 retained weight on ``|k>`` controlled by the bias.
 
 The frame's Gram matrix ``G[j, k] = phase_moment(eps, q, k - j)`` is the real
-symmetric circulant Toeplitz matrix of phase moments. The lemma sweep reads
-every quantity it checks from that moment row in O(q^2) time: the retained
+symmetric circulant Toeplitz matrix of phase moments. Every quantity the
+lemma sweep checks is read from that moment row in O(q^2) time: the retained
 weights from the Levinson-Durbin recursion, the singular values from one FFT
-(Gray, "Toeplitz and Circulant Matrices: A Review", 2006). The dense frame and
-its rounding unitary remain for ``query_sim.biased_ft_rotate``.
+(Gray, "Toeplitz and Circulant Matrices: A Review", 2006). The q x q frame
+itself is never built here; the tests build it densely, with its QR and SVD,
+as the reference these values are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError, QuerylabError
-from .linalg import gram_schmidt
 from .phases import moment_table, pmf_vector
 
 __all__ = [
-    "BiasedBasis",
-    "build_biased_frame",
-    "frame_matrix",
     "prediction_errors",
     "frame_summary",
 ]
@@ -42,50 +37,6 @@ def _check_args(q: int, eps: float) -> tuple:
     if not 0.0 <= eps < 1.0:
         raise ParameterError(f"bias must lie in [0, 1) for a full-rank frame, got {eps!r}")
     return q, eps
-
-
-def frame_matrix(q: int, eps: float) -> np.ndarray:
-    """The q x q matrix whose k-th column is the bias-weighted Fourier column."""
-    q, eps = _check_args(q, eps)
-    g = np.arange(q)
-    return np.sqrt(pmf_vector(eps, q))[:, None] * np.exp(2j * np.pi * np.outer(g, g) / q)
-
-
-@dataclass(frozen=True)
-class BiasedBasis:
-    """A biased frame together with its orthonormalizing unitary.
-
-    ``transform`` rows are the conjugated orthonormalized columns, so
-    ``coeffs = transform @ frame`` is upper triangular with a real positive
-    diagonal; ``alphas[k]`` is the weight retained on ``|k>`` when the
-    transform is applied to frame column k.
-    """
-
-    order: int
-    bias: float
-    frame: np.ndarray
-    transform: np.ndarray
-    coeffs: np.ndarray
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return self.coeffs.diagonal().real.copy()
-
-
-def build_biased_frame(q: int, eps: float) -> BiasedBasis:
-    """Construct the frame and its rounding unitary; degenerate frames raise."""
-    q, eps = _check_args(q, eps)
-    frame = frame_matrix(q, eps)
-    norms = np.linalg.norm(frame, axis=0)
-    if np.abs(norms - 1.0).max() > 1e-12:
-        raise QuerylabError("frame columns lost unit norm; pmf construction is broken")
-    transform = gram_schmidt(frame).conj().T
-    if np.abs(transform @ transform.conj().T - np.eye(q)).max() > 1e-10:
-        raise QuerylabError("orthonormalization failed to produce a unitary within 1e-10")
-    coeffs = transform @ frame
-    for a in (frame, transform, coeffs):
-        a.flags.writeable = False
-    return BiasedBasis(order=q, bias=eps, frame=frame, transform=transform, coeffs=coeffs)
 
 
 def _moment_row(q: int, eps: float) -> np.ndarray:

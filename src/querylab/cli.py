@@ -122,15 +122,22 @@ def _resolve_jobs(flag_value) -> int:
 
 
 def _resolve_out(flag_value, cfg_out, default_name: str):
-    if flag_value is not None:
-        return flag_value
-    if cfg_out is not None:
-        return cfg_out
-    env_dir = os.environ.get(ENV_OUT)
-    if env_dir:
+    """The output path, or None for stdout.
+
+    Called before any work starts, so a path in a missing directory is an
+    error at once rather than after the sweep.
+    """
+    out = flag_value if flag_value is not None else cfg_out
+    if out is None:
+        env_dir = os.environ.get(ENV_OUT)
+        if not env_dir:
+            return None
         os.makedirs(env_dir, exist_ok=True)
-        return os.path.join(env_dir, default_name)
-    return None
+        out = os.path.join(env_dir, default_name)
+    directory = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory!r} does not exist")
+    return out
 
 
 def _emit(text: str, out_path) -> None:
@@ -180,6 +187,7 @@ def _run_circuit(args) -> int:
         eps_list, cap, cfg_out = cfg.eps, cfg.cap, cfg.out
     if args.cap is not None:
         cap = args.cap
+    out_path = _resolve_out(args.out, cfg_out, "circuit-run.csv")
     rows = cmd_circuit_run(args.file, eps_list, cap)
 
     buf = io.StringIO()
@@ -188,7 +196,7 @@ def _run_circuit(args) -> int:
     w.writerow(("kind", "params", "measured"))
     for kind, params, measured in rows:
         w.writerow([kind, repr(params), repr(measured)])
-    _emit(buf.getvalue(), _resolve_out(args.out, cfg_out, "circuit-run.csv"))
+    _emit(buf.getvalue(), out_path)
     return 0
 
 

@@ -19,6 +19,21 @@ __all__ = ["ExperimentConfig", "KINDS", "default_config", "parse_config", "confi
 KINDS = ("verify-lemmas", "separation", "endtoend", "concentration")
 
 
+# Grid keys of which a kind reads only the first value.
+_SINGLE_VALUED = {"separation": ("q",), "endtoend": ("eps", "d", "q"), "concentration": ("q",)}
+
+
+def _check_single_valued(kind: str, grid, lines=None) -> None:
+    """Reject several values for a grid key of which ``kind`` reads only the first.
+
+    ``lines`` maps a grid key to the config line that set it, for the message.
+    """
+    for key in _SINGLE_VALUED.get(kind, ()):
+        if len(grid[key]) > 1:
+            raise ConfigError(f"{kind} reads one {key} value, got {grid[key]}",
+                              line=(lines or {}).get(key))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -54,6 +69,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.cap < 1:
             raise ConfigError(f"key cap must be >= 1, got {self.cap}")
+        _check_single_valued(self.kind, vars(self))
 
 
 def default_config(kind: str) -> ExperimentConfig:
@@ -74,9 +90,6 @@ def default_config(kind: str) -> ExperimentConfig:
 
 _GRID_KEYS = ("eps", "d", "q", "n", "trials")
 _EXPERIMENT_KEYS = ("kind", "seed", "cap")
-
-# Grid keys of which a kind reads only the first value.
-_SINGLE_VALUED = {"separation": ("q",), "endtoend": ("eps", "d", "q"), "concentration": ("q",)}
 
 
 def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
@@ -136,15 +149,16 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}", line=lineno) from None
 
+    grid_lines = {}
+
     def parse_list(key, conv, default):
         value, lineno = take("grid", key, default)
         if value is default:
             return default
+        grid_lines[key] = lineno
         items = [p.strip() for p in value.split(",") if p.strip()]
         if not items:
             raise ConfigError(f"{key} list is empty", line=lineno)
-        if len(items) > 1 and key in _SINGLE_VALUED.get(kind, ()):
-            raise ConfigError(f"{kind} reads one {key} value, got {value!r}", line=lineno)
         try:
             return tuple(conv(p) for p in items)
         except ValueError:
@@ -154,18 +168,18 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
         base = default_config(kind)
     except ConfigError as exc:
         raise ConfigError(str(exc), line=kind_line) from None
-    cfg = ExperimentConfig(
+    grid = {key: parse_list(key, conv, getattr(base, key))
+            for key, conv in (("eps", float), ("d", int), ("q", int), ("n", int))}
+    # ExperimentConfig runs this check again; run here, it names the line
+    _check_single_valued(kind, grid, grid_lines)
+    return ExperimentConfig(
         kind,
-        parse_list("eps", float, base.eps),
-        parse_list("d", int, base.d),
-        parse_list("q", int, base.q),
-        parse_list("n", int, base.n),
-        parse_int("grid", "trials", base.trials),
-        parse_int("experiment", "seed", base.seed),
-        parse_int("experiment", "cap", base.cap),
-        take("output", "path", None)[0],
+        **grid,
+        trials=parse_int("grid", "trials", base.trials),
+        seed=parse_int("experiment", "seed", base.seed),
+        cap=parse_int("experiment", "cap", base.cap),
+        out=take("output", "path", None)[0],
     )
-    return cfg
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:

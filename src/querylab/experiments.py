@@ -444,15 +444,15 @@ def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
         for j, (kind, bias) in enumerate((("uniform", 0.0), ("biased", eps))):
             spec = EnsembleSpec(kind, d, q, bias)
             for k, mult in enumerate(_TAIL_MULTIPLIERS):
-                units.append(("tail", i, 10 * i + 2 * j + k, spec, kind, eps, d, mult * eps))
-        units.append(("gap", i, 10 * i + 8, None, None, eps, d, None))
+                units.append(("tail", 10 * i + 2 * j + k, spec, kind, eps, d, mult * eps))
+        units.append(("gap", 10 * i + 8, None, None, eps, d, None))
         # the (eps/2, eps) window needs the mean factor above 1/2, which
         # only holds for large phase order; same domain as the lemma row
         if q >= 100:
-            units.append(("mean", i, 10 * i + 9, None, None, eps, d, None))
+            units.append(("mean", 10 * i + 9, None, None, eps, d, None))
 
     def run(unit):
-        what, _, salt, spec, kind, eps, d, t = unit
+        what, salt, spec, kind, eps, d, t = unit
         seed = cell_seed(cfg.seed, salt)
         rng = np.random.default_rng(seed)
         if what == "tail":

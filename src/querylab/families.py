@@ -10,8 +10,10 @@ Two families matter:
   the probe circuit and seeded random interleavings, providing the ceiling
   that the inverse-using family is compared against.
 
-The probe pieces are built here once, for these circuits and for the dense
-probes of ``amplitude``.
+The probe pieces are built here once, for these circuits. The production
+probes of ``amplitude`` never build them: they run the exact two-level
+reduction of the probe preparation, which the tests check against the dense
+matrix made from these pieces.
 """
 
 from __future__ import annotations
@@ -31,27 +33,25 @@ __all__ = [
 ]
 
 
-def flag_flip_matrix(d: int, flagged=(0,)) -> np.ndarray:
-    """Permutation swapping the two flag values on each listed query-register index.
+def flag_flip_matrix(d: int) -> np.ndarray:
+    """Permutation swapping the two flag values on query-register index 0.
 
     The flag register is 2-dimensional, so the matrix is 2d x 2d.
     """
     z = np.eye(2 * d)
-    for x in flagged:
-        z[[2 * x, 2 * x + 1]] = z[[2 * x + 1, 2 * x]]
+    z[[0, 1]] = z[[1, 0]]
     return z
 
 
-def probe_pieces(t: np.ndarray, flagged=(0,)) -> tuple:
+def probe_pieces(t: np.ndarray) -> tuple:
     """(Fourier in, Fourier out, flag flip) of a probe built on the unitary ``t``.
 
     Fourier in is ``t`` on the query register and the identity on the flag,
-    Fourier out its adjoint; the flag flip acts on the ``flagged`` indices.
-    The probe preparation is then flip @ out @ oracle @ in.
+    Fourier out its adjoint; the flag flip acts on query index 0. The probe
+    preparation is then flip @ out @ oracle @ in.
     """
     eye2 = np.eye(2)
-    return (np.kron(t, eye2), np.kron(t.conj().T, eye2),
-            flag_flip_matrix(t.shape[0], flagged))
+    return np.kron(t, eye2), np.kron(t.conj().T, eye2), flag_flip_matrix(t.shape[0])
 
 
 def grover_iterate_circuit(d: int, n: int) -> QueryCircuit:

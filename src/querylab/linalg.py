@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 
 __all__ = [
     "StateVector",
@@ -20,7 +20,6 @@ __all__ = [
     "checked_unitary",
     "partial_trace",
     "trace_distance",
-    "gram_schmidt",
     "dft_matrix",
     "random_unitary",
 ]
@@ -130,27 +129,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     diff = a - b
     diff = (diff + diff.conj().T) / 2
     return float(np.abs(np.linalg.eigvalsh(diff)).sum() / 2)
-
-
-def gram_schmidt(columns: np.ndarray) -> np.ndarray:
-    """Orthonormalize the ordered, linearly independent columns of a matrix.
-
-    Column k of the result lies in the span of the first k input columns and
-    has a real, positive overlap with input column k. A residual below 1e-8
-    raises a degeneracy error.
-    """
-    a = np.array(columns, dtype=complex)
-    dim, k = a.shape
-    if k > dim:
-        raise DegeneracyError(f"{k} vectors in dimension {dim} cannot be independent")
-    qmat, r = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(r).copy()
-    if np.abs(diag).min() < 1e-8:
-        raise DegeneracyError(
-            f"residual norm {np.abs(diag).min():.3e} below 1e-8; family is numerically degenerate"
-        )
-    phase = diag / np.abs(diag)
-    return qmat * phase.conj()  # makes <out_k, in_k> = |r_kk| > 0
 
 
 def dft_matrix(d: int) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "phase_pmf",
     "pmf_vector",
     "phase_mean",
     "phase_moment",
@@ -49,24 +48,11 @@ def window_halfwidth(q: int) -> int:
     return _check_order(q) // 4
 
 
-def phase_pmf(eps: float, q: int, k: int) -> float:
-    """Probability of exponent ``k`` under the bias-``eps`` distribution."""
-    eps = _check_bias(eps)
-    q = _check_order(q)
-    k = int(k)
-    if not 0 <= k < q:
-        raise ParameterError(f"exponent must lie in [0, {q}), got {k!r}")
-    M = q // 4
-    if k <= M or k >= q - M:
-        return (1.0 + eps * (q / (2 * M + 1) - 1.0)) / q
-    return (1.0 - eps) / q
-
-
 def pmf_vector(eps: float, q: int) -> np.ndarray:
     """Full pmf over exponents ``0..q-1`` as a float array."""
     eps = _check_bias(eps)
     q = _check_order(q)
-    M = q // 4
+    M = window_halfwidth(q)
     out = np.full(q, (1.0 - eps) / q)
     hi = (1.0 + eps * (q / (2 * M + 1) - 1.0)) / q
     out[: M + 1] = hi
@@ -78,7 +64,7 @@ def pmf_vector(eps: float, q: int) -> np.ndarray:
 def _dirichlet(q: int, m: int) -> float:
     # Normalized Dirichlet kernel sum(w^{km}, k=-M..M) / (2M+1); equals 1 at
     # m = 0 mod q by the removable singularity.
-    M = q // 4
+    M = window_halfwidth(q)
     r = m % q
     if r == 0:
         return 1.0

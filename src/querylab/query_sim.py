@@ -19,19 +19,22 @@ which also leaves the keys in lexicographic order.
 Every key sums to forward - inverse, so the weight M(e - e') is read from a
 table indexed by the difference of two keys' codes over a prefix of the
 coordinates, with each product formed in coordinate order.
+
+``brute_force_average`` checks that average independently by enumerating
+every oracle of a small ensemble. Circuits are read from and written to a
+line text format (``circuit_from_text``, ``circuit_to_text``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .biased_fourier import build_biased_frame
 from .errors import ConfigError, DimensionError, ParameterError, QuerylabError, ResourceLimitError
-from .linalg import DensityMatrix, StateVector, checked_unitary, trace_distance
+from .linalg import DensityMatrix, StateVector, checked_unitary
 from .phases import moment_table, pmf_vector
 
 __all__ = [
@@ -41,12 +44,9 @@ __all__ = [
     "QueryCircuit",
     "PurifiedState",
     "AveragedOutput",
-    "RotatedPurification",
     "run_purified",
     "average_density",
     "brute_force_average",
-    "biased_ft_rotate",
-    "moment_gram",
     "circuit_to_text",
     "circuit_from_text",
     "DEFAULT_KEY_CAP",
@@ -250,9 +250,6 @@ def run_purified(circuit: QueryCircuit, key_cap: int = DEFAULT_KEY_CAP) -> Purif
 _BLOCK = 512
 _TILE = 256
 
-# Most keys `moment_gram` builds a dense K x K matrix for.
-_GRAM_KEY_CAP = 4000
-
 
 def _table(p: PurifiedState, eps: float, q: int) -> np.ndarray:
     # the moment table covering every coordinate difference between two keys
@@ -334,15 +331,6 @@ def average_density(p: PurifiedState, eps: float, q: int) -> AveragedOutput:
     return AveragedOutput(DensityMatrix(rho, (p.d, p.aux_dim)))
 
 
-def moment_gram(p: PurifiedState, eps: float, q: int) -> tuple:
-    """(the K x d keys, K x K moment matrix) for a purified state of few keys."""
-    table = _table(p, eps, q)
-    if p.key_count > _GRAM_KEY_CAP:
-        raise ResourceLimitError(f"{p.key_count} keys exceed the dense Gram cap {_GRAM_KEY_CAP}")
-    everything = slice(None)
-    return p.keys, _moment_weights(p.keys, table, p.key_count ** 2)(everything, everything)
-
-
 def _dense_run(circuit: QueryCircuit, phases: np.ndarray, start: np.ndarray) -> np.ndarray:
     v = start
     d, aux = circuit.d, circuit.aux_dim
@@ -378,69 +366,6 @@ def brute_force_average(circuit: QueryCircuit, eps: float, q: int) -> AveragedOu
         rho += weight * np.outer(out, out.conj())
     rho = (rho + rho.conj().T) / 2
     return AveragedOutput(DensityMatrix(rho, (circuit.d, circuit.aux_dim)))
-
-
-@dataclass(frozen=True)
-class RotatedPurification:
-    """Purification re-expressed in the orthonormalized (rounded) label basis."""
-
-    d: int
-    aux_dim: int
-    bias: float
-    order: int
-    retained: dict = field(repr=False)
-    error_mass: dict = field(repr=False)
-    rotated: dict = field(repr=False)
-
-    def density(self) -> DensityMatrix:
-        dim = self.d * self.aux_dim
-        rho = np.zeros((dim, dim), dtype=complex)
-        for w in self.rotated.values():
-            rho += np.outer(w, w.conj())
-        rho = (rho + rho.conj().T) / 2
-        return DensityMatrix(rho, (self.d, self.aux_dim))
-
-
-def biased_ft_rotate(p: PurifiedState, eps: float, q: int) -> RotatedPurification:
-    """Re-express a forward-only purification in the rounded label basis.
-
-    Each histogram key keeps amplitude ``prod_i alpha[e_i]`` on its own label
-    and leaks the rest onto lexicographically lower labels; the new labels
-    are orthonormal, so tracing them out reproduces the moment-weighted
-    average, which is cross-checked here to 1e-9.
-    """
-    if not p.forward_only:
-        raise ParameterError("label rounding is defined for forward-only purifications")
-    q = int(q)
-    if (p.keys >= q).any():
-        e = tuple(p.keys[(p.keys >= q).any(axis=1).argmax()].tolist())
-        raise ParameterError(f"histogram key {e} has an exponent >= q={q}")
-    basis = build_biased_frame(q, eps)
-    c = basis.coeffs
-    alphas = basis.alphas
-    retained, error_mass = {}, {}
-    rotated = {}
-    dim = p.d * p.aux_dim
-    for e, v in zip(map(tuple, p.keys.tolist()), p.vectors):
-        amp = float(np.prod(alphas[list(e)]))
-        retained[e] = amp
-        error_mass[e] = 1.0 - amp * amp
-        for label in itertools.product(*(range(x + 1) for x in e)):
-            coef = 1.0 + 0.0j
-            for li, ei in zip(label, e):
-                coef *= c[li, ei]
-            if coef == 0.0:
-                continue
-            slot = rotated.get(label)
-            if slot is None:
-                slot = np.zeros(dim, dtype=complex)
-                rotated[label] = slot
-            slot += coef * v
-    out = RotatedPurification(p.d, p.aux_dim, float(eps), q, retained, error_mass, rotated)
-    direct = average_density(p, eps, q).density
-    if trace_distance(out.density(), direct) > 1e-9:
-        raise QuerylabError("rotated purification does not reproduce the moment average")
-    return out
 
 
 def _format_complex(z: complex) -> str:

@@ -8,10 +8,7 @@ import pytest
 from querylab import amplitude
 from querylab.amplitude import (
     ESTIMATE_BUDGET_CONSTANT,
-    DensePreparation,
     PairedPreparation,
-    TwoLevelPreparation,
-    _dense_probe_matrix,
     amplitude_amplify,
     amplitude_estimate,
     distinguish_by_amplification,
@@ -20,11 +17,11 @@ from querylab.amplitude import (
     naive_estimate,
     pair_probe,
     trace_probe,
-    uniform_ramp_unitary,
 )
 from querylab.ensembles import DiagonalOracle, EnsembleSpec, draw, normalized_trace
 from querylab.errors import DegeneracyError, DimensionError, ParameterError
 from querylab.linalg import random_unitary
+from reference import DensePreparation, dense_probe_matrix, uniform_ramp_unitary
 
 
 def dense_with_amplitude(dim, mask, rng):
@@ -59,7 +56,7 @@ def test_counters_track_every_application():
 
 
 def test_iterate_power_rejects_negative():
-    oracle = TwoLevelPreparation(0.5)
+    oracle = PairedPreparation(0.5, 0.0, 1)
     with pytest.raises(ParameterError):
         oracle.iterate_power(oracle.prepare(), -1)
 
@@ -79,7 +76,7 @@ def test_two_level_matches_dense_dynamics():
     rng = np.random.default_rng(2)
     mask = np.array([False, True] * 5)
     dense, a = dense_with_amplitude(10, mask, rng)
-    reduced = TwoLevelPreparation(a)
+    reduced = PairedPreparation(a, 0.0, 1)
     for m in range(10):
         pd = dense.good_probability(dense.iterate_power(dense.prepare(), m))
         pt = reduced.good_probability(reduced.iterate_power(reduced.prepare(), m))
@@ -88,7 +85,7 @@ def test_two_level_matches_dense_dynamics():
 
 def test_amplitude_bounds_checked():
     with pytest.raises(ParameterError):
-        TwoLevelPreparation(1.5)
+        PairedPreparation(1.5, 0.0, 1)
 
 
 def test_collapse_needs_flagged_mass():
@@ -113,7 +110,7 @@ def probe_amplitude_check(oracle: DiagonalOracle, variant: str = "trace") -> dic
     """
     if variant not in ("trace", "paired"):
         raise ParameterError(f"unknown probe variant {variant!r}")
-    matrix = _dense_probe_matrix(oracle, variant)
+    matrix = dense_probe_matrix(oracle, variant)
     out = matrix[:, 0]
     flagged_norm = float(np.linalg.norm(out[1::2]))
     if variant == "trace":
@@ -182,7 +179,7 @@ def test_probes_match_dense_reference(maker, variant, d):
     # 2d x 2d probe unitary; step both one iterate at a time to depth 150,
     # then jump both straight to that depth
     oracle = draw(EnsembleSpec("biased", d, 8, 0.25), np.random.default_rng((d, 6)))
-    dense = DensePreparation(_dense_probe_matrix(oracle, variant),
+    dense = DensePreparation(dense_probe_matrix(oracle, variant),
                              np.tile([False, True], d), (d, 2))
     probe = maker(oracle)
     depth = 150
@@ -214,7 +211,7 @@ def test_naive_estimate_contract():
     misses = 0
     for seed in range(200):
         rng = np.random.default_rng((seed, 21))
-        oracle = TwoLevelPreparation(0.3)
+        oracle = PairedPreparation(0.3, 0.0, 1)
         a_hat = naive_estimate(oracle, 10_000, rng)
         assert oracle.forward_queries == 10_000
         assert oracle.inverse_queries == 0
@@ -225,10 +222,10 @@ def test_naive_estimate_contract():
 
 def test_naive_estimate_extremes():
     rng = np.random.default_rng(0)
-    assert naive_estimate(TwoLevelPreparation(0.0), 100, rng) == 0.0
-    assert naive_estimate(TwoLevelPreparation(1.0), 100, rng) == 1.0
+    assert naive_estimate(PairedPreparation(0.0, 0.0, 1), 100, rng) == 0.0
+    assert naive_estimate(PairedPreparation(1.0, 0.0, 1), 100, rng) == 1.0
     with pytest.raises(ParameterError):
-        naive_estimate(TwoLevelPreparation(0.5), 0, rng)
+        naive_estimate(PairedPreparation(0.5, 0.0, 1), 0, rng)
 
 
 # ------------------------------------------------------ iterate estimator
@@ -237,7 +234,7 @@ def test_naive_estimate_extremes():
 def test_estimate_zero_amplitude_always_below_target():
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        oracle = TwoLevelPreparation(0.0)
+        oracle = PairedPreparation(0.0, 0.0, 1)
         a_hat = amplitude_estimate(oracle, 0.05, rng)
         assert a_hat == 0.0
 
@@ -246,7 +243,7 @@ def test_estimate_half_amplitude_inside_one_percent():
     misses = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        oracle = TwoLevelPreparation(0.5)
+        oracle = PairedPreparation(0.5, 0.0, 1)
         a_hat = amplitude_estimate(oracle, 0.01, rng)
         if not 0.49 < a_hat < 0.51:
             misses += 1
@@ -267,7 +264,7 @@ def test_estimate_queries_match_schedule_and_budget():
     totals = []
     for eps in grid:
         rng = np.random.default_rng(3)
-        oracle = TwoLevelPreparation(0.4)
+        oracle = PairedPreparation(0.4, 0.0, 1)
         amplitude_estimate(oracle, eps, rng)
         assert oracle.inverse_queries > 0
         assert oracle.total_queries == estimate_budget(eps)
@@ -285,7 +282,7 @@ def test_budget_constant_is_global():
 def test_estimate_target_validated():
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        amplitude_estimate(TwoLevelPreparation(0.5), 0.0, rng)
+        amplitude_estimate(PairedPreparation(0.5, 0.0, 1), 0.0, rng)
     with pytest.raises(ParameterError):
         estimate_budget(1.0)
 
@@ -293,7 +290,7 @@ def test_estimate_target_validated():
 def test_estimation_stays_on_public_surface():
     calls = set()
 
-    class Spy(TwoLevelPreparation):
+    class Spy(PairedPreparation):
         def prepare(self):
             calls.add("prepare")
             return super().prepare()
@@ -311,7 +308,7 @@ def test_estimation_stays_on_public_surface():
             return super().collapse_good(state)
 
     rng = np.random.default_rng(4)
-    amplitude_estimate(Spy(0.3), 0.05, rng)
+    amplitude_estimate(Spy(0.3, 0.0, 1), 0.05, rng)
     assert calls == {"prepare", "iterate_power", "good_probability"}
 
 
@@ -320,18 +317,18 @@ def test_estimation_stays_on_public_surface():
 
 def test_amplify_full_amplitude_single_query():
     rng = np.random.default_rng(11)
-    oracle = TwoLevelPreparation(1.0)
+    oracle = PairedPreparation(1.0, 0.0, 1)
     result = amplitude_amplify(oracle, rng)
     assert result.success
     assert result.total_queries == 1
     assert result.rounds == 1
-    assert np.array_equal(result.state.amplitudes, [1.0, 0.0])
+    assert np.array_equal(result.state.amplitudes, [0.0, 1.0])  # |0,1>
 
 
 def test_amplify_zero_amplitude_fails_at_cap(monkeypatch):
     monkeypatch.setattr(amplitude, "AMPLIFY_DEFAULT_CAP", 5000)
     rng = np.random.default_rng(12)
-    oracle = TwoLevelPreparation(0.0)
+    oracle = PairedPreparation(0.0, 0.0, 1)
     result = amplitude_amplify(oracle, rng)
     assert not result.success
     assert result.state is None
@@ -360,7 +357,7 @@ def test_amplify_query_count_scales_inversely():
         totals = []
         for seed in range(600):
             rng = np.random.default_rng((seed, int(1000 * a)))
-            result = amplitude_amplify(TwoLevelPreparation(a), rng)
+            result = amplitude_amplify(PairedPreparation(a, 0.0, 1), rng)
             assert result.success
             totals.append(result.total_queries)
         mean = np.mean(totals)
@@ -376,7 +373,7 @@ def test_amplify_query_tail():
     for a in (0.05, 0.1, 0.2, 0.4):
         over = 0
         for seed in range(600):
-            result = amplitude_amplify(TwoLevelPreparation(a), np.random.default_rng(seed))
+            result = amplitude_amplify(PairedPreparation(a, 0.0, 1), np.random.default_rng(seed))
             over += result.total_queries > 20 / a
         assert over / 600 <= 0.02
 

@@ -5,14 +5,10 @@ import pytest
 
 from querylab import biased_fourier
 from querylab.errors import DegeneracyError, ParameterError, QuerylabError
-from querylab.biased_fourier import (
-    build_biased_frame,
-    frame_matrix,
-    frame_summary,
-    prediction_errors,
-)
+from querylab.biased_fourier import frame_summary, prediction_errors
 from querylab.linalg import dft_matrix
 from querylab.phases import phase_moment, pmf_vector, window_halfwidth
+from reference import build_biased_frame, frame_matrix
 
 # Dense references: the SVD and QR of the q x q frame. The library reads the
 # same quantities from the Toeplitz moment Gram in O(q^2); these cross-check it.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import querylab
-from querylab import biased_fourier, blas, cli, experiments
+from querylab import blas, cli, experiments
 from querylab.config import (
     KINDS,
     ExperimentConfig,
@@ -127,9 +127,9 @@ def test_lemma_rows_pass_on_small_grid():
 
 
 def test_lemma_cell_builds_no_dense_frame(monkeypatch):
-    # a lemma cell reads everything from the moment row: no SVD, no q x q
-    # frame, no orthonormalization
-    calls = {"svd": 0, "frame": 0, "gram_schmidt": 0}
+    # a lemma cell reads everything from the moment row: no SVD of a q x q
+    # frame, no QR to orthonormalize it
+    calls = {"svd": 0, "qr": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -138,12 +138,9 @@ def test_lemma_cell_builds_no_dense_frame(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(biased_fourier, "frame_matrix",
-                        counted("frame", biased_fourier.frame_matrix))
-    monkeypatch.setattr(biased_fourier, "gram_schmidt",
-                        counted("gram_schmidt", biased_fourier.gram_schmidt))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     rows = experiments.lemma_rows((8, 64), (0.1,), jobs=1)
-    assert calls == {"svd": 0, "frame": 0, "gram_schmidt": 0}
+    assert calls == {"svd": 0, "qr": 0}
     assert len(rows) == 2 * 6 + 1 and all(r.passed for r in rows)  # plus mean_limit
 
 
@@ -244,6 +241,18 @@ def test_concentration_rows_fail_below_calibrated_dimension():
     gap = [r for r in rows if r.kind == "gap_unbiased_small"]
     assert len(gap) == 1
     assert not gap[0].passed  # d far below the calibrated threshold
+
+
+def test_config_built_in_code_rejects_lists_a_kind_reads_one_value_of():
+    # the check lives in ExperimentConfig, so a sweep cannot drop grid values
+    with pytest.raises(ConfigError, match="one q value"):
+        experiments.separation_rows(
+            ExperimentConfig("separation", (0.1,), (2,), (8, 16), (1,), 2, 0, 10**5), 1)
+    for key, values in (("eps", (0.1, 0.2)), ("d", (500, 600))):
+        grid = {"eps": (0.1,), "d": (500,), "q": (8,), "n": (1,), key: values}
+        with pytest.raises(ConfigError, match=f"one {key} value") as err:
+            ExperimentConfig("endtoend", **grid, trials=2, seed=0, cap=10**5)
+        assert err.value.line is None
 
 
 def test_concentration_rows_broadcast_and_mismatch():
@@ -447,6 +456,24 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["concentration", "--config", ok, "--out", missing_out]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,runner", [
+    (["endtoend"], "endtoend_rows"),
+    (["separation"], "separation_rows"),
+    (["circuit-run", "c.txt"], "cmd_circuit_run"),
+])
+def test_cli_checks_the_output_directory_before_any_work(tmp_path, monkeypatch, capsys,
+                                                         argv, runner):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, runner, must_not_run)
+    assert cli.main(argv + ["--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: output directory ")
 
 
 @pytest.mark.parametrize("kind,key", [

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from querylab import amplitude
 from querylab.ensembles import DiagonalOracle, EnsembleSpec, draw, normalized_trace
 from querylab.errors import ParameterError
 from querylab.experiments import advantage_profile
@@ -14,6 +13,7 @@ from querylab.families import (
     random_interleaved_circuit,
 )
 from querylab.query_sim import DEFAULT_KEY_CAP, FixedGate, ForwardQuery
+from reference import dense_probe_matrix
 
 
 def run_with_oracle(circuit, oracle: DiagonalOracle) -> np.ndarray:
@@ -70,7 +70,7 @@ def test_dense_probe_matches_one_query_circuit(d):
     # the dense trace probe and the one-query iterate circuit share their
     # probe pieces, so the probe's first column is the circuit's output
     oracle = draw(EnsembleSpec("biased", d, 8, 0.3), np.random.default_rng(d))
-    column = amplitude._dense_probe_matrix(oracle, "trace")[:, 0]
+    column = dense_probe_matrix(oracle, "trace")[:, 0]
     out = run_with_oracle(grover_iterate_circuit(d, 1), oracle)
     assert np.abs(column - out).max() < 1e-12
 

@@ -1,11 +1,12 @@
-"""Every import in the package sources is used or re-exported."""
+"""Every import in the package sources and the test references is used or re-exported."""
 
 import ast
 import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "querylab").glob("*.py"))
+TESTS = pathlib.Path(__file__).parent
+SOURCES = sorted((TESTS.parent / "src" / "querylab").glob("*.py")) + [TESTS / "reference.py"]
 
 
 def unused_imports(source: str) -> list:

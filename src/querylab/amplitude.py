@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -184,14 +186,29 @@ class PairedPreparation(PreparationOracle):
     def _good_probability(self, state):
         return float(state[0] ** 2)
 
-    def _good_component(self, state):
+    def _flagged_unit(self) -> tuple:
+        # the amplitudes of |0,1> and |1,1> in the normalized flagged state
         s = math.hypot(abs(self.alpha), abs(self.beta))
         if s < 1e-300:
             raise DegeneracyError("flagged component vanishes; nothing to collapse onto")
+        return self.alpha / s, self.beta / s
+
+    def first_register_zero(self) -> float:
+        """Probability that the flagged state's first register reads 0.
+
+        Read from the |0,1> amplitude with numpy's complex modulus, it equals,
+        bit for bit, the first-register row sum of the collapsed state vector,
+        which is never built here.
+        """
+        zero = float(np.abs(self._flagged_unit()[0]))
+        return zero * zero
+
+    def _good_component(self, state):
+        zero, one = self._flagged_unit()
         vec = np.zeros((self.dimension // 2, 2), dtype=complex)
-        vec[0, 1] = self.alpha / s
+        vec[0, 1] = zero
         if self.beta:
-            vec[1, 1] = self.beta / s
+            vec[1, 1] = one
         return StateVector(vec, vec.shape)
 
 
@@ -222,29 +239,51 @@ def _estimation_chain(eps: float) -> list:
     return chain
 
 
+def _log_terms(m: int, grid: np.ndarray) -> tuple:
+    """log p and log(1 - p) on the angle grid, p the flag probability after m iterates."""
+    p = np.sin((2 * m + 1) * grid) ** 2
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return np.log(p), np.log1p(-p)
+
+
+def _loglik(counts, terms) -> np.ndarray:
+    """Joint log-likelihood of per-level (m, shots, hits) counts over a grid."""
+    total = np.zeros_like(terms[0][0])
+    for (_, shots, hits), (log_p, log_q) in zip(counts, terms):
+        total += hits * log_p + (shots - hits) * log_q
+    return total
+
+
+@lru_cache(maxsize=16)
+def _coarse_terms(eps: float, levels: tuple) -> tuple:
+    """The coarse angle grid and each level's read-only log terms on it.
+
+    Every fit at one target error scans the same grid over the same chain,
+    so these are built once per (eps, chain).
+    """
+    step = 0.25 * eps
+    coarse = np.arange(0.0, math.pi / 2 + step, step)
+    coarse[-1] = math.pi / 2
+    terms = tuple(_log_terms(m, coarse) for m in levels)
+    for a in (coarse, *(t for pair in terms for t in pair)):
+        a.flags.writeable = False
+    return coarse, terms
+
+
 def _mle_theta(counts, eps: float) -> float:
     """Maximum-likelihood angle from per-level hit counts.
 
     Coarse scan at a fraction of the deepest level's oscillation period, then
     a fine scan around the winner.
     """
-
-    def loglik(grid):
-        total = np.zeros_like(grid)
-        for m, shots, hits in counts:
-            p = np.sin((2 * m + 1) * grid) ** 2
-            p = np.clip(p, 1e-12, 1.0 - 1e-12)
-            total += hits * np.log(p) + (shots - hits) * np.log1p(-p)
-        return total
-
     step = 0.25 * eps
-    coarse = np.arange(0.0, math.pi / 2 + step, step)
-    coarse[-1] = math.pi / 2
-    best = coarse[int(np.argmax(loglik(coarse)))]
+    coarse, terms = _coarse_terms(eps, tuple(m for m, _, _ in counts))
+    best = coarse[int(np.argmax(_loglik(counts, terms)))]
     lo = max(0.0, best - 2 * step)
     hi = min(math.pi / 2, best + 2 * step)
     fine = np.linspace(lo, hi, 801)
-    return float(fine[int(np.argmax(loglik(fine)))])
+    fine_terms = [_log_terms(m, fine) for m, _, _ in counts]
+    return float(fine[int(np.argmax(_loglik(counts, fine_terms)))])
 
 
 def amplitude_estimate(oracle: PreparationOracle, eps: float, rng) -> float:
@@ -274,13 +313,21 @@ def estimate_budget(eps: float) -> int:
 
 @dataclass(frozen=True)
 class AmplificationResult:
-    """Outcome of one amplification run; counters cover this run only."""
+    """Outcome of one amplification run; counters cover this run only.
+
+    ``collapse`` builds the flagged state; it is None when the run failed.
+    """
 
     success: bool
-    state: StateVector | None
     forward_queries: int
     inverse_queries: int
     rounds: int
+    collapse: Callable[[], StateVector] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> StateVector | None:
+        """The collapsed flagged state, built on first read; None on failure."""
+        return None if self.collapse is None else self.collapse()
 
     @property
     def total_queries(self) -> int:
@@ -296,7 +343,8 @@ def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
     measured, not proven, to be O(1/a) at this growth (see AMPLIFY_GROWTH).
     A round that would push the run past AMPLIFY_DEFAULT_CAP oracle calls is
     not started; the run then ends as a documented failure (success=False,
-    state=None), which is the guaranteed outcome at zero amplitude.
+    state=None), which is the guaranteed outcome at zero amplitude. The
+    collapse runs only when the result's state is read.
     """
     f0, i0 = oracle.forward_queries, oracle.inverse_queries
     scale = 1.0
@@ -306,14 +354,14 @@ def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
         m = int(rng.integers(0, bound))
         used = (oracle.forward_queries - f0) + (oracle.inverse_queries - i0)
         if used + 1 + 2 * m > AMPLIFY_DEFAULT_CAP:
-            return AmplificationResult(False, None, oracle.forward_queries - f0,
+            return AmplificationResult(False, oracle.forward_queries - f0,
                                        oracle.inverse_queries - i0, rounds)
         state = oracle.iterate_power(oracle.prepare(), m)
         rounds += 1
         if rng.random() < oracle.good_probability(state):
-            return AmplificationResult(True, oracle.collapse_good(state),
-                                       oracle.forward_queries - f0,
-                                       oracle.inverse_queries - i0, rounds)
+            return AmplificationResult(True, oracle.forward_queries - f0,
+                                       oracle.inverse_queries - i0, rounds,
+                                       partial(oracle.collapse_good, state))
         scale *= AMPLIFY_GROWTH
 
 
@@ -328,7 +376,7 @@ def trace_probe(oracle: DiagonalOracle) -> PreparationOracle:
     return PairedPreparation(normalized_trace(oracle), 0.0, oracle.dimension)
 
 
-def pair_probe(oracle: DiagonalOracle) -> PreparationOracle:
+def pair_probe(oracle: DiagonalOracle) -> PairedPreparation:
     """Preparation flagging both the plain and the ramp-twisted trace.
 
     The flagged component is alpha|0,1> + beta|1,1> with alpha the normalized
@@ -395,7 +443,8 @@ def distinguish_by_amplification(oracle: DiagonalOracle, eps: float, rng) -> Dis
     one. If amplification exhausts its cap (vanishing flagged amplitude),
     the label is a fair coin. The bias parameter is part of the problem
     statement but the schedule does not need it; it is accepted for
-    interface symmetry.
+    interface symmetry. The measurement probability comes from the probe's
+    two flagged amplitudes, so no state vector is built.
     """
     eps = float(eps)
     if not 0.0 <= eps < 1.0:
@@ -405,8 +454,6 @@ def distinguish_by_amplification(oracle: DiagonalOracle, eps: float, rng) -> Dis
     if not result.success:
         label = int(rng.integers(1, 3))
     else:
-        amps = result.state.amplitudes.reshape(result.state.register_dims)
-        p_zero = float(np.sum(np.abs(amps[0, :]) ** 2))
-        label = 1 if rng.random() < p_zero else 2
+        label = 1 if rng.random() < probe.first_register_zero() else 2
     return DistinguishOutcome(label, None, probe.forward_queries, probe.inverse_queries)
 

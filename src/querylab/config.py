@@ -23,15 +23,11 @@ KINDS = ("verify-lemmas", "separation", "endtoend", "concentration")
 _SINGLE_VALUED = {"separation": ("q",), "endtoend": ("eps", "d", "q"), "concentration": ("q",)}
 
 
-def _check_single_valued(kind: str, grid, lines=None) -> None:
-    """Reject several values for a grid key of which ``kind`` reads only the first.
-
-    ``lines`` maps a grid key to the config line that set it, for the message.
-    """
+def _check_single_valued(kind: str, grid) -> None:
+    """Reject several values for a grid key of which ``kind`` reads only the first."""
     for key in _SINGLE_VALUED.get(kind, ()):
         if len(grid[key]) > 1:
-            raise ConfigError(f"{kind} reads one {key} value, got {grid[key]}",
-                              line=(lines or {}).get(key))
+            raise ConfigError(f"{kind} reads one {key} value, got {grid[key]}", key=key)
 
 
 @dataclass(frozen=True)
@@ -58,17 +54,19 @@ class ExperimentConfig:
         object.__setattr__(self, "cap", int(self.cap))
         for name in ("eps", "d", "q", "n"):
             if not getattr(self, name):
-                raise ConfigError(f"grid entry {name!r} must be non-empty")
+                raise ConfigError(f"grid entry {name!r} must be non-empty", key=name)
         if any(not 0.0 <= e < 1.0 for e in self.eps):
-            raise ConfigError(f"eps values must lie in [0, 1), got {self.eps}")
-        if any(v < 1 for v in self.d) or any(v < 1 for v in self.n):
-            raise ConfigError("d and n values must be >= 1")
+            raise ConfigError(f"eps values must lie in [0, 1), got {self.eps}", key="eps")
+        for name in ("d", "n"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must be >= 1, got {getattr(self, name)}",
+                                  key=name)
         if any(v < 2 for v in self.q):
-            raise ConfigError(f"q values must be >= 2, got {self.q}")
+            raise ConfigError(f"q values must be >= 2, got {self.q}", key="q")
         if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}", key="trials")
         if self.cap < 1:
-            raise ConfigError(f"key cap must be >= 1, got {self.cap}")
+            raise ConfigError(f"key cap must be >= 1, got {self.cap}", key="cap")
         _check_single_valued(self.kind, vars(self))
 
 
@@ -139,23 +137,24 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
         return (default, None)
 
     kind, kind_line = take("experiment", "kind", required=True)
+    # the line that set each key, for errors ExperimentConfig raises
+    key_lines = {}
 
     def parse_int(section, key, default):
         value, lineno = take(section, key, default)
         if value is default:
             return default
+        key_lines[key] = lineno
         try:
             return int(value)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}", line=lineno) from None
 
-    grid_lines = {}
-
     def parse_list(key, conv, default):
         value, lineno = take("grid", key, default)
         if value is default:
             return default
-        grid_lines[key] = lineno
+        key_lines[key] = lineno
         items = [p.strip() for p in value.split(",") if p.strip()]
         if not items:
             raise ConfigError(f"{key} list is empty", line=lineno)
@@ -170,20 +169,30 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
         raise ConfigError(str(exc), line=kind_line) from None
     grid = {key: parse_list(key, conv, getattr(base, key))
             for key, conv in (("eps", float), ("d", int), ("q", int), ("n", int))}
-    # ExperimentConfig runs this check again; run here, it names the line
-    _check_single_valued(kind, grid, grid_lines)
-    return ExperimentConfig(
-        kind,
-        **grid,
+    fields = dict(
         trials=parse_int("grid", "trials", base.trials),
         seed=parse_int("experiment", "seed", base.seed),
         cap=parse_int("experiment", "cap", base.cap),
         out=take("output", "path", None)[0],
     )
+    try:
+        return ExperimentConfig(kind, **grid, **fields)
+    except ConfigError as exc:
+        if exc.line is None and exc.key in key_lines:
+            raise ConfigError(str(exc), line=key_lines[exc.key], key=exc.key) from None
+        raise
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
-    """Canonical serialization; parse_config(config_to_text(c)) == c."""
+    """Canonical serialization; parse_config(config_to_text(c)) == c.
+
+    An output path that would not read back as itself (one holding ``#``, a
+    line break, or surrounding whitespace) is an error.
+    """
+    if cfg.out is not None and ("#" in cfg.out or cfg.out.strip() != cfg.out
+                                or len(cfg.out.splitlines()) > 1):
+        raise ConfigError(f"output path {cfg.out!r} cannot be written to a config: "
+                          "parse_config would read it back as another path")
     lines = [
         "[experiment]",
         f"kind = {cfg.kind}",

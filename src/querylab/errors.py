@@ -24,11 +24,13 @@ class ResourceLimitError(QuerylabError, RuntimeError):
 class ConfigError(QuerylabError, ValueError):
     """A config file or option set cannot be parsed or validated.
 
-    Carries the 1-based line number of the offending line when known.
+    Carries the 1-based line number of the offending line when known, and
+    the config key at fault when one is.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         self.line = line
+        self.key = key
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -120,17 +120,26 @@ def moment_table(eps: float, q: int, max_power: int) -> np.ndarray:
     return table
 
 
+# Uniforms per block of the one-step sampler; a block's scratch arrays are
+# reused, so a draw allocates nothing d-length besides its result.
+_SAMPLE_BLOCK = 1 << 15
+
+
 @lru_cache(maxsize=64)
 def _guide_table(eps: float, q: int) -> tuple:
     # CDF with its last entry pinned to 1, a power-of-two bucket count B >= 4q,
-    # and guide[j] = the inverse-CDF answer at the left edge j/B of bucket j.
+    # guide[j] = the inverse-CDF answer at the left edge j/B of bucket j, and
+    # whether one step from the guide always suffices: the CDF entry after
+    # guide[j] reaches the bucket's right edge (j+1)/B in every bucket
     cdf = np.cumsum(pmf_vector(eps, q))
     cdf[-1] = 1.0
     buckets = 1 << (4 * q - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right").astype(np.int64)
+    next_cdf = cdf[np.minimum(guide + 1, q - 1)]
+    one_step = bool(np.all(next_cdf >= np.arange(1, buckets + 1) / buckets))
     cdf.flags.writeable = False
     guide.flags.writeable = False
-    return cdf, guide, buckets
+    return cdf, guide, buckets, one_step
 
 
 def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -147,15 +156,35 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) ->
     the bucket edges ``j/B`` are exact; ``j/B <= u`` makes each guide entry a
     lower bound on the answer, and stepping stops at the first CDF value
     above ``u``. The result is therefore ``searchsorted(cdf, u, "right")``
-    for every ``u``, including ``u`` exactly on a CDF value. A draw takes at
-    most one step when every pmf entry exceeds 1/B (any bias below 3/4);
-    larger biases step over the flat or nearly flat CDF runs they create.
+    for every ``u``, including ``u`` exactly on a CDF value.
+
+    A draw takes at most one step when every pmf entry exceeds 1/B (any bias
+    below 3/4). Then the uniforms are drawn in fixed blocks into reused
+    buffers, and each block takes the one step ``k += u >= cdf[k]``; the
+    blocks consume the generator's stream exactly as one ``rng.random(size)``
+    call would. Larger biases step over the flat or nearly flat CDF runs they
+    create, in a loop over the whole draw.
     """
-    cdf, guide, buckets = _guide_table(_check_bias(eps), _check_order(q))
-    u = rng.random(size)
-    k = guide[(u * buckets).astype(np.intp)]
-    moving = np.flatnonzero(u >= cdf[k])
-    while moving.size:
-        k[moving] += 1
-        moving = moving[u[moving] >= cdf[k[moving]]]
+    cdf, guide, buckets, one_step = _guide_table(_check_bias(eps), _check_order(q))
+    if not one_step:
+        u = rng.random(size)
+        k = guide[(u * buckets).astype(np.intp)]
+        moving = np.flatnonzero(u >= cdf[k])
+        while moving.size:
+            k[moving] += 1
+            moving = moving[u[moving] >= cdf[k[moving]]]
+        return k
+    k = np.empty(size, dtype=np.int64)
+    n = min(size, _SAMPLE_BLOCK)
+    u, x, bucket, step = np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
+    for lo in range(0, size, _SAMPLE_BLOCK):
+        m = min(_SAMPLE_BLOCK, size - lo)
+        kb = k[lo:lo + m]
+        rng.random(out=u[:m])
+        np.multiply(u[:m], buckets, out=x[:m])
+        np.copyto(bucket[:m], x[:m], casting="unsafe")  # floor, as u*B >= 0
+        np.take(guide, bucket[:m], out=kb, mode="clip")
+        np.take(cdf, kb, out=x[:m], mode="clip")
+        np.greater_equal(u[:m], x[:m], out=step[:m])
+        kb += step[:m]
     return k

@@ -13,7 +13,12 @@ matrices and frames here:
 - ``biased_ft_rotate``: a forward-only purification re-expressed in the
   frame's rounded label basis;
 - ``moment_gram``: the dense K x K moment matrix of a purified state;
-- ``phase_pmf``: the bias distribution, one exponent at a time.
+- ``phase_pmf``: the bias distribution, one exponent at a time;
+- ``ramp`` and ``oracle_values``: an oracle's complex diagonal, entry by
+  entry, which ``ensembles.normalized_trace`` sums in factored form;
+- ``mle_loglik`` and ``mle_theta``: the amplitude-estimation likelihood
+  and fit with every log term computed afresh, where ``amplitude``
+  caches the coarse grid's terms.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from querylab import query_sim
 from querylab.amplitude import PreparationOracle
 from querylab.biased_fourier import _check_args
-from querylab.ensembles import DiagonalOracle
+from querylab.ensembles import DiagonalOracle, _roots
 from querylab.errors import DegeneracyError, DimensionError, ParameterError, QuerylabError
 from querylab.families import probe_pieces
 from querylab.linalg import (
@@ -54,6 +59,47 @@ def phase_pmf(eps: float, q: int, k: int) -> float:
     if k <= M or k >= q - M:
         return (1.0 + eps * (q / (2 * M + 1) - 1.0)) / q
     return (1.0 - eps) / q
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def ramp(d: int, turns: int) -> np.ndarray:
+    """Entry k is exp(2j*pi*k*turns/d), with k*turns reduced mod d in integers."""
+    return np.exp(2j * np.pi * ((np.arange(d) * turns) % d) / d)
+
+
+def oracle_values(oracle: DiagonalOracle) -> np.ndarray:
+    """The complex diagonal: window phases composed with the ramp."""
+    v = _roots(oracle.order)[oracle.exponents]
+    if oracle.ramp_turns:
+        v = v * ramp(oracle.dimension, oracle.ramp_turns)
+    return v
+
+
+# ---------------------------------------------------------------- estimation
+
+
+def mle_loglik(counts, grid: np.ndarray) -> np.ndarray:
+    """Joint log-likelihood of per-level (m, shots, hits) counts, every term afresh."""
+    total = np.zeros_like(grid)
+    for m, shots, hits in counts:
+        p = np.sin((2 * m + 1) * grid) ** 2
+        p = np.clip(p, 1e-12, 1.0 - 1e-12)
+        total += hits * np.log(p) + (shots - hits) * np.log1p(-p)
+    return total
+
+
+def mle_theta(counts, eps: float) -> float:
+    """Maximum-likelihood angle, both scans computing every log term afresh."""
+    step = 0.25 * eps
+    coarse = np.arange(0.0, math.pi / 2 + step, step)
+    coarse[-1] = math.pi / 2
+    best = coarse[int(np.argmax(mle_loglik(counts, coarse)))]
+    lo = max(0.0, best - 2 * step)
+    hi = min(math.pi / 2, best + 2 * step)
+    fine = np.linspace(lo, hi, 801)
+    return float(fine[int(np.argmax(mle_loglik(counts, fine)))])
 
 
 # ---------------------------------------------------------------- frames
@@ -196,7 +242,7 @@ def dense_probe_matrix(oracle: DiagonalOracle, variant: str) -> np.ndarray:
         ti, tdi, _ = probe_pieces(uniform_ramp_unitary(d))
         z = np.eye(2 * d)
         z[:4] = z[[1, 0, 3, 2]]  # the flag flip on query indices 0 and 1
-    diag = np.repeat(oracle.values, 2)
+    diag = np.repeat(oracle_values(oracle), 2)
     return z @ (tdi @ (diag[:, None] * ti))
 
 

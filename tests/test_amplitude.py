@@ -1,6 +1,7 @@
 """Estimation, amplification, probes, and the three distinguishers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from querylab.amplitude import (
 from querylab.ensembles import DiagonalOracle, EnsembleSpec, draw, normalized_trace
 from querylab.errors import DegeneracyError, DimensionError, ParameterError
 from querylab.linalg import random_unitary
-from reference import DensePreparation, dense_probe_matrix, uniform_ramp_unitary
+from reference import (
+    DensePreparation,
+    dense_probe_matrix,
+    mle_loglik,
+    mle_theta,
+    uniform_ramp_unitary,
+)
 
 
 def dense_with_amplitude(dim, mask, rng):
@@ -287,6 +294,25 @@ def test_estimate_target_validated():
         estimate_budget(1.0)
 
 
+@pytest.mark.parametrize("eps", [0.0025, 0.01, 0.05, 0.3])
+def test_mle_theta_matches_per_call_scan(eps):
+    # the cached coarse log terms give the likelihood and the fit of a scan
+    # that builds them afresh, bit for bit
+    rng = np.random.default_rng(int(eps * 10**4))
+    chain = amplitude._estimation_chain(eps)
+    levels = tuple(chain)
+    coarse, terms = amplitude._coarse_terms(eps, levels)
+    for _ in range(20):
+        a = rng.uniform(0.0, 0.2)
+        counts = [(m, 32, int(rng.binomial(32, math.sin((2 * m + 1) * math.asin(a)) ** 2)))
+                  for m in chain]
+        assert np.array_equal(amplitude._loglik(counts, terms), mle_loglik(counts, coarse))
+        assert amplitude._mle_theta(counts, eps) == mle_theta(counts, eps)
+    assert amplitude._coarse_terms(eps, levels)[0] is coarse
+    assert not coarse.flags.writeable and len(terms) == len(chain)
+    assert not any(t.flags.writeable for pair in terms for t in pair)
+
+
 def test_estimation_stays_on_public_surface():
     calls = set()
 
@@ -486,6 +512,44 @@ def test_amplification_distinguisher_both_labels():
         correct[2] += out2.label == 2
     assert correct[1] / 200 >= 0.85
     assert correct[2] / 200 >= 0.85
+
+
+def test_first_register_zero_matches_collapsed_state():
+    # the production measurement reads |alpha|^2 / (|alpha|^2 + |beta|^2)
+    # from the amplitudes; it equals the collapsed vector's row sum exactly
+    rng = np.random.default_rng(71)
+    for _ in range(2000):
+        z = rng.normal(size=4) * rng.choice([1e-3, 0.1, 1.0], size=4)
+        alpha, beta = complex(z[0], z[1]), complex(z[2], z[3])
+        scale = rng.uniform(0.01, 1.0) / max(1e-300, math.hypot(abs(alpha), abs(beta)))
+        probe = PairedPreparation(alpha * scale, beta * scale, d=3)
+        state = probe.collapse_good(probe.prepare())
+        amps = state.amplitudes.reshape(state.register_dims)
+        assert probe.first_register_zero() == float(np.sum(np.abs(amps[0, :]) ** 2))
+
+
+def test_amplification_distinguisher_builds_no_dense_arrays(monkeypatch):
+    # at d = gap_dimension(0.05) the production path reads both traces and
+    # the measurement without a collapsed 2d-entry state or any d-length
+    # temporary: its peak allocation stays below one d-length int64 array
+    def no_collapse(self, state):
+        raise AssertionError("the flagged state vector was built")
+
+    monkeypatch.setattr(PairedPreparation, "_good_component", no_collapse)
+    eps, d, q = 0.05, 320_000, 257
+    rng = np.random.default_rng(73)
+    base = draw(EnsembleSpec("biased", d, q, eps), rng)
+    labels = set()
+    tracemalloc.start()
+    try:
+        for truth in (1, 2, 1, 2):
+            oracle = base if truth == 1 else base.compose_ramp(1)
+            labels.add(distinguish_by_amplification(oracle, eps, rng).label)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels == {1, 2}
+    assert peak < 8 * d
 
 
 def test_amplification_stub_alpha_only():

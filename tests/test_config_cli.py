@@ -9,6 +9,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,32 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ConfigError) as err:
         parse_config("[experiment]\nkind = separation\n[grid]\neps = 0.1, oops\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("out", ["res#1.csv", "a\nb.csv", "a\rb.csv", " lead.csv", "trail.csv "])
+def test_config_to_text_rejects_paths_that_do_not_read_back(out):
+    # parse_config cuts '#' comments, splits lines and strips values, so
+    # such a path would come back as another file
+    cfg = replace(default_config("separation"), out=out)
+    with pytest.raises(ConfigError, match="cannot be written to a config"):
+        config_to_text(cfg)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("eps = 1.5", "eps values must lie in [0, 1)"),
+    ("d = 0", "d values must be >= 1"),
+    ("n = 2, 0", "n values must be >= 1"),
+    ("q = 1", "q values must be >= 2"),
+    ("trials = 0", "trials must be >= 1"),
+    ("cap = 0", "key cap must be >= 1"),
+])
+def test_parse_range_errors_name_the_line(line, message):
+    section = "experiment" if line.startswith("cap") else "grid"
+    text = f"[experiment]\nkind = separation\nseed = 1\n\n[{section}]\n# a comment\n{line}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == 7
+    assert str(err.value).startswith(f"line 7: {message}")
 
 
 def test_parse_rejects_duplicates_and_unknown_keys():
@@ -555,6 +582,34 @@ trials = 4
     body = [ln for ln in trials.read_text().splitlines() if not ln.startswith("#")]
     assert body[0].split(",")[:4] == ["method", "trial", "truth", "label"]
     assert len(body) == 1 + 3 * 4
+
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_endtoend_bytes_match_recorded_run(tmp_path, jobs):
+    # summary and trials CSVs of a small endtoend run, recorded from the
+    # entry-by-entry trial path (dense ramp, collapsed state vector) that the
+    # factored trace and the blocked sampler must reproduce byte for byte.
+    # d = 40,001 leaves a partial last row in the factored ramp trace and
+    # crosses a sampler block.
+    cfg = _write_config(tmp_path, """\
+[experiment]
+kind = endtoend
+seed = 0
+
+[grid]
+eps = 0.05
+d = 40001
+q = 257
+trials = 8
+""")
+    out = tmp_path / "guard.csv"
+    assert cli.main(["endtoend", "--config", cfg, "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "endtoend_guard.csv").read_bytes()
+    trials = tmp_path / "guard_trials.csv"
+    assert trials.read_bytes() == (DATA_DIR / "endtoend_guard_trials.csv").read_bytes()
 
 
 def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):

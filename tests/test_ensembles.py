@@ -13,13 +13,26 @@ from querylab.ensembles import (
     trace_gap_check,
 )
 from querylab.phases import phase_mean
+from reference import oracle_values
 
 
 class _ZeroStream:
     """Stub generator whose uniforms are all 0, forcing exponent 0 draws."""
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = 0.0
+            return out
         return 0.0 if size is None else np.zeros(size)
+
+
+def _long_double_trace(oracle: DiagonalOracle) -> complex:
+    # each entry's phase as one integer over d*q, then cos and sin summed in
+    # long double
+    d, q = oracle.dimension, oracle.order
+    steps = ((np.arange(d) * oracle.ramp_turns) % d) * q + oracle.exponents * d
+    angle = 8 * np.arctan(np.longdouble(1)) * (steps % (d * q)).astype(np.longdouble) / (d * q)
+    return complex(float(np.cos(angle).sum() / d), float(np.sin(angle).sum() / d))
 
 
 class TestDiagonalOracle:
@@ -36,14 +49,28 @@ class TestDiagonalOracle:
 
     def test_exponents_copied_from_caller(self):
         # out-of-range entries are reduced, in-range ones kept; either way the
-        # oracle holds a frozen copy and the caller's array stays writeable
+        # oracle holds a frozen copy, also of a read-only int64 array, and the
+        # caller's array keeps its flags
         for raw, want in (([9, -1, 16, 3], [1, 7, 0, 3]), ([0, 7, 3, 1], [0, 7, 3, 1])):
-            mine = np.array(raw)
-            u = DiagonalOracle(mine, order=8, dimension=4)
-            assert list(u.exponents) == want
-            assert u.exponents.dtype == np.int64 and not u.exponents.flags.writeable
-            assert mine.flags.writeable and list(mine) == raw
-            assert not np.shares_memory(mine, u.exponents)
+            for writeable in (True, False):
+                mine = np.array(raw, dtype=np.int64)
+                mine.flags.writeable = writeable
+                u = DiagonalOracle(mine, order=8, dimension=4)
+                assert list(u.exponents) == want
+                assert u.exponents.dtype == np.int64 and not u.exponents.flags.writeable
+                assert mine.flags.writeable == writeable and list(mine) == raw
+                assert not np.shares_memory(mine, u.exponents)
+
+    def test_draw_and_compose_ramp_share_exponents(self):
+        # a draw freezes the sampler's array; ramped twins share it
+        base = draw(EnsembleSpec("biased", 1000, 8, bias=0.3), np.random.default_rng(4))
+        assert base.exponents.dtype == np.int64 and not base.exponents.flags.writeable
+        twin = base.compose_ramp(1)
+        assert twin.exponents is base.exponents
+        assert twin.compose_ramp(-1).exponents is base.exponents
+        assert (twin.order, twin.dimension, twin.ramp_turns) == (8, 1000, 1)
+        assert base.compose_ramp(-1).ramp_turns == 999
+        assert normalized_trace(twin.compose_ramp(-1)) == normalized_trace(base)
 
     def test_ramp_compose_roundtrip(self):
         u = DiagonalOracle(np.array([1, 2, 3, 4]), order=8, dimension=4, ramp_turns=1)
@@ -88,7 +115,7 @@ class TestDraw:
         u = draw(EnsembleSpec("biased", d, 8, bias=0.3), _ZeroStream()).compose_ramp(1)
         assert np.array_equal(u.exponents, np.zeros(d, dtype=int))
         expect = np.exp(2j * np.pi * np.arange(d) / d)
-        assert np.abs(u.values - expect).max() < 1e-12
+        assert np.abs(oracle_values(u) - expect).max() < 1e-12
 
     def test_zero_bias_matches_uniform_stream(self):
         a = draw(EnsembleSpec("uniform", 20, 8), np.random.default_rng(9))
@@ -133,7 +160,16 @@ class TestNormalizedTrace:
     def test_histogram_trace_matches_entry_sum(self, d, turns):
         base = draw(EnsembleSpec("biased", d, 257, bias=0.3), np.random.default_rng(d))
         u = base.compose_ramp(turns)
-        assert abs(normalized_trace(u) - u.values.sum() / d) <= 1e-15
+        assert abs(normalized_trace(u) - oracle_values(u).sum() / d) <= 1e-15
+
+    # d = 40,001 leaves a partial last row of the factored sum; 320,000 is
+    # gap_dimension(0.05), the endtoend default
+    @pytest.mark.parametrize("d", [40_001, 320_000])
+    @pytest.mark.parametrize("turns", [1, -1])
+    def test_ramp_trace_matches_long_double_sum(self, d, turns):
+        base = draw(EnsembleSpec("biased", d, 257, bias=0.05), np.random.default_rng(d))
+        u = base.compose_ramp(turns)
+        assert abs(normalized_trace(u) - _long_double_trace(u)) <= 2e-17
 
     def test_expected_trace_cross_module(self):
         spec = EnsembleSpec("biased", 4, 8, bias=0.37)

@@ -13,7 +13,7 @@ from querylab.families import (
     random_interleaved_circuit,
 )
 from querylab.query_sim import DEFAULT_KEY_CAP, FixedGate, ForwardQuery
-from reference import dense_probe_matrix
+from reference import dense_probe_matrix, oracle_values
 
 
 def run_with_oracle(circuit, oracle: DiagonalOracle) -> np.ndarray:
@@ -24,7 +24,9 @@ def run_with_oracle(circuit, oracle: DiagonalOracle) -> np.ndarray:
         if isinstance(step, FixedGate):
             v = step.matrix @ v
         else:
-            phases = oracle.values if isinstance(step, ForwardQuery) else oracle.values.conj()
+            phases = oracle_values(oracle)
+            if not isinstance(step, ForwardQuery):
+                phases = phases.conj()
             v = (v.reshape(dims) * phases[:, None]).reshape(-1)
     return v
 

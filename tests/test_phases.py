@@ -3,6 +3,8 @@ import pytest
 
 from querylab.errors import ParameterError
 from querylab.phases import (
+    _SAMPLE_BLOCK,
+    _guide_table,
     moment_table,
     phase_mean,
     phase_moment,
@@ -14,13 +16,21 @@ from reference import phase_pmf
 
 
 class _FixedStream:
-    """Stub generator handing out a fixed array of uniforms."""
+    """Stub generator handing out consecutive slices of a fixed array of uniforms."""
 
     def __init__(self, u):
         self.u = u
+        self.used = 0
 
-    def random(self, size=None):
-        return self.u.reshape(size)
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else size
+        chunk = self.u[self.used:self.used + n]
+        assert chunk.size == n, "stub stream exhausted"
+        self.used += n
+        if out is None:
+            return chunk.copy()
+        out[...] = chunk
+        return out
 
 
 class TestPmf:
@@ -211,6 +221,31 @@ class TestSampling:
             np.nextafter(special, 0.0), np.nextafter(special, 1.0), [0.0],
         ])
         u = u[u < 1.0]
-        got = sample_exponents(eps, q, _FixedStream(u), size=u.size)
+        stream = _FixedStream(u)
+        got = sample_exponents(eps, q, stream, size=u.size)
+        assert stream.used == u.size
         assert got.dtype == np.int64
         assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("size", [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
+                                      320_000])
+    @pytest.mark.parametrize("eps,q", [(0.0, 8), (0.05, 257), (0.45, 1024)])
+    def test_blocked_draw_matches_one_call(self, size, eps, q):
+        # the one-step sampler draws its uniforms block by block; the result
+        # and the generator state after it equal one rng.random(size) call
+        assert _guide_table(eps, q)[3]
+        cdf = np.cumsum(pmf_vector(eps, q))
+        cdf[-1] = 1.0
+        rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+        got = sample_exponents(eps, q, rng, size=size)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cdf, ref.random(size), side="right"))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_one_step_holds_below_three_quarters(self):
+        # every pmf entry exceeds 1/B >= 1/(4q) exactly when eps < 3/4
+        for q in (2, 3, 8, 257, 1024):
+            for eps in (0.0, 0.05, 0.45, 0.74):
+                assert _guide_table(eps, q)[3]
+        for q in (8, 257, 1024):
+            assert not _guide_table(1.0, q)[3]

@@ -1,15 +1,14 @@
 """Amplitude estimation and amplification over black-box state preparations.
 
 A preparation oracle X prepares a|good> + sqrt(1-a^2)|bad> from |0> and
-exposes exactly four operations: prepare, the Grover iterate
-X*S0*Xdag*S_good, the flag probability of a state, and collapse onto the
-flagged component. Forward and inverse applications of X are counted on the
-oracle; the two reflections are fixed gates and are free. The estimation and
-amplification routines below touch nothing else, so any subclass of
-PreparationOracle can be driven. The diagonal-oracle probes are one
-class, PairedPreparation: the exact O(1)-per-iterate two-level reduction,
-at every dimension, of a dense 2d x 2d probe unitary that only the tests
-build.
+exposes exactly three operations: prepare, the Grover iterate
+X*S0*Xdag*S_good, and the flag probability of a state. Forward and inverse
+applications of X are counted on the oracle; the two reflections are fixed
+gates and are free. The estimation and amplification routines below touch
+nothing else, so any subclass of PreparationOracle can be driven. The
+diagonal-oracle probes are one class, PairedPreparation: the exact
+O(1)-per-iterate two-level reduction, at every dimension, of a dense
+2d x 2d probe unitary that only the tests build.
 
 No controlled application of X exists anywhere on this surface.
 """
@@ -18,15 +17,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ensembles import DiagonalOracle, normalized_trace
 from .errors import DegeneracyError, ParameterError
-from .linalg import StateVector
 
 __all__ = [
     "PreparationOracle",
@@ -81,8 +78,7 @@ class PreparationOracle(ABC):
     counters and are the only entry points the algorithms use.
     """
 
-    def __init__(self, dimension: int):
-        self.dimension = int(dimension)
+    def __init__(self):
         self.forward_queries = 0
         self.inverse_queries = 0
 
@@ -97,10 +93,6 @@ class PreparationOracle(ABC):
     @abstractmethod
     def _good_probability(self, state) -> float:
         """Probability of the flagged outcome when measuring `state`."""
-
-    @abstractmethod
-    def _good_component(self, state) -> StateVector:
-        """Normalized flagged component of `state`."""
 
     def prepare(self):
         self.forward_queries += 1
@@ -118,9 +110,6 @@ class PreparationOracle(ABC):
 
     def good_probability(self, state) -> float:
         return float(self._good_probability(state))
-
-    def collapse_good(self, state) -> StateVector:
-        return self._good_component(state)
 
     def sample_flag(self, shots: int, rng, iterations: int = 0) -> int:
         """Flag hits over `shots` runs of prepare + `iterations` iterates.
@@ -154,23 +143,18 @@ class PairedPreparation(PreparationOracle):
     plane axis, and its flagged amplitude is ``hypot(|alpha|, |beta|)``.
 
     The register is (d, 2), the second factor holding the flag. Both probes
-    use it: the trace probe with beta = 0 (so d = 1 is allowed), and the pair
-    probe, where the first register of the flagged state carries which of
-    the two trace functionals dominates. The 2d-entry flagged vector is
-    built only on collapse.
+    use it: the trace probe with beta = 0, and the pair probe, where the
+    first register of the flagged state carries which of the two trace
+    functionals dominates.
     """
 
-    def __init__(self, alpha: complex, beta: complex, d: int = 2):
-        d = int(d)
+    def __init__(self, alpha: complex, beta: complex):
         self.alpha = complex(alpha)
         self.beta = complex(beta)
-        if d < 1 or (d < 2 and self.beta != 0):
-            raise ParameterError(
-                f"query register dimension {d} cannot hold alpha|0,1> + beta|1,1>")
         a = math.hypot(abs(self.alpha), abs(self.beta))
         if a > 1.0 + 1e-12:
             raise ParameterError(f"flagged amplitude must lie in [0, 1], got {a}")
-        super().__init__(2 * d)
+        super().__init__()
         self._a = min(1.0, a)
         self._theta = math.asin(self._a)
 
@@ -186,30 +170,17 @@ class PairedPreparation(PreparationOracle):
     def _good_probability(self, state):
         return float(state[0] ** 2)
 
-    def _flagged_unit(self) -> tuple:
-        # the amplitudes of |0,1> and |1,1> in the normalized flagged state
-        s = math.hypot(abs(self.alpha), abs(self.beta))
-        if s < 1e-300:
-            raise DegeneracyError("flagged component vanishes; nothing to collapse onto")
-        return self.alpha / s, self.beta / s
-
     def first_register_zero(self) -> float:
         """Probability that the flagged state's first register reads 0.
 
-        Read from the |0,1> amplitude with numpy's complex modulus, it equals,
-        bit for bit, the first-register row sum of the collapsed state vector,
-        which is never built here.
+        It is |alpha|^2 / (|alpha|^2 + |beta|^2), read from the normalized
+        |0,1> amplitude with numpy's complex modulus.
         """
-        zero = float(np.abs(self._flagged_unit()[0]))
+        s = math.hypot(abs(self.alpha), abs(self.beta))
+        if s < 1e-300:
+            raise DegeneracyError("flagged component vanishes; its first register is undefined")
+        zero = float(np.abs(self.alpha / s))
         return zero * zero
-
-    def _good_component(self, state):
-        zero, one = self._flagged_unit()
-        vec = np.zeros((self.dimension // 2, 2), dtype=complex)
-        vec[0, 1] = zero
-        if self.beta:
-            vec[1, 1] = one
-        return StateVector(vec, vec.shape)
 
 
 def naive_estimate(oracle: PreparationOracle, shots: int, rng) -> float:
@@ -313,21 +284,12 @@ def estimate_budget(eps: float) -> int:
 
 @dataclass(frozen=True)
 class AmplificationResult:
-    """Outcome of one amplification run; counters cover this run only.
-
-    ``collapse`` builds the flagged state; it is None when the run failed.
-    """
+    """Outcome of one amplification run; counters cover this run only."""
 
     success: bool
     forward_queries: int
     inverse_queries: int
     rounds: int
-    collapse: Callable[[], StateVector] | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def state(self) -> StateVector | None:
-        """The collapsed flagged state, built on first read; None on failure."""
-        return None if self.collapse is None else self.collapse()
 
     @property
     def total_queries(self) -> int:
@@ -335,16 +297,15 @@ class AmplificationResult:
 
 
 def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
-    """Produce the flagged state of an unknown-amplitude preparation.
+    """Measure the flag of an unknown-amplitude preparation until it is hit.
 
     Classic exponential schedule: each round draws an iterate depth uniformly
     below a bound that grows by AMPLIFY_GROWTH, measures the flag, and stops
-    on a hit, collapsing onto the flagged component. Expected queries were
-    measured, not proven, to be O(1/a) at this growth (see AMPLIFY_GROWTH).
-    A round that would push the run past AMPLIFY_DEFAULT_CAP oracle calls is
-    not started; the run then ends as a documented failure (success=False,
-    state=None), which is the guaranteed outcome at zero amplitude. The
-    collapse runs only when the result's state is read.
+    on a hit, when the register holds the flagged component. Expected queries
+    were measured, not proven, to be O(1/a) at this growth (see
+    AMPLIFY_GROWTH). A round that would push the run past AMPLIFY_DEFAULT_CAP
+    oracle calls is not started; the run then ends as a documented failure
+    (success=False), which is the guaranteed outcome at zero amplitude.
     """
     f0, i0 = oracle.forward_queries, oracle.inverse_queries
     scale = 1.0
@@ -360,8 +321,7 @@ def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
         rounds += 1
         if rng.random() < oracle.good_probability(state):
             return AmplificationResult(True, oracle.forward_queries - f0,
-                                       oracle.inverse_queries - i0, rounds,
-                                       partial(oracle.collapse_good, state))
+                                       oracle.inverse_queries - i0, rounds)
         scale *= AMPLIFY_GROWTH
 
 
@@ -373,7 +333,7 @@ def trace_probe(oracle: DiagonalOracle) -> PreparationOracle:
     the exact two-level rotation of that 2d x 2d unitary, so after the O(d)
     trace computation every iterate is O(1) at any dimension.
     """
-    return PairedPreparation(normalized_trace(oracle), 0.0, oracle.dimension)
+    return PairedPreparation(normalized_trace(oracle), 0.0)
 
 
 def pair_probe(oracle: DiagonalOracle) -> PairedPreparation:
@@ -391,7 +351,7 @@ def pair_probe(oracle: DiagonalOracle) -> PairedPreparation:
         raise ParameterError(f"pair probe needs dimension >= 2, got {d}")
     alpha = normalized_trace(oracle)
     beta = normalized_trace(oracle.compose_ramp(-1))
-    return PairedPreparation(alpha, beta, d)
+    return PairedPreparation(alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -435,20 +395,16 @@ def distinguish_by_estimation(
     return DistinguishOutcome(label, a_hat, probe.forward_queries, probe.inverse_queries)
 
 
-def distinguish_by_amplification(oracle: DiagonalOracle, eps: float, rng) -> DistinguishOutcome:
+def distinguish_by_amplification(oracle: DiagonalOracle, rng) -> DistinguishOutcome:
     """Label 1 or 2 according to which trace functional the oracle excites.
 
     Amplifies the pair probe's flagged state, then measures its first
     register: outcome 0 labels the plain oracle, anything else the ramped
     one. If amplification exhausts its cap (vanishing flagged amplitude),
-    the label is a fair coin. The bias parameter is part of the problem
-    statement but the schedule does not need it; it is accepted for
-    interface symmetry. The measurement probability comes from the probe's
-    two flagged amplitudes, so no state vector is built.
+    the label is a fair coin. The schedule needs no bias parameter, and the
+    measurement probability comes from the probe's two flagged amplitudes,
+    so no state vector is built.
     """
-    eps = float(eps)
-    if not 0.0 <= eps < 1.0:
-        raise ParameterError(f"bias parameter must lie in [0, 1), got {eps}")
     probe = pair_probe(oracle)
     result = amplitude_amplify(probe, rng)
     if not result.success:

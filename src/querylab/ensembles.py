@@ -2,16 +2,13 @@
 
 An oracle here is a diagonal unitary on a d-dimensional register, stored as a
 vector of order-q phase exponents (never as a dense matrix) plus an optional
-deterministic phase ramp whose k-th entry is exp(2j*pi*k*ramp_turns/d). Two
-ensemble kinds are supported:
-
-- ``"uniform"``: every diagonal entry i.i.d. uniform over the order-q roots.
-- ``"biased"``: entries i.i.d. from the bias-eps window distribution.
+deterministic phase ramp whose k-th entry is exp(2j*pi*k*ramp_turns/d). A
+draw takes every diagonal entry i.i.d. from the bias-eps window
+distribution; bias 0 is the uniform ensemble, every entry uniform over the
+order-q roots.
 
 Draws carry no ramp; a ramped oracle is a draw composed with
-``DiagonalOracle.compose_ramp``. The bias-0 case of ``"biased"`` coincides
-with ``"uniform"`` draw-for-draw under a shared seed (both consume one
-uniform per entry).
+``DiagonalOracle.compose_ramp``.
 """
 
 from __future__ import annotations
@@ -23,22 +20,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .phases import phase_mean, pmf_vector, sample_exponents
+from .phases import _check_order, phase_mean, pmf_vector, sample_exponents
 
 __all__ = [
     "DiagonalOracle",
-    "EnsembleSpec",
-    "ENSEMBLE_KINDS",
     "GAP_DIMENSION_FACTOR",
     "gap_dimension",
     "draw",
     "normalized_trace",
-    "expected_normalized_trace",
     "concentration_check",
     "trace_gap_check",
 ]
-
-ENSEMBLE_KINDS = ("uniform", "biased")
 
 # Dimension factor calibrated so that at d = GAP_DIMENSION_FACTOR / eps^2 both
 # trace-gap events hold with probability >= 0.99 across the test grid.
@@ -96,6 +88,13 @@ def _ramp_trace(exponents: np.ndarray, q: int, turns: int) -> complex:
     return complex(sums @ rows)
 
 
+def _check_dimension(d: int) -> int:
+    d = int(d)
+    if d < 1:
+        raise ParameterError(f"dimension must be >= 1, got {d!r}")
+    return d
+
+
 def gap_dimension(eps: float) -> int:
     """Smallest register dimension with the calibrated trace-gap guarantee."""
     if not 0 < eps <= 1:
@@ -103,9 +102,13 @@ def gap_dimension(eps: float) -> int:
     return math.ceil(GAP_DIMENSION_FACTOR / eps**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalOracle:
-    """A diagonal unitary: order-q phase exponents plus an optional ramp."""
+    """A diagonal unitary: order-q phase exponents plus an optional ramp.
+
+    Equality is identity: a field-wise ``==`` would compare the exponent
+    arrays entry by entry, which has no single truth value.
+    """
 
     exponents: np.ndarray
     order: int
@@ -113,12 +116,8 @@ class DiagonalOracle:
     ramp_turns: int = 0
 
     def __post_init__(self):
-        q = int(self.order)
-        d = int(self.dimension)
-        if q < 2:
-            raise ParameterError(f"phase order must be >= 2, got {q!r}")
-        if d < 1:
-            raise ParameterError(f"dimension must be >= 1, got {d!r}")
+        q = _check_order(self.order)
+        d = _check_dimension(self.dimension)
         # a private copy: freezing it must not freeze the caller's array
         # (draw and compose_ramp share their frozen arrays through _shared)
         e = np.array(self.exponents, dtype=np.int64)
@@ -152,36 +151,12 @@ class DiagonalOracle:
                                       self.ramp_turns + int(turns))
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Which ensemble to draw from, and at what size."""
-
-    kind: str
-    dimension: int
-    order: int
-    bias: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ParameterError(f"unknown ensemble kind {self.kind!r}; choose from {ENSEMBLE_KINDS}")
-        if int(self.dimension) < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.dimension!r}")
-        if int(self.order) < 2:
-            raise ParameterError(f"order must be >= 2, got {self.order!r}")
-        if not 0.0 <= float(self.bias) <= 1.0:
-            raise ParameterError(f"bias must lie in [0, 1], got {self.bias!r}")
-        if self.kind == "uniform" and float(self.bias) != 0.0:
-            raise ParameterError("uniform ensembles take bias 0")
-        object.__setattr__(self, "dimension", int(self.dimension))
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "bias", float(self.bias))
-
-
-def draw(spec: EnsembleSpec, rng: np.random.Generator) -> DiagonalOracle:
-    """Sample one oracle; deterministic under a fixed generator state."""
-    e = sample_exponents(spec.bias, spec.order, rng, size=spec.dimension)
+def draw(eps: float, d: int, q: int, rng: np.random.Generator) -> DiagonalOracle:
+    """Sample one bias-``eps`` oracle; deterministic under a fixed generator state."""
+    d = _check_dimension(d)
+    e = sample_exponents(eps, q, rng, size=d)
     e.flags.writeable = False
-    return DiagonalOracle._shared(e, spec.order, spec.dimension)
+    return DiagonalOracle._shared(e, int(q), d)
 
 
 def normalized_trace(oracle: DiagonalOracle) -> complex:
@@ -200,24 +175,21 @@ def normalized_trace(oracle: DiagonalOracle) -> complex:
                    / oracle.dimension)
 
 
-def expected_normalized_trace(spec: EnsembleSpec) -> complex:
-    """Exact ensemble mean of the normalized trace."""
-    return complex(phase_mean(spec.bias, spec.order))
-
-
-def _ntr_samples(spec: EnsembleSpec, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized traces of ``trials`` independent draws.
+def _ntr_samples(eps: float, d: int, q: int, trials: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Normalized traces of ``trials`` independent bias-``eps`` draws.
 
     The trace depends only on the exponent histogram, so one multinomial per
-    trial replaces ``dimension`` categorical draws. The distribution is
-    identical to drawing entry by entry.
+    trial replaces ``d`` categorical draws. The distribution is identical to
+    drawing entry by entry.
     """
-    pmf = pmf_vector(spec.bias, spec.order)
-    counts = rng.multinomial(spec.dimension, pmf / pmf.sum(), size=trials)
-    return counts @ _roots(spec.order) / spec.dimension
+    d = _check_dimension(d)
+    pmf = pmf_vector(eps, q)
+    counts = rng.multinomial(d, pmf / pmf.sum(), size=trials)
+    return counts @ _roots(int(q)) / d
 
 
-def concentration_check(spec: EnsembleSpec, t: float, trials: int,
+def concentration_check(eps: float, d: int, q: int, t: float, trials: int,
                         rng: np.random.Generator) -> float:
     """Empirical tail: fraction of draws with |ntr - E[ntr]| >= t."""
     t = float(t)
@@ -226,8 +198,8 @@ def concentration_check(spec: EnsembleSpec, t: float, trials: int,
         raise ParameterError(f"need at least 100 trials for a tail estimate, got {trials}")
     if t < 0:
         raise ParameterError(f"deviation must be nonnegative, got {t!r}")
-    samples = _ntr_samples(spec, trials, rng)
-    return float(np.mean(np.abs(samples - expected_normalized_trace(spec)) >= t))
+    samples = _ntr_samples(eps, d, q, trials, rng)
+    return float(np.mean(np.abs(samples - phase_mean(eps, q)) >= t))
 
 
 def trace_gap_check(eps: float, d: int, q: int, trials: int,
@@ -244,8 +216,8 @@ def trace_gap_check(eps: float, d: int, q: int, trials: int,
     trials = int(trials)
     if trials < 1:
         raise ParameterError("need at least one trial")
-    s0 = _ntr_samples(EnsembleSpec("uniform", d, q), trials, rng)
-    s1 = _ntr_samples(EnsembleSpec("biased", d, q, bias=eps), trials, rng)
+    s0 = _ntr_samples(0.0, d, q, trials, rng)
+    s1 = _ntr_samples(eps, d, q, trials, rng)
     frac0 = float(np.mean(np.abs(s0) < 0.1 * eps))
     frac1 = float(np.mean(np.abs(s1) >= 0.2 * eps))
     return frac0, frac1

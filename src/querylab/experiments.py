@@ -26,7 +26,6 @@ from .biased_fourier import frame_summary
 from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .ensembles import (
-    EnsembleSpec,
     concentration_check,
     draw,
     normalized_trace,
@@ -337,15 +336,14 @@ def _distinguisher_trial(method: str, eps: float, d: int, q: int, seed: int):
     rng = np.random.default_rng(seed)
     if method in ("estimation", "naive"):
         truth = int(rng.integers(0, 2))
-        spec = EnsembleSpec("biased", d, q, eps) if truth else EnsembleSpec("uniform", d, q, 0.0)
-        oracle = draw(spec, rng)
+        oracle = draw(eps if truth else 0.0, d, q, rng)
         out = distinguish_by_estimation(oracle, eps, rng,
                                         method="amplitude" if method == "estimation" else "naive")
     else:
         truth = int(rng.integers(1, 3))
-        base = draw(EnsembleSpec("biased", d, q, eps), rng)
+        base = draw(eps, d, q, rng)
         oracle = base if truth == 1 else base.compose_ramp(1)
-        out = distinguish_by_amplification(oracle, eps, rng)
+        out = distinguish_by_amplification(oracle, rng)
     return truth, out
 
 
@@ -442,9 +440,8 @@ def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     units = []
     for i, (eps, d) in enumerate(pairs):
         for j, (kind, bias) in enumerate((("uniform", 0.0), ("biased", eps))):
-            spec = EnsembleSpec(kind, d, q, bias)
             for k, mult in enumerate(_TAIL_MULTIPLIERS):
-                units.append(("tail", 10 * i + 2 * j + k, spec, kind, eps, d, mult * eps))
+                units.append(("tail", 10 * i + 2 * j + k, bias, kind, eps, d, mult * eps))
         units.append(("gap", 10 * i + 8, None, None, eps, d, None))
         # the (eps/2, eps) window needs the mean factor above 1/2, which
         # only holds for large phase order; same domain as the lemma row
@@ -452,11 +449,11 @@ def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
             units.append(("mean", 10 * i + 9, None, None, eps, d, None))
 
     def run(unit):
-        what, salt, spec, kind, eps, d, t = unit
+        what, salt, bias, kind, eps, d, t = unit
         seed = cell_seed(cfg.seed, salt)
         rng = np.random.default_rng(seed)
         if what == "tail":
-            frac = concentration_check(spec, t, trials, rng)
+            frac = concentration_check(bias, d, q, t, trials, rng)
             bound = 4.0 * math.exp(-d * t**2 / 8.0)
             slack = _WILSON_Z * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
             return [_row(f"tail_{kind}", (q, eps, d, t), frac, seed, bound + slack, operator.le)]
@@ -466,8 +463,7 @@ def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
                          operator.ge),
                     _row("gap_biased_large", (q, eps, d), high_frac, seed, 0.99 - margin,
                          operator.ge)]
-        biased = EnsembleSpec("biased", d, q, eps)
-        samples = [abs(normalized_trace(draw(biased, rng)))
+        samples = [abs(normalized_trace(draw(eps, d, q, rng)))
                    for _ in range(min(trials, 200))]
         return [_row("gap_mean_window", (q, eps, d), np.mean(samples), seed, eps,
                      lambda mean, top: top / 2 < mean < top)]

@@ -147,8 +147,8 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) ->
 
     Uses one uniform draw per sample, so two generators seeded identically
     produce identical exponent streams for any two biases that share a pmf
-    (in particular, every kind of draw at ``eps = 0`` matches plain uniform
-    sampling draw-for-draw).
+    (in particular, a draw at ``eps = 0`` matches plain uniform sampling
+    draw-for-draw).
 
     The inverse CDF is an exact guide table (Chen & Asau's indexed search): a
     uniform ``u`` starts at ``guide[floor(u*B)]`` and steps up while

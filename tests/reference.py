@@ -7,7 +7,8 @@ difference-coded moment weights. The tests compare those against the dense
 matrices and frames here:
 
 - ``DensePreparation`` and ``dense_probe_matrix``: the explicit 2d x 2d
-  probe unitaries that ``amplitude.trace_probe`` and ``pair_probe`` reduce;
+  probe unitaries that ``amplitude.trace_probe`` and ``pair_probe`` reduce,
+  and the collapsed flagged state that ``first_register_zero`` measures;
 - ``gram_schmidt``, ``frame_matrix`` and ``build_biased_frame``: the q x q
   biased Fourier frame and its orthonormalization;
 - ``biased_ft_rotate``: a forward-only purification re-expressed in the
@@ -181,7 +182,7 @@ class DensePreparation(PreparationOracle):
         mask = np.array(good_mask, dtype=bool)
         if mask.shape != (m.shape[0],):
             raise DimensionError("flag mask length must match the matrix dimension")
-        super().__init__(m.shape[0])
+        super().__init__()
         self._matrix = m
         self._mask = mask
         self._sign = np.where(mask, -1.0, 1.0)
@@ -203,7 +204,8 @@ class DensePreparation(PreparationOracle):
     def _good_probability(self, state):
         return float(np.sum(np.abs(state[self._mask]) ** 2))
 
-    def _good_component(self, state):
+    def collapse(self, state) -> StateVector:
+        """Normalized flagged component of ``state``, shaped by the register dims."""
         w = np.zeros_like(state)
         w[self._mask] = state[self._mask]
         n = np.linalg.norm(w)

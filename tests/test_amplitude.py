@@ -19,12 +19,13 @@ from querylab.amplitude import (
     pair_probe,
     trace_probe,
 )
-from querylab.ensembles import DiagonalOracle, EnsembleSpec, draw, normalized_trace
+from querylab.ensembles import DiagonalOracle, draw, normalized_trace
 from querylab.errors import DegeneracyError, DimensionError, ParameterError
 from querylab.linalg import random_unitary
 from reference import (
     DensePreparation,
     dense_probe_matrix,
+    gram_schmidt,
     mle_loglik,
     mle_theta,
     uniform_ramp_unitary,
@@ -63,7 +64,7 @@ def test_counters_track_every_application():
 
 
 def test_iterate_power_rejects_negative():
-    oracle = PairedPreparation(0.5, 0.0, 1)
+    oracle = PairedPreparation(0.5, 0.0)
     with pytest.raises(ParameterError):
         oracle.iterate_power(oracle.prepare(), -1)
 
@@ -83,7 +84,7 @@ def test_two_level_matches_dense_dynamics():
     rng = np.random.default_rng(2)
     mask = np.array([False, True] * 5)
     dense, a = dense_with_amplitude(10, mask, rng)
-    reduced = PairedPreparation(a, 0.0, 1)
+    reduced = PairedPreparation(a, 0.0)
     for m in range(10):
         pd = dense.good_probability(dense.iterate_power(dense.prepare(), m))
         pt = reduced.good_probability(reduced.iterate_power(reduced.prepare(), m))
@@ -92,18 +93,19 @@ def test_two_level_matches_dense_dynamics():
 
 def test_amplitude_bounds_checked():
     with pytest.raises(ParameterError):
-        PairedPreparation(1.5, 0.0, 1)
+        PairedPreparation(1.5, 0.0)
 
 
 def test_collapse_needs_flagged_mass():
-    oracle = PairedPreparation(0.0, 0.0, d=3)
+    # the first register of a vanishing flagged component has no distribution
     with pytest.raises(DegeneracyError):
-        oracle.collapse_good(oracle.prepare())
+        PairedPreparation(0.0, 0.0).first_register_zero()
 
 
 def test_paired_needs_two_level_register():
+    # alpha|0,1> + beta|1,1> needs a query register of dimension >= 2
     with pytest.raises(ParameterError):
-        PairedPreparation(0.1, 0.1, d=1)
+        pair_probe(DiagonalOracle([0], 4, 1))
 
 
 # ---------------------------------------------------------------- probes
@@ -161,7 +163,7 @@ def test_trace_probe_quarter_phases_amplitude_zero():
 @pytest.mark.parametrize("variant", ["trace", "paired"])
 def test_probe_check_random_oracle(variant):
     rng = np.random.default_rng(5)
-    oracle = draw(EnsembleSpec("biased", 16, 8, 0.3), rng)
+    oracle = draw(0.3, 16, 8, rng)
     check = probe_amplitude_check(oracle, variant)
     assert check["ok"]
     if variant == "trace":
@@ -184,8 +186,10 @@ def test_probe_check_rejects_unknown_variant():
 def test_probes_match_dense_reference(maker, variant, d):
     # the production probes are the exact two-level reduction of the dense
     # 2d x 2d probe unitary; step both one iterate at a time to depth 150,
-    # then jump both straight to that depth
-    oracle = draw(EnsembleSpec("biased", d, 8, 0.25), np.random.default_rng((d, 6)))
+    # then jump both straight to that depth. Iterates keep the flagged
+    # direction, so at every depth the dense collapse's first register reads
+    # 0 with the pair probe's first_register_zero
+    oracle = draw(0.25, d, 8, np.random.default_rng((d, 6)))
     dense = DensePreparation(dense_probe_matrix(oracle, variant),
                              np.tile([False, True], d), (d, 2))
     probe = maker(oracle)
@@ -202,8 +206,8 @@ def test_probes_match_dense_reference(maker, variant, d):
         pd = dense.good_probability(sd)
         assert abs(pd - probe.good_probability(sp)) < 1e-10
         if variant == "paired" and pd > 1e-3:
-            assert abs(first_register_zero(dense.collapse_good(sd))
-                       - first_register_zero(probe.collapse_good(sp))) < 1e-10
+            assert abs(first_register_zero(dense.collapse(sd))
+                       - probe.first_register_zero()) < 1e-10
     jd = dense.iterate_power(dense.prepare(), depth)
     jp = probe.iterate_power(probe.prepare(), depth)
     assert abs(dense.good_probability(jd) - probe.good_probability(jp)) < 1e-10
@@ -218,7 +222,7 @@ def test_naive_estimate_contract():
     misses = 0
     for seed in range(200):
         rng = np.random.default_rng((seed, 21))
-        oracle = PairedPreparation(0.3, 0.0, 1)
+        oracle = PairedPreparation(0.3, 0.0)
         a_hat = naive_estimate(oracle, 10_000, rng)
         assert oracle.forward_queries == 10_000
         assert oracle.inverse_queries == 0
@@ -229,10 +233,10 @@ def test_naive_estimate_contract():
 
 def test_naive_estimate_extremes():
     rng = np.random.default_rng(0)
-    assert naive_estimate(PairedPreparation(0.0, 0.0, 1), 100, rng) == 0.0
-    assert naive_estimate(PairedPreparation(1.0, 0.0, 1), 100, rng) == 1.0
+    assert naive_estimate(PairedPreparation(0.0, 0.0), 100, rng) == 0.0
+    assert naive_estimate(PairedPreparation(1.0, 0.0), 100, rng) == 1.0
     with pytest.raises(ParameterError):
-        naive_estimate(PairedPreparation(0.5, 0.0, 1), 0, rng)
+        naive_estimate(PairedPreparation(0.5, 0.0), 0, rng)
 
 
 # ------------------------------------------------------ iterate estimator
@@ -241,7 +245,7 @@ def test_naive_estimate_extremes():
 def test_estimate_zero_amplitude_always_below_target():
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        oracle = PairedPreparation(0.0, 0.0, 1)
+        oracle = PairedPreparation(0.0, 0.0)
         a_hat = amplitude_estimate(oracle, 0.05, rng)
         assert a_hat == 0.0
 
@@ -250,7 +254,7 @@ def test_estimate_half_amplitude_inside_one_percent():
     misses = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        oracle = PairedPreparation(0.5, 0.0, 1)
+        oracle = PairedPreparation(0.5, 0.0)
         a_hat = amplitude_estimate(oracle, 0.01, rng)
         if not 0.49 < a_hat < 0.51:
             misses += 1
@@ -271,7 +275,7 @@ def test_estimate_queries_match_schedule_and_budget():
     totals = []
     for eps in grid:
         rng = np.random.default_rng(3)
-        oracle = PairedPreparation(0.4, 0.0, 1)
+        oracle = PairedPreparation(0.4, 0.0)
         amplitude_estimate(oracle, eps, rng)
         assert oracle.inverse_queries > 0
         assert oracle.total_queries == estimate_budget(eps)
@@ -289,7 +293,7 @@ def test_budget_constant_is_global():
 def test_estimate_target_validated():
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        amplitude_estimate(PairedPreparation(0.5, 0.0, 1), 0.0, rng)
+        amplitude_estimate(PairedPreparation(0.5, 0.0), 0.0, rng)
     with pytest.raises(ParameterError):
         estimate_budget(1.0)
 
@@ -329,12 +333,8 @@ def test_estimation_stays_on_public_surface():
             calls.add("good_probability")
             return super().good_probability(state)
 
-        def collapse_good(self, state):
-            calls.add("collapse_good")
-            return super().collapse_good(state)
-
     rng = np.random.default_rng(4)
-    amplitude_estimate(Spy(0.3, 0.0, 1), 0.05, rng)
+    amplitude_estimate(Spy(0.3, 0.0), 0.05, rng)
     assert calls == {"prepare", "iterate_power", "good_probability"}
 
 
@@ -343,37 +343,21 @@ def test_estimation_stays_on_public_surface():
 
 def test_amplify_full_amplitude_single_query():
     rng = np.random.default_rng(11)
-    oracle = PairedPreparation(1.0, 0.0, 1)
+    oracle = PairedPreparation(1.0, 0.0)
     result = amplitude_amplify(oracle, rng)
     assert result.success
     assert result.total_queries == 1
     assert result.rounds == 1
-    assert np.array_equal(result.state.amplitudes, [0.0, 1.0])  # |0,1>
 
 
 def test_amplify_zero_amplitude_fails_at_cap(monkeypatch):
     monkeypatch.setattr(amplitude, "AMPLIFY_DEFAULT_CAP", 5000)
     rng = np.random.default_rng(12)
-    oracle = PairedPreparation(0.0, 0.0, 1)
+    oracle = PairedPreparation(0.0, 0.0)
     result = amplitude_amplify(oracle, rng)
     assert not result.success
-    assert result.state is None
     assert result.total_queries <= 5000
     assert oracle.total_queries == result.total_queries
-
-
-def test_amplify_dense_collapse_is_exactly_flagged():
-    successes = 0
-    for seed in range(100):
-        rng = np.random.default_rng((seed, 31))
-        u = random_unitary(64, rng)
-        mask = np.zeros(64, dtype=bool)
-        mask[rng.integers(0, 64, size=20)] = True
-        oracle = DensePreparation(u, mask)
-        result = amplitude_amplify(oracle, rng)
-        if result.success and np.linalg.norm(result.state.amplitudes[~mask]) < 1e-10:
-            successes += 1
-    assert successes >= 99
 
 
 def test_amplify_query_count_scales_inversely():
@@ -383,7 +367,7 @@ def test_amplify_query_count_scales_inversely():
         totals = []
         for seed in range(600):
             rng = np.random.default_rng((seed, int(1000 * a)))
-            result = amplitude_amplify(PairedPreparation(a, 0.0, 1), rng)
+            result = amplitude_amplify(PairedPreparation(a, 0.0), rng)
             assert result.success
             totals.append(result.total_queries)
         mean = np.mean(totals)
@@ -399,7 +383,7 @@ def test_amplify_query_tail():
     for a in (0.05, 0.1, 0.2, 0.4):
         over = 0
         for seed in range(600):
-            result = amplitude_amplify(PairedPreparation(a, 0.0, 1), np.random.default_rng(seed))
+            result = amplitude_amplify(PairedPreparation(a, 0.0), np.random.default_rng(seed))
             over += result.total_queries > 20 / a
         assert over / 600 <= 0.02
 
@@ -444,8 +428,8 @@ def test_estimation_distinguisher_both_ensembles():
     correct = {0: 0, 1: 0}
     for trial in range(200):
         rng = np.random.default_rng((trial, 41))
-        u0 = draw(EnsembleSpec("uniform", d, q, 0.0), rng)
-        u1 = draw(EnsembleSpec("biased", d, q, eps), rng)
+        u0 = draw(0.0, d, q, rng)
+        u1 = draw(eps, d, q, rng)
         out0 = distinguish_by_estimation(u0, eps, rng)
         out1 = distinguish_by_estimation(u1, eps, rng)
         assert out0.inverse_queries > 0
@@ -461,8 +445,8 @@ def test_naive_distinguisher_forward_only():
     correct = {0: 0, 1: 0}
     for trial in range(200):
         rng = np.random.default_rng((trial, 43))
-        u0 = draw(EnsembleSpec("uniform", d, q, 0.0), rng)
-        u1 = draw(EnsembleSpec("biased", d, q, eps), rng)
+        u0 = draw(0.0, d, q, rng)
+        u1 = draw(eps, d, q, rng)
         out0 = distinguish_by_estimation(u0, eps, rng, method="naive")
         out1 = distinguish_by_estimation(u1, eps, rng, method="naive")
         assert out0.inverse_queries == 0 and out1.inverse_queries == 0
@@ -486,7 +470,7 @@ def test_query_scaling_iterate_vs_naive():
     ae_totals, naive_totals = [], []
     for eps in grid:
         rng = np.random.default_rng((int(1000 * eps), 47))
-        u = draw(EnsembleSpec("biased", d, q, eps), rng)
+        u = draw(eps, d, q, rng)
         ae = distinguish_by_estimation(u, eps, rng)
         nv = distinguish_by_estimation(u, eps, rng, method="naive")
         assert ae.inverse_queries > 0
@@ -505,46 +489,52 @@ def test_amplification_distinguisher_both_labels():
     correct = {1: 0, 2: 0}
     for trial in range(200):
         rng = np.random.default_rng((trial, 53))
-        v = draw(EnsembleSpec("biased", d, q, eps), rng)
-        out1 = distinguish_by_amplification(v, eps, rng)
-        out2 = distinguish_by_amplification(v.compose_ramp(1), eps, rng)
+        v = draw(eps, d, q, rng)
+        out1 = distinguish_by_amplification(v, rng)
+        out2 = distinguish_by_amplification(v.compose_ramp(1), rng)
         correct[1] += out1.label == 1
         correct[2] += out2.label == 2
     assert correct[1] / 200 >= 0.85
     assert correct[2] / 200 >= 0.85
 
 
+def dense_paired_preparation(alpha, beta):
+    """6 x 6 preparation on register (3, 2) whose flagged part is alpha|0,1> + beta|1,1>."""
+    columns = np.eye(6, dtype=complex)
+    columns[:4, 0] = [math.sqrt(1.0 - abs(alpha) ** 2 - abs(beta) ** 2), alpha, 0.0, beta]
+    return DensePreparation(gram_schmidt(columns), np.tile([False, True], 3), (3, 2))
+
+
 def test_first_register_zero_matches_collapsed_state():
     # the production measurement reads |alpha|^2 / (|alpha|^2 + |beta|^2)
-    # from the amplitudes; it equals the collapsed vector's row sum exactly
+    # from the two amplitudes; the dense reference collapses the whole
+    # prepared state onto its flagged part and sums the first-register row
     rng = np.random.default_rng(71)
     for _ in range(2000):
         z = rng.normal(size=4) * rng.choice([1e-3, 0.1, 1.0], size=4)
         alpha, beta = complex(z[0], z[1]), complex(z[2], z[3])
-        scale = rng.uniform(0.01, 1.0) / max(1e-300, math.hypot(abs(alpha), abs(beta)))
-        probe = PairedPreparation(alpha * scale, beta * scale, d=3)
-        state = probe.collapse_good(probe.prepare())
+        scale = rng.uniform(0.01, 0.99) / max(1e-300, math.hypot(abs(alpha), abs(beta)))
+        alpha, beta = alpha * scale, beta * scale
+        dense = dense_paired_preparation(alpha, beta)
+        state = dense.collapse(dense.prepare())
         amps = state.amplitudes.reshape(state.register_dims)
-        assert probe.first_register_zero() == float(np.sum(np.abs(amps[0, :]) ** 2))
+        assert abs(PairedPreparation(alpha, beta).first_register_zero()
+                   - float(np.sum(np.abs(amps[0, :]) ** 2))) < 1e-12
 
 
-def test_amplification_distinguisher_builds_no_dense_arrays(monkeypatch):
+def test_amplification_distinguisher_builds_no_dense_arrays():
     # at d = gap_dimension(0.05) the production path reads both traces and
-    # the measurement without a collapsed 2d-entry state or any d-length
-    # temporary: its peak allocation stays below one d-length int64 array
-    def no_collapse(self, state):
-        raise AssertionError("the flagged state vector was built")
-
-    monkeypatch.setattr(PairedPreparation, "_good_component", no_collapse)
+    # the measurement without any d-length temporary: its peak allocation
+    # stays below one d-length int64 array
     eps, d, q = 0.05, 320_000, 257
     rng = np.random.default_rng(73)
-    base = draw(EnsembleSpec("biased", d, q, eps), rng)
+    base = draw(eps, d, q, rng)
     labels = set()
     tracemalloc.start()
     try:
         for truth in (1, 2, 1, 2):
             oracle = base if truth == 1 else base.compose_ramp(1)
-            labels.add(distinguish_by_amplification(oracle, eps, rng).label)
+            labels.add(distinguish_by_amplification(oracle, rng).label)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,16 +543,13 @@ def test_amplification_distinguisher_builds_no_dense_arrays(monkeypatch):
 
 
 def test_amplification_stub_alpha_only():
-    # flagged part exactly eps|0,1>: the first register must read 0
-    hits = 0
+    # flagged part exactly eps|0,1>: every amplification succeeds and the
+    # first register then reads 0 with certainty
     for seed in range(200):
         rng = np.random.default_rng((seed, 59))
-        probe = PairedPreparation(0.1, 0.0, d=4)
-        result = amplitude_amplify(probe, rng)
-        assert result.success
-        amps = result.state.amplitudes.reshape(4, 2)
-        hits += float(np.sum(np.abs(amps[0]) ** 2)) > 0.99
-    assert hits == 200
+        probe = PairedPreparation(0.1, 0.0)
+        assert amplitude_amplify(probe, rng).success
+        assert probe.first_register_zero() == 1.0
 
 
 def test_amplification_zero_bias_is_a_coin():
@@ -572,9 +559,9 @@ def test_amplification_zero_bias_is_a_coin():
     for trial in range(trials):
         rng = np.random.default_rng((trial, 61))
         truth = int(rng.integers(1, 3))
-        u = draw(EnsembleSpec("uniform", d, q, 0.0), rng)
+        u = draw(0.0, d, q, rng)
         probed = u if truth == 1 else u.compose_ramp(1)
-        out = distinguish_by_amplification(probed, eps, rng)
+        out = distinguish_by_amplification(probed, rng)
         matches += out.label == truth
     assert abs(matches / trials - 0.5) < 0.065
 
@@ -586,8 +573,8 @@ def test_amplification_relabeling_symmetry():
     trials = 300
     for trial in range(trials):
         rng = np.random.default_rng((trial, 67))
-        v = draw(EnsembleSpec("biased", d, q, eps), rng)
-        one_on_plain += distinguish_by_amplification(v, eps, rng).label == 1
-        two_on_ramped += distinguish_by_amplification(v.compose_ramp(1), eps, rng).label == 2
+        v = draw(eps, d, q, rng)
+        one_on_plain += distinguish_by_amplification(v, rng).label == 1
+        two_on_ramped += distinguish_by_amplification(v.compose_ramp(1), rng).label == 2
     assert abs(one_on_plain - two_on_ramped) / trials < 0.05
 

@@ -295,7 +295,7 @@ def test_concentration_rows_broadcast_and_mismatch():
 
 def test_row_seeds_reproduce_tail_fraction():
     # any row can be replayed in isolation from its recorded seed
-    from querylab.ensembles import EnsembleSpec, concentration_check
+    from querylab.ensembles import concentration_check
 
     cfg = ExperimentConfig("concentration", eps=(0.2,), d=(1000,), q=(8,), n=(1,),
                            trials=150, seed=21, cap=10**5)
@@ -303,7 +303,7 @@ def test_row_seeds_reproduce_tail_fraction():
     row = next(r for r in rows if r.kind == "tail_biased")
     t = row.params[3]
     rng = np.random.default_rng(row.seed)
-    again = concentration_check(EnsembleSpec("biased", 1000, 8, 0.2), t, 150, rng)
+    again = concentration_check(0.2, 1000, 8, t, 150, rng)
     assert again == row.measured
 
 

@@ -4,10 +4,8 @@ import pytest
 from querylab.errors import ParameterError
 from querylab.ensembles import (
     DiagonalOracle,
-    EnsembleSpec,
     concentration_check,
     draw,
-    expected_normalized_trace,
     gap_dimension,
     normalized_trace,
     trace_gap_check,
@@ -63,7 +61,7 @@ class TestDiagonalOracle:
 
     def test_draw_and_compose_ramp_share_exponents(self):
         # a draw freezes the sampler's array; ramped twins share it
-        base = draw(EnsembleSpec("biased", 1000, 8, bias=0.3), np.random.default_rng(4))
+        base = draw(0.3, 1000, 8, np.random.default_rng(4))
         assert base.exponents.dtype == np.int64 and not base.exponents.flags.writeable
         twin = base.compose_ramp(1)
         assert twin.exponents is base.exponents
@@ -79,54 +77,79 @@ class TestDiagonalOracle:
         plain = DiagonalOracle(np.array([1, 2, 3, 4]), order=8, dimension=4)
         assert normalized_trace(back) == normalized_trace(plain)
 
+    def test_equality_is_identity(self):
+        # comparing oracles never compares their exponent arrays entry-wise
+        base = DiagonalOracle(np.array([1, 2, 3, 4]), order=8, dimension=4)
+        same = DiagonalOracle(np.array([1, 2, 3, 4]), order=8, dimension=4)
+        twin = base.compose_ramp(1)
+        assert (base == base) is True
+        assert (base == same) is False and (base != same) is True
+        assert (base == twin) is False and (twin.compose_ramp(-1) == base) is False
+        assert len({base, same, twin}) == 3
 
-class TestEnsembleSpec:
-    def test_kind_validation(self):
-        with pytest.raises(ParameterError):
-            EnsembleSpec("haar", 4, 8)
-        with pytest.raises(ParameterError):
-            EnsembleSpec("uniform", 4, 8, bias=0.2)
-        with pytest.raises(ParameterError):
-            EnsembleSpec("biased", 4, 8, bias=1.5)
-        with pytest.raises(ParameterError):
-            EnsembleSpec("ramped", 4, 8, bias=0.3)
 
-    def test_ramp_turns(self):
-        # draws carry no ramp; a ramp is composed onto a draw
-        u = draw(EnsembleSpec("biased", 4, 8, bias=0.3), np.random.default_rng(0))
-        assert u.ramp_turns == 0
-        assert u.compose_ramp(1).ramp_turns == 1
+# Every public entry point that draws from the bias-eps ensemble, called with
+# (eps, d, q): a bias outside [0, 1], a phase order below 2 and a dimension
+# below 1 are each rejected.
+_ENTRY_POINTS = {
+    "draw": lambda eps, d, q: draw(eps, d, q, np.random.default_rng(0)),
+    "concentration_check": lambda eps, d, q: concentration_check(
+        eps, d, q, 0.1, 100, np.random.default_rng(0)),
+    "trace_gap_check": lambda eps, d, q: trace_gap_check(eps, d, q, 10, np.random.default_rng(0)),
+}
+
+
+class TestEntryPointValidation:
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("eps,d,q", [(-0.1, 4, 8), (1.5, 4, 8), (0.3, 4, 1), (0.3, 4, 0),
+                                         (0.3, 0, 8), (0.3, -3, 8)],
+                             ids=["bias-negative", "bias-above-1", "order-1", "order-0",
+                                  "dimension-0", "dimension-negative"])
+    def test_rejects_out_of_range(self, entry, eps, d, q):
+        with pytest.raises(ParameterError):
+            _ENTRY_POINTS[entry](eps, d, q)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_accepts_the_edges(self, entry):
+        # bias 1, order 2 and dimension 1 are all in range
+        _ENTRY_POINTS[entry](1.0, 1, 2)
 
 
 class TestDraw:
+    def test_ramp_turns(self):
+        # draws carry no ramp; a ramp is composed onto a draw
+        u = draw(0.3, 4, 8, np.random.default_rng(0))
+        assert u.ramp_turns == 0
+        assert u.compose_ramp(1).ramp_turns == 1
+
     def test_deterministic_under_seed(self):
-        spec = EnsembleSpec("uniform", 3, 4)
-        a = draw(spec, np.random.default_rng(77))
-        b = draw(spec, np.random.default_rng(77))
+        a = draw(0.0, 3, 4, np.random.default_rng(77))
+        b = draw(0.0, 3, 4, np.random.default_rng(77))
         assert np.array_equal(a.exponents, b.exponents)
 
     def test_pure_bias_support(self):
-        spec = EnsembleSpec("biased", 200, 8, bias=1.0)
-        u = draw(spec, np.random.default_rng(1))
+        u = draw(1.0, 200, 8, np.random.default_rng(1))
         assert set(np.unique(u.exponents)) <= {0, 1, 2, 6, 7}
 
     def test_ramp_alone_with_stubbed_rng(self):
         d = 5
-        u = draw(EnsembleSpec("biased", d, 8, bias=0.3), _ZeroStream()).compose_ramp(1)
+        u = draw(0.3, d, 8, _ZeroStream()).compose_ramp(1)
         assert np.array_equal(u.exponents, np.zeros(d, dtype=int))
         expect = np.exp(2j * np.pi * np.arange(d) / d)
         assert np.abs(oracle_values(u) - expect).max() < 1e-12
 
+    # bias 0 is the uniform ensemble: under a shared seed a bias-0 draw is
+    # floor(q*u) of the plain uniform stream, entry for entry
     def test_zero_bias_matches_uniform_stream(self):
-        a = draw(EnsembleSpec("uniform", 20, 8), np.random.default_rng(9))
-        b = draw(EnsembleSpec("biased", 20, 8, bias=0.0), np.random.default_rng(9))
-        assert np.array_equal(a.exponents, b.exponents)
+        a = draw(0.0, 20, 8, np.random.default_rng(9))
+        u = np.random.default_rng(9).random(20)
+        assert np.array_equal(a.exponents, np.minimum((u * 8).astype(np.int64), 7))
 
     @pytest.mark.parametrize("q", [2, 3, 257, 1024])
     def test_zero_bias_matches_uniform_stream_large_d(self, q):
-        a = draw(EnsembleSpec("uniform", 50_000, q), np.random.default_rng(q))
-        b = draw(EnsembleSpec("biased", 50_000, q, bias=0.0), np.random.default_rng(q))
-        assert np.array_equal(a.exponents, b.exponents)
+        a = draw(0.0, 50_000, q, np.random.default_rng(q))
+        u = np.random.default_rng(q).random(50_000)
+        assert np.array_equal(a.exponents, np.minimum((u * q).astype(np.int64), q - 1))
 
 
 class TestNormalizedTrace:
@@ -141,14 +164,13 @@ class TestNormalizedTrace:
     def test_modulus_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            u = draw(EnsembleSpec("biased", 30, 8, bias=0.5), rng)
+            u = draw(0.5, 30, 8, rng)
             assert abs(normalized_trace(u)) <= 1 + 1e-12
 
     def test_biased_modulus_monte_carlo(self):
         eps, d, q = 0.2, 10**4, 257
         rng = np.random.default_rng(2024)
-        spec = EnsembleSpec("biased", d, q, bias=eps)
-        vals = [abs(normalized_trace(draw(spec, rng))) for _ in range(10**3)]
+        vals = [abs(normalized_trace(draw(eps, d, q, rng))) for _ in range(10**3)]
         m = float(np.mean(vals))
         assert eps / 2 < m < eps
         assert abs(m - eps * phase_mean(1.0, q)) < 0.01
@@ -158,7 +180,7 @@ class TestNormalizedTrace:
     @pytest.mark.parametrize("d", [4096, 65_536])
     @pytest.mark.parametrize("turns", [0, 1, -1])
     def test_histogram_trace_matches_entry_sum(self, d, turns):
-        base = draw(EnsembleSpec("biased", d, 257, bias=0.3), np.random.default_rng(d))
+        base = draw(0.3, d, 257, np.random.default_rng(d))
         u = base.compose_ramp(turns)
         assert abs(normalized_trace(u) - oracle_values(u).sum() / d) <= 1e-15
 
@@ -167,44 +189,35 @@ class TestNormalizedTrace:
     @pytest.mark.parametrize("d", [40_001, 320_000])
     @pytest.mark.parametrize("turns", [1, -1])
     def test_ramp_trace_matches_long_double_sum(self, d, turns):
-        base = draw(EnsembleSpec("biased", d, 257, bias=0.05), np.random.default_rng(d))
+        base = draw(0.05, d, 257, np.random.default_rng(d))
         u = base.compose_ramp(turns)
         assert abs(normalized_trace(u) - _long_double_trace(u)) <= 2e-17
 
-    def test_expected_trace_cross_module(self):
-        spec = EnsembleSpec("biased", 4, 8, bias=0.37)
-        assert expected_normalized_trace(spec) == phase_mean(0.37, 8)
-        assert expected_normalized_trace(EnsembleSpec("uniform", 4, 8)) == phase_mean(0.0, 8)
-
     def test_monte_carlo_mean_matches_phase_mean(self):
-        spec = EnsembleSpec("biased", 2000, 8, bias=0.3)
         rng = np.random.default_rng(7)
-        mean = np.mean([normalized_trace(draw(spec, rng)) for _ in range(200)])
+        mean = np.mean([normalized_trace(draw(0.3, 2000, 8, rng)) for _ in range(200)])
         assert abs(mean - phase_mean(0.3, 8)) < 5e-3
 
 
 class TestConcentration:
     def test_uniform_tail(self):
-        spec = EnsembleSpec("uniform", 10**4, 257)
-        tail = concentration_check(spec, 0.1, 10**3, np.random.default_rng(11))
+        tail = concentration_check(0.0, 10**4, 257, 0.1, 10**3, np.random.default_rng(11))
         assert tail <= 0.01
 
     def test_biased_tail_against_hoeffding_style_bound(self):
         eps, d, t = 0.2, 10**4, 0.02
-        spec = EnsembleSpec("biased", d, 257, bias=eps)
-        tail = concentration_check(spec, t, 10**3, np.random.default_rng(12))
+        tail = concentration_check(eps, d, 257, t, 10**3, np.random.default_rng(12))
         assert tail <= 0.05
         assert tail <= 4 * np.exp(-d * t**2 / 8) + 0.02
 
     def test_huge_deviation_never_occurs(self):
-        for kind, eps in (("uniform", 0.0), ("biased", 0.3)):
-            spec = EnsembleSpec(kind, 50, 8, bias=eps)
-            tail = concentration_check(spec, 2.0, 100, np.random.default_rng(13))
+        for eps in (0.0, 0.3):
+            tail = concentration_check(eps, 50, 8, 2.0, 100, np.random.default_rng(13))
             assert tail == 0.0
 
     def test_trials_floor(self):
         with pytest.raises(ParameterError):
-            concentration_check(EnsembleSpec("uniform", 4, 8), 0.1, 50, np.random.default_rng(0))
+            concentration_check(0.0, 4, 8, 0.1, 50, np.random.default_rng(0))
 
 
 class TestTraceGap:
@@ -218,14 +231,6 @@ class TestTraceGap:
         assert 0.0 <= frac0 <= 1.0 and 0.0 <= frac1 <= 1.0
         assert frac0 < 0.9  # documents the large-d requirement
 
-    def test_zero_bias_ensembles_coincide_exactly(self):
-        # at bias 0 the two ensembles are the same distribution; under a
-        # shared seed the draws are identical arrays
-        a = draw(EnsembleSpec("uniform", 25, 8), np.random.default_rng(33))
-        b = draw(EnsembleSpec("biased", 25, 8, bias=0.0), np.random.default_rng(33))
-        assert np.array_equal(a.exponents, b.exponents)
-        assert normalized_trace(a) == normalized_trace(b)
-
     def test_gap_dimension_scale(self):
         assert gap_dimension(0.1) == 80000
         with pytest.raises(ParameterError):
@@ -236,9 +241,8 @@ class TestDistributionInvariants:
     def test_unramping_recovers_base_draw(self):
         # composing the inverse ramp on a ramped draw reproduces, under a
         # shared seed, the plain biased draw's normalized trace exactly
-        spec = EnsembleSpec("biased", 16, 8, bias=0.3)
-        dv = draw(spec, np.random.default_rng(55)).compose_ramp(1)
-        v = draw(spec, np.random.default_rng(55))
+        dv = draw(0.3, 16, 8, np.random.default_rng(55)).compose_ramp(1)
+        v = draw(0.3, 16, 8, np.random.default_rng(55))
         assert dv.ramp_turns == 1
         assert normalized_trace(dv.compose_ramp(-1)) == normalized_trace(v)
         assert np.array_equal(dv.exponents, v.exponents)

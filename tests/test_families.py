@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from querylab.ensembles import DiagonalOracle, EnsembleSpec, draw, normalized_trace
+from querylab.ensembles import DiagonalOracle, draw, normalized_trace
 from querylab.errors import ParameterError
 from querylab.experiments import advantage_profile
 from querylab.families import (
@@ -60,7 +60,7 @@ def test_grover_family_rejects_zero_budget():
 def test_single_query_probe_amplitude_is_normalized_trace():
     # after the preparation alone, the flagged component |0,1> carries ntr(U)
     rng = np.random.default_rng(7)
-    oracle = draw(EnsembleSpec("biased", 5, 8, 0.3), rng)
+    oracle = draw(0.3, 5, 8, rng)
     out = run_with_oracle(grover_iterate_circuit(5, 1), oracle)
     assert abs(out[1] - normalized_trace(oracle)) < 1e-10
     flagged = out[1::2]
@@ -71,7 +71,7 @@ def test_single_query_probe_amplitude_is_normalized_trace():
 def test_dense_probe_matches_one_query_circuit(d):
     # the dense trace probe and the one-query iterate circuit share their
     # probe pieces, so the probe's first column is the circuit's output
-    oracle = draw(EnsembleSpec("biased", d, 8, 0.3), np.random.default_rng(d))
+    oracle = draw(0.3, d, 8, np.random.default_rng(d))
     column = dense_probe_matrix(oracle, "trace")[:, 0]
     out = run_with_oracle(grover_iterate_circuit(d, 1), oracle)
     assert np.abs(column - out).max() < 1e-12
@@ -79,7 +79,7 @@ def test_dense_probe_matches_one_query_circuit(d):
 
 def test_probe_run_stays_normalized():
     rng = np.random.default_rng(3)
-    oracle = draw(EnsembleSpec("biased", 4, 8, 0.2), rng)
+    oracle = draw(0.2, 4, 8, rng)
     for n in (1, 2, 3, 6):
         out = run_with_oracle(grover_iterate_circuit(4, n), oracle)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
@@ -88,7 +88,7 @@ def test_probe_run_stays_normalized():
 def test_iterates_amplify_flagged_mass():
     # one full iterate boosts the flagged probability of a small amplitude
     rng = np.random.default_rng(11)
-    oracle = draw(EnsembleSpec("biased", 4, 8, 0.25), rng)
+    oracle = draw(0.25, 4, 8, rng)
     p = []
     for n in (1, 3):
         out = run_with_oracle(grover_iterate_circuit(4, n), oracle)

@@ -1,14 +1,16 @@
 """Amplitude estimation and amplification over black-box state preparations.
 
 A preparation oracle X prepares a|good> + sqrt(1-a^2)|bad> from |0> and
-exposes exactly three operations: prepare, the Grover iterate
-X*S0*Xdag*S_good, and the flag probability of a state. Forward and inverse
-applications of X are counted on the oracle; the two reflections are fixed
-gates and are free. The estimation and amplification routines below touch
-nothing else, so any subclass of PreparationOracle can be driven. The
-diagonal-oracle probes are one class, PairedPreparation: the exact
-O(1)-per-iterate two-level reduction, at every dimension, of a dense
-2d x 2d probe unitary that only the tests build.
+exposes exactly one counted operation, flag_probability(m): one run of X|0>
+followed by m Grover iterates X*S0*Xdag*S_good, measured on the flag. That
+probability is sin^2((2m+1)*asin a), and it is all that estimation and
+amplification read. Each run adds 1 + m forward and m inverse applications
+of X to the oracle's counters, the only record of queries; the two
+reflections are fixed gates and are free. Any subclass of PreparationOracle
+that implements the one hook can be driven. The diagonal-oracle probes are
+one class, PairedPreparation: the exact O(1)-per-iterate two-level
+reduction, at every dimension, of a dense 2d x 2d probe unitary that only
+the tests build.
 
 No controlled application of X exists anywhere on this surface.
 """
@@ -28,7 +30,6 @@ from .errors import DegeneracyError, ParameterError
 __all__ = [
     "PreparationOracle",
     "PairedPreparation",
-    "AmplificationResult",
     "DistinguishOutcome",
     "naive_estimate",
     "amplitude_estimate",
@@ -74,8 +75,8 @@ AMPLIFY_DEFAULT_CAP = 10**6
 class PreparationOracle(ABC):
     """Black-box preparation with query counters.
 
-    Subclasses implement the uncounted hooks; the public methods advance the
-    counters and are the only entry points the algorithms use.
+    Subclasses implement the one uncounted hook; flag_probability advances
+    the counters and is the only oracle call the algorithms make.
     """
 
     def __init__(self):
@@ -83,53 +84,34 @@ class PreparationOracle(ABC):
         self.inverse_queries = 0
 
     @abstractmethod
-    def _prepared(self):
-        """State X|0> in whatever representation the subclass evolves."""
+    def _flag_probability(self, m: int) -> float:
+        """Flag probability of X|0> advanced by m >= 0 Grover iterates."""
 
-    @abstractmethod
-    def _iterated(self, state, count: int):
-        """state advanced by `count` Grover iterates."""
+    def flag_probability(self, m: int) -> float:
+        """One run of X|0> and m Grover iterates, measured on the flag.
 
-    @abstractmethod
-    def _good_probability(self, state) -> float:
-        """Probability of the flagged outcome when measuring `state`."""
-
-    def prepare(self):
-        self.forward_queries += 1
-        return self._prepared()
-
-    def iterate_power(self, state, count: int):
-        count = int(count)
-        if count < 0:
-            raise ParameterError(f"iterate count must be >= 0, got {count}")
-        if count == 0:
-            return state
-        self.forward_queries += count
-        self.inverse_queries += count
-        return self._iterated(state, count)
-
-    def good_probability(self, state) -> float:
-        return float(self._good_probability(state))
+        Costs 1 + m forward and m inverse queries.
+        """
+        m = int(m)
+        if m < 0:
+            raise ParameterError(f"iterate count must be >= 0, got {m}")
+        self.forward_queries += 1 + m
+        self.inverse_queries += m
+        return float(self._flag_probability(m))
 
     def sample_flag(self, shots: int, rng, iterations: int = 0) -> int:
-        """Flag hits over `shots` runs of prepare + `iterations` iterates.
+        """Flag hits over `shots` runs of X|0> and `iterations` iterates.
 
-        The dynamics are deterministic, so a single trajectory fixes the
-        outcome probability; the counters advance for every repetition.
+        The dynamics are deterministic, so a single run fixes the outcome
+        probability; the counters advance for every repetition.
         """
         shots = int(shots)
         if shots < 1:
             raise ParameterError(f"shot count must be >= 1, got {shots}")
-        state = self.prepare()
-        state = self.iterate_power(state, iterations)
-        p = min(1.0, max(0.0, self.good_probability(state)))
+        p = min(1.0, max(0.0, self.flag_probability(iterations)))
         self.forward_queries += (shots - 1) * (1 + iterations)
         self.inverse_queries += (shots - 1) * iterations
         return int(rng.binomial(shots, p))
-
-    @property
-    def total_queries(self) -> int:
-        return self.forward_queries + self.inverse_queries
 
 
 class PairedPreparation(PreparationOracle):
@@ -138,9 +120,10 @@ class PairedPreparation(PreparationOracle):
     Grover iterates of any preparation stay inside the plane spanned by the
     flagged and unflagged components of X|0>, where they act as a rotation by
     twice the flagged angle (up to a global sign; Brassard, Hoyer, Mosca and
-    Tapp, quant-ph/0005055). Tracking the plane coordinates makes prepare and
-    iterate O(1) regardless of dimension; the flagged unit state is the first
-    plane axis, and its flagged amplitude is ``hypot(|alpha|, |beta|)``.
+    Tapp, quant-ph/0005055). Tracking the plane coordinates makes the flag
+    probability after any number of iterates O(1) regardless of dimension;
+    the flagged unit state is the first plane axis, and its flagged amplitude
+    is ``hypot(|alpha|, |beta|)``.
 
     The register is (d, 2), the second factor holding the flag. Both probes
     use it: the trace probe with beta = 0, and the pair probe, where the
@@ -158,17 +141,12 @@ class PairedPreparation(PreparationOracle):
         self._a = min(1.0, a)
         self._theta = math.asin(self._a)
 
-    def _prepared(self):
-        return np.array([self._a, math.sqrt(max(0.0, 1.0 - self._a**2))])
-
-    def _iterated(self, state, count):
-        phi = math.atan2(state[0], state[1])
-        sign = -1.0 if count % 2 else 1.0
-        out = phi + 2.0 * count * self._theta
-        return sign * np.array([math.sin(out), math.cos(out)])
-
-    def _good_probability(self, state):
-        return float(state[0] ** 2)
+    def _flag_probability(self, m):
+        flagged, unflagged = self._a, math.sqrt(max(0.0, 1.0 - self._a**2))
+        if m:
+            out = math.atan2(flagged, unflagged) + 2.0 * m * self._theta
+            flagged = (-1.0 if m % 2 else 1.0) * math.sin(out)
+        return np.float64(flagged) ** 2
 
     def first_register_zero(self) -> float:
         """Probability that the flagged state's first register reads 0.
@@ -189,11 +167,8 @@ def naive_estimate(oracle: PreparationOracle, shots: int, rng) -> float:
     Forward queries only; the sampling error of the underlying frequency is
     O(1/sqrt(shots)).
     """
-    shots = int(shots)
-    if shots < 1:
-        raise ParameterError(f"shot count must be >= 1, got {shots}")
     hits = oracle.sample_flag(shots, rng, iterations=0)
-    return math.sqrt(max(0.0, hits / shots))
+    return math.sqrt(max(0.0, hits / int(shots)))
 
 
 def _estimation_chain(eps: float) -> list:
@@ -282,21 +257,7 @@ def estimate_budget(eps: float) -> int:
     return ESTIMATE_REPEATS * ESTIMATE_SHOTS * sum(1 + 2 * m for m in chain)
 
 
-@dataclass(frozen=True)
-class AmplificationResult:
-    """Outcome of one amplification run; counters cover this run only."""
-
-    success: bool
-    forward_queries: int
-    inverse_queries: int
-    rounds: int
-
-    @property
-    def total_queries(self) -> int:
-        return self.forward_queries + self.inverse_queries
-
-
-def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
+def amplitude_amplify(oracle: PreparationOracle, rng) -> bool:
     """Measure the flag of an unknown-amplitude preparation until it is hit.
 
     Classic exponential schedule: each round draws an iterate depth uniformly
@@ -304,24 +265,20 @@ def amplitude_amplify(oracle: PreparationOracle, rng) -> AmplificationResult:
     on a hit, when the register holds the flagged component. Expected queries
     were measured, not proven, to be O(1/a) at this growth (see
     AMPLIFY_GROWTH). A round that would push the run past AMPLIFY_DEFAULT_CAP
-    oracle calls is not started; the run then ends as a documented failure
-    (success=False), which is the guaranteed outcome at zero amplitude.
+    oracle calls is not started; the run then ends as a documented failure,
+    which is the guaranteed outcome at zero amplitude. Returns whether the
+    flag was hit; the oracle's counters hold what the run spent.
     """
-    f0, i0 = oracle.forward_queries, oracle.inverse_queries
+    start = oracle.forward_queries + oracle.inverse_queries
     scale = 1.0
-    rounds = 0
     while True:
         bound = max(1, math.ceil(scale))
         m = int(rng.integers(0, bound))
-        used = (oracle.forward_queries - f0) + (oracle.inverse_queries - i0)
+        used = oracle.forward_queries + oracle.inverse_queries - start
         if used + 1 + 2 * m > AMPLIFY_DEFAULT_CAP:
-            return AmplificationResult(False, oracle.forward_queries - f0,
-                                       oracle.inverse_queries - i0, rounds)
-        state = oracle.iterate_power(oracle.prepare(), m)
-        rounds += 1
-        if rng.random() < oracle.good_probability(state):
-            return AmplificationResult(True, oracle.forward_queries - f0,
-                                       oracle.inverse_queries - i0, rounds)
+            return False
+        if rng.random() < oracle.flag_probability(m):
+            return True
         scale *= AMPLIFY_GROWTH
 
 
@@ -363,10 +320,6 @@ class DistinguishOutcome:
     forward_queries: int
     inverse_queries: int
 
-    @property
-    def total_queries(self) -> int:
-        return self.forward_queries + self.inverse_queries
-
 
 def distinguish_by_estimation(
     oracle: DiagonalOracle,
@@ -406,8 +359,7 @@ def distinguish_by_amplification(oracle: DiagonalOracle, rng) -> DistinguishOutc
     so no state vector is built.
     """
     probe = pair_probe(oracle)
-    result = amplitude_amplify(probe, rng)
-    if not result.success:
+    if not amplitude_amplify(probe, rng):
         label = int(rng.integers(1, 3))
     else:
         label = 1 if rng.random() < probe.first_register_zero() else 2

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import KINDS, ExperimentConfig, config_to_text, default_config, load_config
+from .config import KINDS, ExperimentConfig, check_cap, config_to_text, default_config, load_config
 from .errors import ConfigError, QuerylabError
 from .experiments import (
     advantage_profile,
@@ -187,6 +187,7 @@ def _run_circuit(args) -> int:
         eps_list, cap, cfg_out = cfg.eps, cfg.cap, cfg.out
     if args.cap is not None:
         cap = args.cap
+    check_cap(cap)
     out_path = _resolve_out(args.out, cfg_out, "circuit-run.csv")
     rows = cmd_circuit_run(args.file, eps_list, cap)
 

@@ -14,7 +14,8 @@ from .ensembles import gap_dimension
 from .errors import ConfigError
 from .query_sim import DEFAULT_KEY_CAP
 
-__all__ = ["ExperimentConfig", "KINDS", "default_config", "parse_config", "config_to_text", "load_config"]
+__all__ = ["ExperimentConfig", "KINDS", "check_cap", "default_config", "parse_config",
+           "config_to_text", "load_config"]
 
 KINDS = ("verify-lemmas", "separation", "endtoend", "concentration")
 
@@ -28,6 +29,12 @@ def _check_single_valued(kind: str, grid) -> None:
     for key in _SINGLE_VALUED.get(kind, ()):
         if len(grid[key]) > 1:
             raise ConfigError(f"{kind} reads one {key} value, got {grid[key]}", key=key)
+
+
+def check_cap(cap: int) -> None:
+    """Reject a histogram key cap below 1."""
+    if cap < 1:
+        raise ConfigError(f"key cap must be >= 1, got {cap}", key="cap")
 
 
 @dataclass(frozen=True)
@@ -65,9 +72,14 @@ class ExperimentConfig:
             raise ConfigError(f"q values must be >= 2, got {self.q}", key="q")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}", key="trials")
-        if self.cap < 1:
-            raise ConfigError(f"key cap must be >= 1, got {self.cap}", key="cap")
+        check_cap(self.cap)
         _check_single_valued(self.kind, vars(self))
+        if self.kind == "endtoend":
+            # the pair probe needs two query indices; the distinguishers a positive bias
+            if self.d[0] < 2:
+                raise ConfigError(f"endtoend needs d >= 2, got {self.d[0]}", key="d")
+            if self.eps[0] == 0.0:
+                raise ConfigError(f"endtoend needs eps > 0, got {self.eps[0]}", key="eps")
 
 
 def default_config(kind: str) -> ExperimentConfig:

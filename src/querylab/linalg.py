@@ -88,10 +88,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _frozen(m))
         object.__setattr__(self, "register_dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def checked_unitary(matrix, what: str) -> np.ndarray:
     """A complex copy of ``matrix``, checked to be square and unitary within 1e-10.

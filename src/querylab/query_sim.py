@@ -112,10 +112,6 @@ class QueryCircuit:
         object.__setattr__(self, "steps", steps)
 
     @property
-    def query_count(self) -> int:
-        return sum(isinstance(s, (ForwardQuery, InverseQuery)) for s in self.steps)
-
-    @property
     def forward_count(self) -> int:
         return sum(isinstance(s, ForwardQuery) for s in self.steps)
 
@@ -152,10 +148,6 @@ class PurifiedState:
     @property
     def key_count(self) -> int:
         return len(self.keys)
-
-    @property
-    def query_count(self) -> int:
-        return self.forward_count + self.inverse_count
 
     @property
     def forward_only(self) -> bool:

@@ -184,28 +184,26 @@ class DensePreparation(PreparationOracle):
             raise DimensionError("flag mask length must match the matrix dimension")
         super().__init__()
         self._matrix = m
+        self._adjoint = m.conj().T
         self._mask = mask
         self._sign = np.where(mask, -1.0, 1.0)
         self._dims = tuple(register_dims) if register_dims is not None else (m.shape[0],)
 
-    def _prepared(self):
-        return self._matrix[:, 0].copy()
-
-    def _iterated(self, state, count):
-        v = state
-        for _ in range(count):
-            v = self._sign * v
-            v = self._matrix.conj().T @ v
-            v = v.copy()
+    def state(self, m: int) -> np.ndarray:
+        """X|0> advanced by m Grover iterates, by dense evolution; uncounted."""
+        v = self._matrix[:, 0].copy()
+        for _ in range(m):
+            v = self._adjoint @ (self._sign * v)
             v[0] = -v[0]
             v = self._matrix @ v
         return v
 
-    def _good_probability(self, state):
-        return float(np.sum(np.abs(state[self._mask]) ** 2))
+    def _flag_probability(self, m):
+        return float(np.sum(np.abs(self.state(m)[self._mask]) ** 2))
 
-    def collapse(self, state) -> StateVector:
-        """Normalized flagged component of ``state``, shaped by the register dims."""
+    def collapse(self, m: int) -> StateVector:
+        """Normalized flagged component after m iterates, shaped by the register dims."""
+        state = self.state(m)
         w = np.zeros_like(state)
         w[self._mask] = state[self._mask]
         n = np.linalg.norm(w)

@@ -10,6 +10,7 @@ from querylab import amplitude
 from querylab.amplitude import (
     ESTIMATE_BUDGET_CONSTANT,
     PairedPreparation,
+    PreparationOracle,
     amplitude_amplify,
     amplitude_estimate,
     distinguish_by_amplification,
@@ -54,19 +55,21 @@ def test_dense_rejects_bad_mask_length():
 def test_counters_track_every_application():
     rng = np.random.default_rng(0)
     oracle, _ = dense_with_amplitude(8, np.array([False, True] * 4), rng)
-    state = oracle.prepare()
+    oracle.flag_probability(0)
     assert (oracle.forward_queries, oracle.inverse_queries) == (1, 0)
-    oracle.iterate_power(state, 3)
-    assert (oracle.forward_queries, oracle.inverse_queries) == (4, 3)
+    oracle.flag_probability(3)
+    assert (oracle.forward_queries, oracle.inverse_queries) == (5, 3)
     oracle.sample_flag(10, rng, iterations=2)
-    assert (oracle.forward_queries, oracle.inverse_queries) == (34, 23)
-    assert oracle.total_queries == 57
+    assert (oracle.forward_queries, oracle.inverse_queries) == (35, 23)
 
 
 def test_iterate_power_rejects_negative():
     oracle = PairedPreparation(0.5, 0.0)
     with pytest.raises(ParameterError):
-        oracle.iterate_power(oracle.prepare(), -1)
+        oracle.flag_probability(-1)
+    with pytest.raises(ParameterError):
+        oracle.sample_flag(4, np.random.default_rng(0), iterations=-1)
+    assert (oracle.forward_queries, oracle.inverse_queries) == (0, 0)
 
 
 def test_dense_iterates_follow_sine_law():
@@ -76,7 +79,7 @@ def test_dense_iterates_follow_sine_law():
     oracle, a = dense_with_amplitude(12, mask, rng)
     theta = math.asin(min(1.0, a))
     for m in range(7):
-        p = oracle.good_probability(oracle.iterate_power(oracle.prepare(), m))
+        p = oracle.flag_probability(m)
         assert abs(p - math.sin((2 * m + 1) * theta) ** 2) < 1e-10
 
 
@@ -86,9 +89,7 @@ def test_two_level_matches_dense_dynamics():
     dense, a = dense_with_amplitude(10, mask, rng)
     reduced = PairedPreparation(a, 0.0)
     for m in range(10):
-        pd = dense.good_probability(dense.iterate_power(dense.prepare(), m))
-        pt = reduced.good_probability(reduced.iterate_power(reduced.prepare(), m))
-        assert abs(pd - pt) < 1e-10
+        assert abs(dense.flag_probability(m) - reduced.flag_probability(m)) < 1e-10
 
 
 def test_amplitude_bounds_checked():
@@ -185,10 +186,10 @@ def test_probe_check_rejects_unknown_variant():
                          ids=["trace_probe", "pair_probe"])
 def test_probes_match_dense_reference(maker, variant, d):
     # the production probes are the exact two-level reduction of the dense
-    # 2d x 2d probe unitary; step both one iterate at a time to depth 150,
-    # then jump both straight to that depth. Iterates keep the flagged
-    # direction, so at every depth the dense collapse's first register reads
-    # 0 with the pair probe's first_register_zero
+    # 2d x 2d probe unitary: their flag probabilities agree at every depth
+    # to 150, the dense one evolved iterate by iterate. Iterates keep the
+    # flagged direction, so at every depth the dense collapse's first
+    # register reads 0 with the pair probe's first_register_zero
     oracle = draw(0.25, d, 8, np.random.default_rng((d, 6)))
     dense = DensePreparation(dense_probe_matrix(oracle, variant),
                              np.tile([False, True], d), (d, 2))
@@ -199,20 +200,16 @@ def test_probes_match_dense_reference(maker, variant, d):
         amps = state.amplitudes.reshape(state.register_dims)
         return float(np.sum(np.abs(amps[0]) ** 2))
 
-    sd, sp = dense.prepare(), probe.prepare()
     for m in range(depth + 1):
-        if m:
-            sd, sp = dense.iterate_power(sd, 1), probe.iterate_power(sp, 1)
-        pd = dense.good_probability(sd)
-        assert abs(pd - probe.good_probability(sp)) < 1e-10
+        pd = dense.flag_probability(m)
+        assert abs(pd - probe.flag_probability(m)) < 1e-10
         if variant == "paired" and pd > 1e-3:
-            assert abs(first_register_zero(dense.collapse(sd))
+            assert abs(first_register_zero(dense.collapse(m))
                        - probe.first_register_zero()) < 1e-10
-    jd = dense.iterate_power(dense.prepare(), depth)
-    jp = probe.iterate_power(probe.prepare(), depth)
-    assert abs(dense.good_probability(jd) - probe.good_probability(jp)) < 1e-10
+    runs = depth + 1
+    iterates = depth * runs // 2
     assert (dense.forward_queries, dense.inverse_queries) == \
-        (probe.forward_queries, probe.inverse_queries) == (2 * depth + 2, 2 * depth)
+        (probe.forward_queries, probe.inverse_queries) == (runs + iterates, iterates)
 
 
 # --------------------------------------------------------- naive estimator
@@ -278,9 +275,10 @@ def test_estimate_queries_match_schedule_and_budget():
         oracle = PairedPreparation(0.4, 0.0)
         amplitude_estimate(oracle, eps, rng)
         assert oracle.inverse_queries > 0
-        assert oracle.total_queries == estimate_budget(eps)
-        assert oracle.total_queries <= ESTIMATE_BUDGET_CONSTANT / eps
-        totals.append(oracle.total_queries)
+        total = oracle.forward_queries + oracle.inverse_queries
+        assert total == estimate_budget(eps)
+        assert total <= ESTIMATE_BUDGET_CONSTANT / eps
+        totals.append(total)
     slope = np.polyfit(np.log([1 / e for e in grid]), np.log(totals), 1)[0]
     assert 0.9 <= slope <= 1.1
 
@@ -318,24 +316,25 @@ def test_mle_theta_matches_per_call_scan(eps):
 
 
 def test_estimation_stays_on_public_surface():
+    # every public method of the probe records its calls; estimation and
+    # amplification reach the oracle through the counted calls only
     calls = set()
 
-    class Spy(PairedPreparation):
-        def prepare(self):
-            calls.add("prepare")
-            return super().prepare()
+    def spied(name):
+        def method(self, *args, **kwargs):
+            calls.add(name)
+            return getattr(PairedPreparation, name)(self, *args, **kwargs)
+        return method
 
-        def iterate_power(self, state, count):
-            calls.add("iterate_power")
-            return super().iterate_power(state, count)
-
-        def good_probability(self, state):
-            calls.add("good_probability")
-            return super().good_probability(state)
-
+    members = {**vars(PreparationOracle), **vars(PairedPreparation)}
+    public = [name for name in members if not name.startswith("_")]
+    Spy = type("Spy", (PairedPreparation,), {name: spied(name) for name in public})
     rng = np.random.default_rng(4)
     amplitude_estimate(Spy(0.3, 0.0), 0.05, rng)
-    assert calls == {"prepare", "iterate_power", "good_probability"}
+    assert calls == {"sample_flag", "flag_probability"}
+    calls.clear()
+    assert amplitude_amplify(Spy(0.3, 0.0), rng)
+    assert calls == {"flag_probability"}
 
 
 # ----------------------------------------------------------- amplification
@@ -344,20 +343,18 @@ def test_estimation_stays_on_public_surface():
 def test_amplify_full_amplitude_single_query():
     rng = np.random.default_rng(11)
     oracle = PairedPreparation(1.0, 0.0)
-    result = amplitude_amplify(oracle, rng)
-    assert result.success
-    assert result.total_queries == 1
-    assert result.rounds == 1
+    assert amplitude_amplify(oracle, rng)
+    # one round at depth 0
+    assert (oracle.forward_queries, oracle.inverse_queries) == (1, 0)
 
 
 def test_amplify_zero_amplitude_fails_at_cap(monkeypatch):
     monkeypatch.setattr(amplitude, "AMPLIFY_DEFAULT_CAP", 5000)
     rng = np.random.default_rng(12)
     oracle = PairedPreparation(0.0, 0.0)
-    result = amplitude_amplify(oracle, rng)
-    assert not result.success
-    assert result.total_queries <= 5000
-    assert oracle.total_queries == result.total_queries
+    assert not amplitude_amplify(oracle, rng)
+    assert oracle.inverse_queries > 0
+    assert oracle.forward_queries + oracle.inverse_queries <= 5000
 
 
 def test_amplify_query_count_scales_inversely():
@@ -367,9 +364,9 @@ def test_amplify_query_count_scales_inversely():
         totals = []
         for seed in range(600):
             rng = np.random.default_rng((seed, int(1000 * a)))
-            result = amplitude_amplify(PairedPreparation(a, 0.0), rng)
-            assert result.success
-            totals.append(result.total_queries)
+            oracle = PairedPreparation(a, 0.0)
+            assert amplitude_amplify(oracle, rng)
+            totals.append(oracle.forward_queries + oracle.inverse_queries)
         mean = np.mean(totals)
         assert mean <= 6.0 / a
         means.append(mean)
@@ -383,8 +380,9 @@ def test_amplify_query_tail():
     for a in (0.05, 0.1, 0.2, 0.4):
         over = 0
         for seed in range(600):
-            result = amplitude_amplify(PairedPreparation(a, 0.0), np.random.default_rng(seed))
-            over += result.total_queries > 20 / a
+            oracle = PairedPreparation(a, 0.0)
+            amplitude_amplify(oracle, np.random.default_rng(seed))
+            over += oracle.forward_queries + oracle.inverse_queries > 20 / a
         assert over / 600 <= 0.02
 
 
@@ -475,8 +473,8 @@ def test_query_scaling_iterate_vs_naive():
         nv = distinguish_by_estimation(u, eps, rng, method="naive")
         assert ae.inverse_queries > 0
         assert nv.inverse_queries == 0
-        ae_totals.append(ae.total_queries)
-        naive_totals.append(nv.total_queries)
+        ae_totals.append(ae.forward_queries + ae.inverse_queries)
+        naive_totals.append(nv.forward_queries + nv.inverse_queries)
     x = np.log([1 / e for e in grid])
     ae_slope = np.polyfit(x, np.log(ae_totals), 1)[0]
     naive_slope = np.polyfit(x, np.log(naive_totals), 1)[0]
@@ -516,7 +514,7 @@ def test_first_register_zero_matches_collapsed_state():
         scale = rng.uniform(0.01, 0.99) / max(1e-300, math.hypot(abs(alpha), abs(beta)))
         alpha, beta = alpha * scale, beta * scale
         dense = dense_paired_preparation(alpha, beta)
-        state = dense.collapse(dense.prepare())
+        state = dense.collapse(0)
         amps = state.amplitudes.reshape(state.register_dims)
         assert abs(PairedPreparation(alpha, beta).first_register_zero()
                    - float(np.sum(np.abs(amps[0, :]) ** 2))) < 1e-12
@@ -548,7 +546,7 @@ def test_amplification_stub_alpha_only():
     for seed in range(200):
         rng = np.random.default_rng((seed, 59))
         probe = PairedPreparation(0.1, 0.0)
-        assert amplitude_amplify(probe, rng).success
+        assert amplitude_amplify(probe, rng)
         assert probe.first_register_zero() == 1.0
 
 

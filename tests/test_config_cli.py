@@ -521,6 +521,43 @@ def test_config_rejects_lists_a_kind_reads_one_value_of(tmp_path, capsys, kind, 
     assert f"one {key} value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("d = 1", "endtoend needs d >= 2, got 1"),
+    ("eps = 0.0", "endtoend needs eps > 0, got 0.0"),
+])
+def test_endtoend_input_is_checked_before_any_trial(tmp_path, monkeypatch, capsys, line,
+                                                    message):
+    # the pair probe needs d >= 2 and the distinguishers a positive bias;
+    # both are config errors that name their line, not failures mid-sweep
+    text = f"[experiment]\nkind = endtoend\n\n[grid]\n{line}\ntrials = 400\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line 5: {message}"
+    key, value = (part.strip() for part in line.split("="))
+    grid = {"eps": (0.1,), "d": (500,), "q": (8,), "n": (1,), key: (ast.literal_eval(value),)}
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig("endtoend", **grid, trials=2, seed=0, cap=10**5)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the config was checked")
+
+    monkeypatch.setattr(experiments, "_distinguisher_trial", must_not_run)
+    assert cli.main(["endtoend", "--config", _write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"error: line 5: {message}\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cli_circuit_run_checks_the_cap_before_reading_the_circuit(tmp_path, monkeypatch,
+                                                                   capsys, cap):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the circuit was read before --cap was checked")
+
+    monkeypatch.setattr(cli, "cmd_circuit_run", must_not_run)
+    missing = str(tmp_path / "nope.txt")
+    assert cli.main(["circuit-run", missing, "--cap", cap]) == 2
+    assert capsys.readouterr().err == f"error: key cap must be >= 1, got {cap}\n"
+
+
 @pytest.mark.parametrize("line", ["seed = 7", "d = 3", "q = 64", "n = 2", "trials = 5"])
 def test_cli_circuit_run_rejects_keys_it_does_not_read(tmp_path, monkeypatch, capsys, line):
     monkeypatch.chdir(tmp_path)

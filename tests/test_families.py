@@ -46,7 +46,7 @@ def test_flag_flip_swaps_first_pair():
 )
 def test_grover_family_query_budget(n, fwd, inv):
     c = grover_iterate_circuit(4, n)
-    assert c.query_count == n
+    assert c.forward_count + c.inverse_count == n
     assert c.forward_count == fwd
     assert c.inverse_count == inv
     assert c.aux_dim == 2
@@ -103,7 +103,7 @@ def test_matched_twin_same_skeleton_forward_only():
     c = grover_iterate_circuit(4, 6)
     t = matched_forward_circuit(4, 6)
     assert t.forward_only
-    assert t.query_count == c.query_count == 6
+    assert t.forward_count + t.inverse_count == c.forward_count + c.inverse_count == 6
     assert len(t.steps) == len(c.steps)
     for a, b in zip(c.steps, t.steps):
         if isinstance(a, FixedGate):

@@ -41,7 +41,7 @@ class TestStateVector:
 class TestDensityMatrix:
     def test_valid_construction(self):
         rho = DensityMatrix(np.eye(2) / 2, (2,))
-        assert rho.dim == 2
+        assert rho.entries.shape[0] == 2
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]])

@@ -50,7 +50,6 @@ def from_uniform(d, *steps):
 class TestQueryCircuit:
     def test_counts_and_flags(self):
         c = QueryCircuit(2, 1, (FORWARD, INVERSE, FORWARD))
-        assert c.query_count == 3
         assert c.forward_count == 2
         assert c.inverse_count == 1
         assert not c.forward_only

@@ -8,7 +8,8 @@ that maps frame column k onto basis states ``{|0>, ..., |k>}`` only, with the
 retained weight on ``|k>`` controlled by the bias.
 
 The frame's Gram matrix ``G[j, k] = phase_moment(eps, q, k - j)`` is the real
-symmetric circulant Toeplitz matrix of phase moments. Every quantity the
+symmetric circulant Toeplitz matrix of phase moments. Its first row, the
+powers 0..q-1, is one array call of ``phase_moment``. Every quantity the
 lemma sweep checks is read from that moment row in O(q^2) time: the retained
 weights from the Levinson-Durbin recursion, the singular values from one FFT
 (Gray, "Toeplitz and Circulant Matrices: A Review", 2006). The q x q frame
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, QuerylabError
-from .phases import moment_table, pmf_vector
+from .phases import phase_moment, pmf_vector
 
 __all__ = [
     "prediction_errors",
@@ -41,7 +42,7 @@ def _check_args(q: int, eps: float) -> tuple:
 
 def _moment_row(q: int, eps: float) -> np.ndarray:
     # r[m] = phase_moment(eps, q, m) for m = 0..q-1: the Gram matrix's first row
-    row = moment_table(eps, q, q - 1)[q - 1 :]
+    row = phase_moment(eps, q, np.arange(q))
     if row[0] != 1.0:
         raise QuerylabError("frame columns lost unit norm; moment construction is broken")
     return row

@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError(f"q values must be >= 2, got {self.q}", key="q")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}", key="trials")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", key="seed")
         check_cap(self.cap)
         _check_single_valued(self.kind, vars(self))
         if self.kind == "endtoend":
@@ -80,6 +82,13 @@ class ExperimentConfig:
                 raise ConfigError(f"endtoend needs d >= 2, got {self.d[0]}", key="d")
             if self.eps[0] == 0.0:
                 raise ConfigError(f"endtoend needs eps > 0, got {self.eps[0]}", key="eps")
+        if self.kind == "concentration":
+            # the gap rows need a positive bias, and a tail estimate 100 trials
+            if 0.0 in self.eps:
+                raise ConfigError(f"concentration needs eps > 0, got {self.eps}", key="eps")
+            if self.trials < 100:
+                raise ConfigError(f"concentration needs trials >= 100, got {self.trials}",
+                                  key="trials")
 
 
 def default_config(kind: str) -> ExperimentConfig:

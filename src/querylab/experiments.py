@@ -223,13 +223,13 @@ def advantage_profile(circuit, eps_list, q: int, cap: int) -> tuple:
     once, with at most ``cap`` keys.
     """
     state = run_purified(circuit, key_cap=cap)
-    base = average_density(state, 0.0, q).density
+    base = average_density(state, 0.0, q)
     out = []
     for eps in eps_list:
         if eps == 0.0:
             out.append(0.0)
             continue
-        out.append(float(trace_distance(base, average_density(state, eps, q).density)))
+        out.append(float(trace_distance(base, average_density(state, eps, q))))
     return state.key_count, out
 
 

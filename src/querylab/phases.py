@@ -61,18 +61,6 @@ def pmf_vector(eps: float, q: int) -> np.ndarray:
     return out
 
 
-def _dirichlet(q: int, m: int) -> float:
-    # Normalized Dirichlet kernel sum(w^{km}, k=-M..M) / (2M+1); equals 1 at
-    # m = 0 mod q by the removable singularity.
-    M = window_halfwidth(q)
-    r = m % q
-    if r == 0:
-        return 1.0
-    return float(
-        np.sin((2 * M + 1) * np.pi * r / q) / ((2 * M + 1) * np.sin(np.pi * r / q))
-    )
-
-
 def phase_mean(eps: float, q: int) -> float:
     """Mean of the phase value, E[exp(2j*pi*k/q)].
 
@@ -80,25 +68,27 @@ def phase_mean(eps: float, q: int) -> float:
     ``eps * sin((2M+1)*pi/q) / ((2M+1)*sin(pi/q))`` with ``M = q // 4``,
     which tends to ``2*eps/pi`` for large ``q``.
     """
-    eps = _check_bias(eps)
-    q = _check_order(q)
-    return eps * _dirichlet(q, 1)
+    return phase_moment(eps, q, 1)
 
 
-def phase_moment(eps: float, q: int, m: int) -> float:
-    """m-th power moment E[exp(2j*pi*k*m/q)] of the bias-``eps`` distribution.
+def phase_moment(eps: float, q: int, m: int | np.ndarray) -> float | np.ndarray:
+    """Power moments E[exp(2j*pi*k*m/q)] of the bias-``eps`` distribution.
 
-    Exactly 1 when ``m`` is a multiple of ``q``; otherwise the uniform part
-    cancels and the value is ``eps`` times a normalized Dirichlet kernel, so
-    every off-lattice moment is linear in the bias. The window is symmetric,
-    so all moments are real.
+    ``m`` is an integer (the moment is a float) or an integer array (an
+    array of moments). Exactly 1 where ``m`` is a multiple of ``q``;
+    otherwise the uniform part cancels and the value is ``eps`` times the
+    normalized Dirichlet kernel ``sin((2M+1)*pi*r/q) / ((2M+1)*sin(pi*r/q))``
+    with ``r = m mod q``, so every off-lattice moment is linear in the bias.
+    The window is symmetric, so all moments are real.
     """
     eps = _check_bias(eps)
     q = _check_order(q)
-    m = int(m)
-    if m % q == 0:
-        return 1.0
-    return eps * _dirichlet(q, m)
+    r = np.asarray(m, dtype=np.int64) % q
+    width = 2 * window_halfwidth(q) + 1
+    with np.errstate(invalid="ignore"):  # 0/0 where r = 0, replaced by 1
+        kernel = np.sin(width * np.pi * r / q) / (width * np.sin(np.pi * r / q))
+    out = np.where(r == 0, 1.0, eps * kernel)
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=64)
@@ -110,18 +100,16 @@ def moment_table(eps: float, q: int, max_power: int) -> np.ndarray:
     large index grids; this table makes each evaluation an array lookup.
     Cached per argument triple, so callers share one table.
     """
-    eps = _check_bias(eps)
-    q = _check_order(q)
     max_power = int(max_power)
     if max_power < 0:
         raise ParameterError(f"max_power must be >= 0, got {max_power!r}")
-    table = np.array([phase_moment(eps, q, m) for m in range(-max_power, max_power + 1)])
+    table = phase_moment(eps, q, np.arange(-max_power, max_power + 1))
     table.flags.writeable = False
     return table
 
 
-# Uniforms per block of the one-step sampler; a block's scratch arrays are
-# reused, so a draw allocates nothing d-length besides its result.
+# Uniforms per block of the sampler; a block's scratch arrays are reused,
+# so a draw allocates nothing d-length besides its result.
 _SAMPLE_BLOCK = 1 << 15
 
 
@@ -158,22 +146,14 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) ->
     above ``u``. The result is therefore ``searchsorted(cdf, u, "right")``
     for every ``u``, including ``u`` exactly on a CDF value.
 
-    A draw takes at most one step when every pmf entry exceeds 1/B (any bias
-    below 3/4). Then the uniforms are drawn in fixed blocks into reused
-    buffers, and each block takes the one step ``k += u >= cdf[k]``; the
-    blocks consume the generator's stream exactly as one ``rng.random(size)``
-    call would. Larger biases step over the flat or nearly flat CDF runs they
-    create, in a loop over the whole draw.
+    The uniforms are drawn in fixed blocks into reused buffers, so the blocks
+    consume the generator's stream exactly as one ``rng.random(size)`` call
+    would, and each block takes the step ``k += u >= cdf[k]``. That one step
+    suffices when every pmf entry exceeds 1/B, as at any bias below 3/4;
+    otherwise flat or nearly flat CDF runs need more, and the entries that
+    stepped keep stepping while ``u >= cdf[k]``.
     """
     cdf, guide, buckets, one_step = _guide_table(_check_bias(eps), _check_order(q))
-    if not one_step:
-        u = rng.random(size)
-        k = guide[(u * buckets).astype(np.intp)]
-        moving = np.flatnonzero(u >= cdf[k])
-        while moving.size:
-            k[moving] += 1
-            moving = moving[u[moving] >= cdf[k[moving]]]
-        return k
     k = np.empty(size, dtype=np.int64)
     n = min(size, _SAMPLE_BLOCK)
     u, x, bucket, step = np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
@@ -187,4 +167,9 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) ->
         np.take(cdf, kb, out=x[:m], mode="clip")
         np.greater_equal(u[:m], x[:m], out=step[:m])
         kb += step[:m]
+        if not one_step:
+            moving = np.flatnonzero(step[:m])
+            while moving.size:
+                moving = moving[u[moving] >= cdf[kb[moving]]]
+                kb[moving] += 1
     return k

@@ -43,7 +43,6 @@ __all__ = [
     "InverseQuery",
     "QueryCircuit",
     "PurifiedState",
-    "AveragedOutput",
     "run_purified",
     "average_density",
     "brute_force_average",
@@ -179,13 +178,6 @@ class PurifiedState:
         return self
 
 
-@dataclass(frozen=True)
-class AveragedOutput:
-    """An ensemble-averaged output density matrix."""
-
-    density: DensityMatrix
-
-
 def _lex_unique(keys: np.ndarray) -> tuple:
     # (one source row of each distinct key, in lexicographic key order; each
     # row's position among the distinct keys). np.unique sorts: a mixed-radix
@@ -297,7 +289,7 @@ def _moment_weights(expo: np.ndarray, table: np.ndarray, budget: int):
     return weights
 
 
-def average_density(p: PurifiedState, eps: float, q: int) -> AveragedOutput:
+def average_density(p: PurifiedState, eps: float, q: int) -> DensityMatrix:
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
     The weight matrix is never materialized whole: each block of `_BLOCK`
@@ -320,7 +312,7 @@ def average_density(p: PurifiedState, eps: float, q: int) -> AveragedOutput:
             part[:, cols] = vecs[rows].T @ weights(rows, cols)
         rho += part @ conj
     rho = (rho + rho.conj().T) / 2
-    return AveragedOutput(DensityMatrix(rho, (p.d, p.aux_dim)))
+    return DensityMatrix(rho, (p.d, p.aux_dim))
 
 
 def _dense_run(circuit: QueryCircuit, phases: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -335,7 +327,7 @@ def _dense_run(circuit: QueryCircuit, phases: np.ndarray, start: np.ndarray) -> 
     return v
 
 
-def brute_force_average(circuit: QueryCircuit, eps: float, q: int) -> AveragedOutput:
+def brute_force_average(circuit: QueryCircuit, eps: float, q: int) -> DensityMatrix:
     """Independent oracle: enumerate all q^d diagonal oracles and average.
 
     Every run starts at |0>. Guarded to q^d <= 10^4 enumerated oracles.
@@ -357,7 +349,7 @@ def brute_force_average(circuit: QueryCircuit, eps: float, q: int) -> AveragedOu
         out = _dense_run(circuit, roots[list(assignment)], start)
         rho += weight * np.outer(out, out.conj())
     rho = (rho + rho.conj().T) / 2
-    return AveragedOutput(DensityMatrix(rho, (circuit.d, circuit.aux_dim)))
+    return DensityMatrix(rho, (circuit.d, circuit.aux_dim))
 
 
 def _format_complex(z: complex) -> str:

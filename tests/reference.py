@@ -313,7 +313,7 @@ def biased_ft_rotate(p: PurifiedState, eps: float, q: int) -> RotatedPurificatio
                 rotated[label] = slot
             slot += coef * v
     out = RotatedPurification(p.d, p.aux_dim, float(eps), q, retained, error_mass, rotated)
-    direct = average_density(p, eps, q).density
+    direct = average_density(p, eps, q)
     if trace_distance(out.density(), direct) > 1e-9:
         raise QuerylabError("rotated purification does not reproduce the moment average")
     return out

@@ -58,8 +58,8 @@ def test_criterion_2_average_matches_brute_force():
                         pattern = pattern[:-1] + "-"
                 circuit = random_interleaved_circuit(d, 2, pattern, rng)
                 for eps in (0.0, 0.3):
-                    fast = average_density(run_purified(circuit), eps, q).density
-                    slow = brute_force_average(circuit, eps, q).density
+                    fast = average_density(run_purified(circuit), eps, q)
+                    slow = brute_force_average(circuit, eps, q)
                     worst = max(worst, float(np.abs(fast.entries - slow.entries).max()))
                     runs += 1
     elapsed = time.time() - t0

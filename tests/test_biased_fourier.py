@@ -244,20 +244,20 @@ class TestToeplitzPath:
         assert (prediction_errors(64, 0.0) == 1.0).all()
 
     def test_lost_unit_norm_raises(self, monkeypatch):
-        table = biased_fourier.moment_table
-        monkeypatch.setattr(biased_fourier, "moment_table",
-                            lambda eps, q, p: 1.01 * table(eps, q, p))
+        moment = biased_fourier.phase_moment
+        monkeypatch.setattr(biased_fourier, "phase_moment",
+                            lambda eps, q, m: 1.01 * moment(eps, q, m))
         with pytest.raises(QuerylabError):
             frame_summary(8, 0.2)
 
     def test_indefinite_gram_raises(self, monkeypatch):
         # r = (1, 0.5, 1.2, 0, ...) is not positive definite: E_2 < 0
-        def table(eps, q, max_power):
+        def moment(eps, q, m):
             row = np.zeros(q)
             row[:3] = (1.0, 0.5, 1.2)
-            return np.concatenate([row[:0:-1], row])
+            return row[m]
 
-        monkeypatch.setattr(biased_fourier, "moment_table", table)
+        monkeypatch.setattr(biased_fourier, "phase_moment", moment)
         with pytest.raises(QuerylabError):
             prediction_errors(8, 0.2)
         with pytest.raises(QuerylabError):

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -79,10 +80,13 @@ def test_config_to_text_rejects_paths_that_do_not_read_back(out):
     ("q = 1", "q values must be >= 2"),
     ("trials = 0", "trials must be >= 1"),
     ("cap = 0", "key cap must be >= 1"),
+    ("seed = -5", "seed must be >= 0"),
 ])
 def test_parse_range_errors_name_the_line(line, message):
-    section = "experiment" if line.startswith("cap") else "grid"
-    text = f"[experiment]\nkind = separation\nseed = 1\n\n[{section}]\n# a comment\n{line}\n"
+    key = line.split()[0]
+    section = "experiment" if key in ("cap", "seed") else "grid"
+    other = "cap = 10" if key == "seed" else "seed = 1"
+    text = f"[experiment]\nkind = separation\n{other}\n\n[{section}]\n# a comment\n{line}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.line == 7
@@ -105,6 +109,7 @@ def test_parse_rejects_duplicates_and_unknown_keys():
     ("n", (0,)),
     ("trials", 0),
     ("cap", 0),
+    ("seed", -5),
 ])
 def test_config_validation_rejects_bad_values(field, value):
     base = dict(kind="separation", eps=(0.1,), d=(3,), q=(8,), n=(1,),
@@ -546,6 +551,40 @@ def test_endtoend_input_is_checked_before_any_trial(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == f"error: line 5: {message}\n"
 
 
+@pytest.mark.parametrize("line,bad,message", [
+    ("eps = 0.1, 0.0", {"eps": (0.1, 0.0)}, "concentration needs eps > 0, got (0.1, 0.0)"),
+    ("trials = 99", {"trials": 99}, "concentration needs trials >= 100, got 99"),
+])
+def test_concentration_input_is_checked_before_any_unit(tmp_path, monkeypatch, capsys, line,
+                                                        bad, message):
+    # the gap rows need a positive bias and the tail rows 100 trials; both
+    # are config errors that name their line, not failures mid-sweep
+    text = f"[experiment]\nkind = concentration\n\n[grid]\n{line}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line 5: {message}"
+    fields = {"eps": (0.1,), "d": (500,), "q": (8,), "n": (1,), "trials": 100, **bad}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig("concentration", **fields, seed=0, cap=10**5)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a unit ran before the config was checked")
+
+    monkeypatch.setattr(experiments, "concentration_check", must_not_run)
+    monkeypatch.setattr(experiments, "trace_gap_check", must_not_run)
+    assert cli.main(["concentration", "--config", _write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"error: line 5: {message}\n"
+
+
+def test_cli_negative_seed_exits_before_any_unit(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a unit ran before the seed was checked")
+
+    monkeypatch.setattr(experiments, "concentration_check", must_not_run)
+    assert cli.main(["concentration", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_cli_circuit_run_checks_the_cap_before_reading_the_circuit(tmp_path, monkeypatch,
                                                                    capsys, cap):
@@ -649,6 +688,37 @@ trials = 8
     assert trials.read_bytes() == (DATA_DIR / "endtoend_guard_trials.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_lemma_bytes_match_recorded_run(tmp_path, jobs):
+    # the default verify-lemmas run, recorded from the per-power moment loop
+    # that the array moment kernel must reproduce byte for byte
+    out = tmp_path / "lemmas.csv"
+    assert cli.main(["verify-lemmas", "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "lemmas_guard.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_concentration_bytes_match_recorded_run(tmp_path, jobs):
+    # recorded from the whole-array multi-step sampler; at q = 257 the guide
+    # table has 2048 buckets, so one step per draw holds up to eps < 0.874
+    # and only the eps = 0.9 draws step over flat CDF runs
+    cfg = _write_config(tmp_path, """\
+[experiment]
+kind = concentration
+seed = 0
+
+[grid]
+eps = 0.2, 0.8, 0.9
+d = 20000
+q = 257
+trials = 100
+""")
+    out = tmp_path / "guard.csv"
+    assert cli.main(["concentration", "--config", cfg, "--jobs", str(jobs),
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "concentration_guard.csv").read_bytes()
+
+
 def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
     circuit = grover_iterate_circuit(3, 2)
     path = tmp_path / "c.txt"
@@ -659,10 +729,10 @@ def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
     rows = [parts for parts in csv.reader(body) if parts[0] == "circuit_adv"]
     assert len(rows) == 3
     state = run_purified(circuit)
-    base = average_density(state, 0.0, 8).density
+    base = average_density(state, 0.0, 8)
     for _, params, measured in rows:
         eps = ast.literal_eval(params)[1]
-        expected = trace_distance(base, average_density(state, eps, 8).density)
+        expected = trace_distance(base, average_density(state, eps, 8))
         assert math.isclose(float(measured), expected, rel_tol=0, abs_tol=1e-15)
 
 

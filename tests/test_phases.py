@@ -168,6 +168,18 @@ class TestMomentTable:
         with pytest.raises(ParameterError):
             moment_table(0.4, 8, -1)
 
+    @pytest.mark.parametrize("eps,q,span", [
+        *((eps, q, q - 1) for eps in (0.0, 0.1, 0.25, 0.45) for q in (8, 64, 257, 1024)),
+        *((eps, q, span) for eps in (0.02, 0.05, 0.1, 0.2) for q in (8, 16)
+          for span in (1, 6, 12, 20)),
+    ])
+    def test_table_is_the_scalar_loop_bit_for_bit(self, eps, q, span):
+        # the lemma grid's rows (powers 0..q-1) and the separation spans: one
+        # array call gives the same floats as one scalar call per power
+        loop = np.array([phase_moment(eps, q, m) for m in range(-span, span + 1)])
+        assert np.array_equal(moment_table(eps, q, span), loop)
+        assert np.array_equal(phase_moment(eps, q, np.arange(span + 1)), loop[span:])
+
     def test_uniform_is_lattice_indicator(self):
         t = moment_table(0.0, 5, 12)
         for m in range(-12, 13):
@@ -229,11 +241,13 @@ class TestSampling:
 
     @pytest.mark.parametrize("size", [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
                                       320_000])
-    @pytest.mark.parametrize("eps,q", [(0.0, 8), (0.05, 257), (0.45, 1024)])
+    @pytest.mark.parametrize("eps,q", [(0.0, 8), (0.05, 257), (0.45, 1024), (0.9, 8),
+                                       (1.0, 257)])
     def test_blocked_draw_matches_one_call(self, size, eps, q):
-        # the one-step sampler draws its uniforms block by block; the result
-        # and the generator state after it equal one rng.random(size) call
-        assert _guide_table(eps, q)[3]
+        # the sampler draws its uniforms block by block, stepping more than
+        # once per draw only above bias 3/4; the result and the generator
+        # state after it equal one rng.random(size) call
+        assert _guide_table(eps, q)[3] == (eps < 0.75)
         cdf = np.cumsum(pmf_vector(eps, q))
         cdf[-1] = 1.0
         rng, ref = np.random.default_rng(size), np.random.default_rng(size)

@@ -178,7 +178,7 @@ class TestAverageDensity:
         c = QueryCircuit(2, 2, (FixedGate(g),))
         p = run_purified(c)
         for eps in (0.0, 0.4):
-            rho = average_density(p, eps, q=8).density
+            rho = average_density(p, eps, q=8)
             expect = np.outer(g[:, 0], g[:, 0].conj())
             assert np.abs(rho.entries - expect).max() < 1e-12
 
@@ -186,7 +186,7 @@ class TestAverageDensity:
         rng = np.random.default_rng(3)
         c = random_circuit(2, 2, "++", rng)
         p = run_purified(c)
-        rho = average_density(p, 0.0, q=8).density
+        rho = average_density(p, 0.0, q=8)
         mix = sum(np.outer(v, v.conj()) for v in p.vectors)
         assert np.abs(rho.entries - mix).max() < 1e-12
 
@@ -195,10 +195,10 @@ class TestAverageDensity:
         c = random_circuit(2, 2, "++", rng)
         p = run_purified(c)
         assert p.key_count > 2  # block=2 reduces more than one row block
-        want = brute_force_average(c, 0.3, q=3).density
+        want = brute_force_average(c, 0.3, q=3)
         for block in (512, 2):
             monkeypatch.setattr(query_sim, "_BLOCK", block)
-            got = average_density(p, 0.3, q=3).density
+            got = average_density(p, 0.3, q=3)
             assert np.abs(got.entries - want.entries).max() < 1e-10
 
 
@@ -248,7 +248,7 @@ class TestWeightPath:
         for p, q, keys, block in cases:
             assert p.key_count == keys
             monkeypatch.setattr(query_sim, "_BLOCK", block)
-            got = average_density(p, eps, q).density.entries
+            got = average_density(p, eps, q).entries
             assert np.array_equal(got, reference_average(p, eps, q, block=block))
 
     def test_traced_peak_of_one_average(self):
@@ -300,11 +300,11 @@ class TestFirstOrderCancellation:
         v = p.vectors
         terms = [v.T @ np.where(h == k, unit, 0.0) @ v.conj() for k in range(p.d + 1)]
         assert np.abs(terms[1]).max() == 0.0
-        base = average_density(p, 0.0, q).density.entries
+        base = average_density(p, 0.0, q).entries
         assert np.abs(terms[0] - base).max() < 1e-12
         for eps in (0.05, 0.3):
             series = sum(eps**k * r for k, r in enumerate(terms))
-            assert np.abs(series - average_density(p, eps, q).density.entries).max() < 1e-12
+            assert np.abs(series - average_density(p, eps, q).entries).max() < 1e-12
 
 
 class TestBruteForce:
@@ -312,7 +312,7 @@ class TestBruteForce:
         # d=1, q=2: the oracle is a global sign, so the averaged output stays pure
         h = dft_matrix(2)
         c = QueryCircuit(1, 2, (FixedGate(h), FORWARD, FixedGate(h)))
-        rho = brute_force_average(c, 0.0, q=2).density
+        rho = brute_force_average(c, 0.0, q=2)
         plus = h @ np.array([1, 0], dtype=complex)
         branch_avg = 0.5 * sum(
             np.outer(h @ (s * plus), (h @ (s * plus)).conj()) for s in (1.0, -1.0)
@@ -321,7 +321,7 @@ class TestBruteForce:
 
     def test_identity_circuit_projector(self):
         c = QueryCircuit(2, 1, ())
-        rho = brute_force_average(c, 0.5, q=4).density
+        rho = brute_force_average(c, 0.5, q=4)
         expect = np.zeros((2, 2))
         expect[0, 0] = 1.0
         assert np.abs(rho.entries - expect).max() < 1e-12
@@ -343,8 +343,8 @@ class TestBruteForce:
             pattern = "".join(rng.choice(["+", "-"], size=n))
             eps = float(rng.uniform(0, 0.6))
             c = random_circuit(d, aux, pattern, rng)
-            got = average_density(run_purified(c), eps, q).density
-            want = brute_force_average(c, eps, q).density
+            got = average_density(run_purified(c), eps, q)
+            want = brute_force_average(c, eps, q)
             assert np.abs(got.entries - want.entries).max() < 1e-10
             count += 1
 
@@ -404,7 +404,7 @@ class TestBiasedRotation:
         c = random_circuit(2, 2, "++", rng)
         p = run_purified(c)
         rot = biased_ft_rotate(p, 0.3, q=8)
-        direct = average_density(p, 0.3, q=8).density
+        direct = average_density(p, 0.3, q=8)
         assert trace_distance(rot.density(), direct) < 1e-9
 
 
@@ -417,7 +417,7 @@ class TestPurificationBasisInvariance:
         w, u = np.linalg.eigh(gram)
         labels = u * np.sqrt(np.clip(w, 0, None))  # rows are label vectors
         vecs = np.stack([components(p)[k] for k in map(tuple, keys.tolist())])
-        rho_direct = average_density(p, 0.3, q=5).density.entries
+        rho_direct = average_density(p, 0.3, q=5).entries
 
         def embed(lab):
             psi = vecs.T @ lab  # dim x K full purification

@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}", key="seed")
         check_cap(self.cap)
         _check_single_valued(self.kind, vars(self))
+        if self.kind == "separation" and max(self.n) > self.q[0]:
+            raise ConfigError(f"query count {max(self.n)} exceeds phase order {self.q[0]}; "
+                              "need n <= q", key="n")
         if self.kind == "endtoend":
             # the pair probe needs two query indices; the distinguishers a positive bias
             if self.d[0] < 2:
@@ -89,6 +92,9 @@ class ExperimentConfig:
             if self.trials < 100:
                 raise ConfigError(f"concentration needs trials >= 100, got {self.trials}",
                                   key="trials")
+            if len(self.d) not in (1, len(self.eps)):
+                raise ConfigError(f"d grid length {len(self.d)} matches neither eps grid "
+                                  f"length {len(self.eps)} nor 1", key="d")
 
 
 def default_config(kind: str) -> ExperimentConfig:

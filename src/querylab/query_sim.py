@@ -16,9 +16,9 @@ The decomposition is held as two aligned arrays, histogram keys (K x d) and
 component vectors (K x d*aux): a gate is one matrix product, and a query
 shifts the live keys and merges duplicates through a mixed-radix key code,
 which also leaves the keys in lexicographic order.
-Every key sums to forward - inverse, so the weight M(e - e') is read from a
-table indexed by the difference of two keys' codes over a prefix of the
-coordinates, with each product formed in coordinate order.
+Every key sums to forward - inverse, so M(e - e') is read from a table
+indexed by the difference of two keys' prefix codes, each product formed in
+coordinate order; the codes serve every bias of one call.
 
 ``brute_force_average`` checks that average independently by enumerating
 every oracle of a small ensemble. Circuits are read from and written to a
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError, ParameterError, QuerylabError, ResourceLimitError
 from .linalg import DensityMatrix, StateVector, checked_unitary
@@ -235,84 +236,95 @@ _BLOCK = 512
 _TILE = 256
 
 
-def _table(p: PurifiedState, eps: float, q: int) -> np.ndarray:
-    # the moment table covering every coordinate difference between two keys
-    if not p.key_count:
-        raise QuerylabError("empty purified state")
-    return moment_table(float(eps), int(q), int(p.keys.max() - p.keys.min()))
+def _moment_weights(expo: np.ndarray, span: int, budget: int, tile: int):
+    """weights_for(table) -> weights(rows, cols) -> M(e_r - e_c) for slices of the keys.
 
-
-def _moment_weights(expo: np.ndarray, table: np.ndarray, budget: int):
-    """weights(rows, cols) -> M(e_r - e_c) for two slices of the key rows.
-
-    Each coordinate's moment is multiplied in index order, ((1*t[m_0])*t[m_1])...,
-    as a per-coordinate loop would. A prefix of the coordinates is
-    difference-coded: each key gets a mixed-radix code over the prefix, and
-    the difference of two codes indexes a table of the prefix's moment
-    products, built in the same order. The prefix is the longest one whose
-    table holds at most ``budget`` entries. Every key sums to the same net
-    count, so d - 1 coordinates fix the last; a full prefix folds that
-    implied factor into the table. The remaining coordinates are multiplied
-    in one by one.
+    ``table`` holds one bias's moments of the powers -span..span; each
+    coordinate's moment is multiplied in index order, ((1*t[m_0])*t[m_1])...,
+    as a per-coordinate loop would. The longest prefix of the coordinates whose
+    table fits in ``budget`` entries is difference-coded: the difference of two
+    keys' mixed-radix codes indexes a per-bias table of the prefix's moment
+    products. Every key sums to the same net count, so a full prefix of d - 1
+    coordinates also folds in the implied last factor; other coordinates are
+    multiplied in one by one. The codes and buffers (the prefix table, tiles of
+    at most ``tile`` weights) serve every bias: a weights function holds until
+    the next weights_for call, a tile until the next weights call.
     """
     d = expo.shape[1]
-    span = len(table) // 2
     spans = (expo.max(axis=0) - expo.min(axis=0)).tolist()
     prefix, size = 0, 1
     while prefix < d - 1 and size * (2 * spans[prefix] + 1) <= budget:
         size *= 2 * spans[prefix] + 1
         prefix += 1
-    prod = np.ones(1)
-    digit_sum = np.zeros(1, dtype=np.int64)
-    strides = np.zeros(prefix, dtype=np.int64)
-    for i in range(prefix):
-        m = np.arange(-spans[i], spans[i] + 1)
-        strides[:i] *= len(m)
-        strides[i] = 1
-        prod = (prod[:, None] * table[m + span][None, :]).reshape(-1)
-        digit_sum = (digit_sum[:, None] + m[None, :]).reshape(-1)
-    done = prefix
-    if prefix == d - 1:
-        # digit combinations that no key pair realizes may imply a last
-        # difference outside the table; their entries are never read
-        prod *= table[np.clip(-digit_sum, -span, span) + span]
-        done = d
+    digits = [np.arange(-spans[i], spans[i] + 1) for i in range(prefix)]
+    radices = [len(m) for m in digits]
+    strides = np.array([math.prod(radices[i + 1:]) for i in range(prefix)], dtype=np.int64)
     codes = expo[:, :prefix] @ strides
     row_codes = codes + int(np.dot(spans[:prefix], strides))
+    # prefix digit indices summing to k imply the last difference total - k, at
+    # table[fold[k]] (exactly 1 at d = 1); sums no key pair realizes go unread
+    total = sum(spans[:prefix])
+    fold = np.clip(np.arange(total, -total - 1, -1), -span, span) + span
+    done = d if prefix == d - 1 else prefix
+    prod_buf, index, gathered = np.empty(size), np.empty(tile, dtype=np.int64), np.empty(tile)
 
-    def weights(rows: slice, cols: slice) -> np.ndarray:
-        w = prod[row_codes[rows, None] - codes[None, cols]]
-        for i in range(done, d):
-            w *= table[(expo[rows, i, None] - expo[None, cols, i]) + span]
-        return w
+    def weights_for(table: np.ndarray):
+        prod = np.ones(1)
+        for m in digits:
+            step = prod_buf[:prod.size * m.size].reshape(prod.size, m.size)
+            prod = np.outer(prod, table[m + span], out=step).reshape(-1)
+        if done > prefix > 0:  # fold[k] is read with a unit step per digit index
+            lane, by_digit = table[fold], prod.reshape(radices)
+            by_digit *= as_strided(lane, radices, lane.strides * prefix, writeable=False)
 
-    return weights
+        def weights(rows: slice, cols: slice) -> np.ndarray:
+            r, c = row_codes[rows], codes[cols]
+            idx = np.subtract.outer(r, c, out=index[:r.size * c.size].reshape(r.size, c.size))
+            # codes of two keys differ by a valid index, so "clip" skips only the bounds check
+            w = prod.take(idx, out=gathered[:idx.size].reshape(idx.shape), mode="clip")
+            for i in range(done, d):
+                w *= table[(expo[rows, i, None] - expo[None, cols, i]) + span]
+            return w
+
+        return weights
+
+    return weights_for
 
 
-def average_density(p: PurifiedState, eps: float, q: int) -> DensityMatrix:
+def average_density(p: PurifiedState, eps, q: int):
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
-    The weight matrix is never materialized whole: each block of `_BLOCK`
-    rows gathers its weights from a difference-coded moment table (see
-    `_moment_weights`) in tiles of `_TILE` columns, so one block costs a
-    few table lookups per key pair and two small matmuls. Column tiles keep
-    every element's reduction order; the row blocks fix it.
+    ``eps`` is one bias (returns a DensityMatrix) or a sequence of biases
+    (returns a list, one per bias). Every bias shares one difference code and
+    one set of buffers (see `_moment_weights`); each builds only its own
+    prefix table. Each block of `_BLOCK` rows gathers its weights in tiles of
+    `_TILE` columns and costs two small matmuls. Column tiles keep every
+    element's reduction order and the row blocks fix it, so a density has the
+    same bits whether its bias comes alone or in a sequence.
     """
     expo, vecs = p.keys, p.vectors
+    if not p.key_count:
+        raise QuerylabError("empty purified state")
     nkeys = len(expo)
-    weights = _moment_weights(expo, _table(p, eps, q), min(_BLOCK, nkeys) * nkeys)
+    span = int(expo.max() - expo.min())
+    block = min(_BLOCK, nkeys)
+    weights_for = _moment_weights(expo, span, block * nkeys, block * min(_TILE, nkeys))
     conj = vecs.conj()
     dim = vecs.shape[1]
     part = np.empty((dim, nkeys), dtype=complex)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for a in range(0, nkeys, _BLOCK):
-        rows = slice(a, min(a + _BLOCK, nkeys))
-        for c in range(0, nkeys, _TILE):
-            cols = slice(c, min(c + _TILE, nkeys))
-            part[:, cols] = vecs[rows].T @ weights(rows, cols)
-        rho += part @ conj
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, (p.d, p.aux_dim))
+    out = []
+    for bias in np.atleast_1d(eps):
+        weights = weights_for(moment_table(float(bias), int(q), span))
+        rho = np.zeros((dim, dim), dtype=complex)
+        for a in range(0, nkeys, _BLOCK):
+            rows = slice(a, min(a + _BLOCK, nkeys))
+            for c in range(0, nkeys, _TILE):
+                cols = slice(c, min(c + _TILE, nkeys))
+                part[:, cols] = vecs[rows].T @ weights(rows, cols)
+            rho += part @ conj
+        rho = (rho + rho.conj().T) / 2
+        out.append(DensityMatrix(rho, (p.d, p.aux_dim)))
+    return out if np.ndim(eps) else out[0]
 
 
 def _dense_run(circuit: QueryCircuit, phases: np.ndarray, start: np.ndarray) -> np.ndarray:

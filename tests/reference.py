@@ -43,7 +43,7 @@ from querylab.linalg import (
     dft_matrix,
     trace_distance,
 )
-from querylab.phases import _check_bias, _check_order, pmf_vector
+from querylab.phases import _check_bias, _check_order, moment_table, pmf_vector
 from querylab.query_sim import PurifiedState, average_density
 
 # ---------------------------------------------------------------- phases
@@ -252,8 +252,9 @@ def dense_probe_matrix(oracle: DiagonalOracle, variant: str) -> np.ndarray:
 def moment_gram(p: PurifiedState, eps: float, q: int) -> tuple:
     """(the K x d keys, K x K moment matrix) of a purified state of few keys."""
     everything = slice(None)
-    weights = query_sim._moment_weights(p.keys, query_sim._table(p, eps, q), p.key_count ** 2)
-    return p.keys, weights(everything, everything)
+    span = int(p.keys.max() - p.keys.min())
+    weights_for = query_sim._moment_weights(p.keys, span, p.key_count ** 2, p.key_count ** 2)
+    return p.keys, weights_for(moment_table(float(eps), int(q), span))(everything, everything)
 
 
 @dataclass(frozen=True)

@@ -202,10 +202,10 @@ def test_purification_scaling_rows_hit_closed_forms():
 
 
 def test_separation_requires_n_at_most_q():
-    cfg = ExperimentConfig("separation", eps=(0.1,), d=(2,), q=(4,), n=(5,),
-                           trials=2, seed=0, cap=10**5)
-    with pytest.raises(ParameterError):
-        experiments.separation_rows(cfg)
+    with pytest.raises(ConfigError, match="need n <= q") as err:
+        ExperimentConfig("separation", eps=(0.1,), d=(2,), q=(4,), n=(5,),
+                         trials=2, seed=0, cap=10**5)
+    assert err.value.key == "n"
 
 
 def test_separation_rows_structure_and_bounds():
@@ -292,10 +292,10 @@ def test_concentration_rows_broadcast_and_mismatch():
                            trials=150, seed=5, cap=10**5)
     rows = experiments.concentration_rows(cfg, jobs=2)
     assert {r.params[1] for r in rows} == {0.2, 0.3}
-    bad = ExperimentConfig("concentration", eps=(0.1, 0.2, 0.3), d=(10, 20), q=(8,),
-                           n=(1,), trials=150, seed=5, cap=10**5)
-    with pytest.raises(ParameterError):
-        experiments.concentration_rows(bad)
+    with pytest.raises(ConfigError, match="d grid length 2") as err:
+        ExperimentConfig("concentration", eps=(0.1, 0.2, 0.3), d=(10, 20), q=(8,),
+                         n=(1,), trials=150, seed=5, cap=10**5)
+    assert err.value.key == "d"
 
 
 def test_row_seeds_reproduce_tail_fraction():
@@ -576,6 +576,29 @@ def test_concentration_input_is_checked_before_any_unit(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == f"error: line 5: {message}\n"
 
 
+@pytest.mark.parametrize("kind,grid,unit,message", [
+    ("separation", "q = 4\nn = 2, 6", "advantage_profile",
+     "query count 6 exceeds phase order 4; need n <= q"),
+    ("concentration", "eps = 0.1, 0.2, 0.3\nd = 1000, 2000", "concentration_check",
+     "d grid length 2 matches neither eps grid length 3 nor 1"),
+])
+def test_grid_lengths_are_checked_before_any_unit(tmp_path, monkeypatch, capsys, kind, grid,
+                                                  unit, message):
+    # a grid the sweep cannot pair up is a config error that names its line
+    # (line 6, the second grid line), not a failure when the sweep starts
+    text = f"[experiment]\nkind = {kind}\n\n[grid]\n{grid}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line 6: {message}"
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a unit ran before the config was checked")
+
+    monkeypatch.setattr(experiments, unit, must_not_run)
+    assert cli.main([kind, "--config", _write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"error: line 6: {message}\n"
+
+
 def test_cli_negative_seed_exits_before_any_unit(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a unit ran before the seed was checked")
@@ -695,6 +718,36 @@ def test_cli_lemma_bytes_match_recorded_run(tmp_path, jobs):
     out = tmp_path / "lemmas.csv"
     assert cli.main(["verify-lemmas", "--jobs", str(jobs), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "lemmas_guard.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_separation_bytes_match_recorded_run(tmp_path, jobs):
+    # the default separation run: at d = 4, n = 2 (10 keys) the difference
+    # code's prefix stops at 2 of the 4 coordinates
+    out = tmp_path / "separation.csv"
+    assert cli.main(["separation", "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "separation_guard.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_separation_deep_bytes_match_recorded_run(tmp_path, jobs):
+    # d = 5, n = 10: 1,001 keys, so two row blocks and a full, folded
+    # difference-code prefix, plus the d = 4, n = 8 inverse block
+    cfg = _write_config(tmp_path, """\
+[experiment]
+kind = separation
+seed = 0
+
+[grid]
+d = 5
+q = 16
+n = 10
+trials = 2
+""")
+    out = tmp_path / "guard.csv"
+    assert cli.main(["separation", "--config", cfg, "--jobs", str(jobs),
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "separation_deep_guard.csv").read_bytes()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -231,6 +231,10 @@ def deep_forward_state():
     return run_purified(random_interleaved_circuit(5, 2, "+" * 10, rng))
 
 
+# Biases of the sequence form of `average_density`.
+BIASES = [0.0, 0.05, 0.2]
+
+
 class TestWeightPath:
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
     def test_bit_identical_to_coordinate_loop(self, eps, monkeypatch):
@@ -250,6 +254,16 @@ class TestWeightPath:
             monkeypatch.setattr(query_sim, "_BLOCK", block)
             got = average_density(p, eps, q).entries
             assert np.array_equal(got, reference_average(p, eps, q, block=block))
+            # the sequence form: every bias shares one difference code
+            for bias, rho in zip(BIASES, average_density(p, BIASES, q)):
+                assert np.array_equal(rho.entries, reference_average(p, bias, q, block=block))
+
+    def test_float_and_one_element_list_give_equal_bits(self):
+        p = deep_forward_state()
+        one = average_density(p, 0.05, 16)
+        listed = average_density(p, [0.05], 16)
+        assert isinstance(listed, list) and len(listed) == 1
+        assert np.array_equal(one.entries, listed[0].entries)
 
     def test_traced_peak_of_one_average(self):
         p = deep_forward_state()
@@ -257,6 +271,20 @@ class TestWeightPath:
         tracemalloc.start()
         try:
             average_density(p, 0.1, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_traced_peak_of_five_biases(self):
+        # one prefix table alive at a time: five biases cost no more than one
+        p = deep_forward_state()
+        biases = [0.0, 0.02, 0.05, 0.1, 0.2]
+        for bias in biases:
+            moment_table(bias, 16, 10)
+        tracemalloc.start()
+        try:
+            average_density(p, biases, 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

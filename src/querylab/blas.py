@@ -1,11 +1,11 @@
 """Run a block of code with the loaded OpenBLAS at one thread.
 
-The sweeps parallelize over grid cells. OpenBLAS threads on top of the cell
-workers oversubscribe the cores, and the BLAS thread count also changes how
-OpenBLAS splits its products, and with it the last bits of their results.
-Pinning OpenBLAS to one thread while a sweep runs leaves the cell pool as the
-only parallel layer and makes the output independent of the BLAS thread
-count (``OPENBLAS_NUM_THREADS`` or the library's default).
+The commands parallelize over units of work. OpenBLAS threads on top of the
+cell workers oversubscribe the cores, and the BLAS thread count also changes
+how OpenBLAS splits its products, and with it the last bits of their results.
+``experiments._map_cells`` runs its cells inside the pin, which leaves the
+cell pool as the only parallel layer and makes the output independent of the
+BLAS thread count (``OPENBLAS_NUM_THREADS`` or the library's default).
 
 The library is looked up among the shared objects already mapped into the
 process (numpy loads it on import) and driven through ``ctypes``; no
@@ -70,8 +70,7 @@ def _controls():
 def one_blas_thread():
     """Run the body with OpenBLAS at one thread; the previous count is restored on exit.
 
-    The count is restored also when the body raises. Usable as a decorator
-    (``@one_blas_thread()``); a nested use saves and restores 1.
+    The count is restored also when the body raises.
     """
     controls = _controls()
     if controls is None:

@@ -18,6 +18,7 @@ from . import __version__
 from .config import KINDS, ExperimentConfig, check_cap, config_to_text, default_config, load_config
 from .errors import ConfigError, QuerylabError
 from .experiments import (
+    _map_cells,
     advantage_profile,
     concentration_rows,
     endtoend_rows,
@@ -33,9 +34,6 @@ __all__ = [
     "cmd_circuit_run",
 ]
 
-ENV_OUT = "QUERYLAB_OUT"
-ENV_JOBS = "QUERYLAB_JOBS"
-
 ROW_COLUMNS = ("kind", "params", "measured", "bound", "passed", "seed")
 TRIAL_COLUMNS = ("method", "trial", "truth", "label", "estimate", "forward", "inverse", "seed")
 
@@ -47,48 +45,44 @@ _CIRCUIT_RUN_EPS = (0.05, 0.1, 0.2)
 _CIRCUIT_RUN_UNREAD = ("seed", "d", "q", "n", "trials")
 
 
-def _comment_block(lines) -> str:
-    return "".join(f"# {ln}\n" if ln else "#\n" for ln in lines)
-
-
 def _config_comments(cfg: ExperimentConfig) -> list:
     echo = replace(cfg, out=None)
     return [f"querylab {__version__}"] + config_to_text(echo).rstrip("\n").split("\n")
 
 
+def _to_csv(comment_lines, columns, records) -> str:
+    """A '#'-prefixed comment block, the column row, then one line per record."""
+    buf = io.StringIO()
+    buf.write("".join(f"# {ln}\n" if ln else "#\n" for ln in comment_lines))
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(records)
+    return buf.getvalue()
+
+
 def rows_to_csv(rows, comment_lines) -> str:
     """Serialize result rows under a '#'-prefixed comment header."""
-    buf = io.StringIO()
-    buf.write(_comment_block(comment_lines))
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(ROW_COLUMNS)
-    for r in rows:
-        bound = "" if r.bound is None else repr(float(r.bound))
-        w.writerow([r.kind, repr(r.params), repr(float(r.measured)), bound,
-                    int(r.passed), r.seed])
-    return buf.getvalue()
+    return _to_csv(comment_lines, ROW_COLUMNS, (
+        [r.kind, repr(r.params), repr(float(r.measured)),
+         "" if r.bound is None else repr(float(r.bound)), int(r.passed), r.seed]
+        for r in rows))
 
 
 def trials_to_csv(records, comment_lines) -> str:
     """Serialize per-trial distinguisher records."""
-    buf = io.StringIO()
-    buf.write(_comment_block(comment_lines))
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRIAL_COLUMNS)
-    for rec in records:
-        w.writerow(rec)
-    return buf.getvalue()
+    return _to_csv(comment_lines, TRIAL_COLUMNS, records)
 
 
 def cmd_circuit_run(path: str, eps_list=_CIRCUIT_RUN_EPS, cap: int = DEFAULT_KEY_CAP):
     """Run one circuit file exactly and report its bias-advantage profile.
 
     Returns plain tuples (kind, params, measured) since nothing here is
-    random or bounded.
+    random or bounded. The circuit is one unit of work of the cell pool, so
+    it runs at one OpenBLAS thread like every sweep unit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         circuit, q = circuit_from_text(fh.read())
-    keys, advantages = advantage_profile(circuit, eps_list, q, cap)
+    [(keys, advantages)] = _map_cells(advantage_profile, [(circuit, eps_list, q, cap)], 1)
     rows = [
         ("circuit_dims", (circuit.d, circuit.aux_dim, q), float(len(circuit.steps))),
         ("circuit_forward_queries", (q,), float(circuit.forward_count)),
@@ -99,29 +93,14 @@ def cmd_circuit_run(path: str, eps_list=_CIRCUIT_RUN_EPS, cap: int = DEFAULT_KEY
     return rows
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, cap: bool) -> None:
     p.add_argument("--config", help="key=value config file; defaults are per-command")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--cap", type=int, help="histogram key cap override")
+    if cap:  # only separation and circuit-run read the histogram key cap
+        p.add_argument("--cap", type=int, help="histogram key cap override")
 
 
-def _resolve_jobs(flag_value) -> int:
-    if flag_value is not None:
-        jobs = flag_value
-    elif ENV_JOBS in os.environ:
-        raw = os.environ[ENV_JOBS]
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"{ENV_JOBS} must be an integer, got {raw!r}")
-    else:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ConfigError(f"worker count must be >= 1, got {jobs}")
-    return jobs
-
-
-def _resolve_out(flag_value, cfg_out, default_name: str):
+def _resolve_out(flag_value, cfg_out):
     """The output path, or None for stdout.
 
     Called before any work starts, so a path in a missing directory is an
@@ -129,11 +108,7 @@ def _resolve_out(flag_value, cfg_out, default_name: str):
     """
     out = flag_value if flag_value is not None else cfg_out
     if out is None:
-        env_dir = os.environ.get(ENV_OUT)
-        if not env_dir:
-            return None
-        os.makedirs(env_dir, exist_ok=True)
-        out = os.path.join(env_dir, default_name)
+        return None
     directory = os.path.dirname(out) or os.curdir
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory!r} does not exist")
@@ -155,10 +130,12 @@ def _run_experiment(args) -> int:
         raise ConfigError(f"config is for kind {cfg.kind!r} but the command is {kind!r}")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.cap is not None:
+    if getattr(args, "cap", None) is not None:
         cfg = replace(cfg, cap=args.cap)
-    jobs = _resolve_jobs(args.jobs)
-    out_path = _resolve_out(args.out, cfg.out, f"{kind}.csv")
+    jobs = args.jobs
+    if jobs < 1:
+        raise ConfigError(f"worker count must be >= 1, got {jobs}")
+    out_path = _resolve_out(args.out, cfg.out)
 
     runners = {
         "verify-lemmas": lambda: (lemma_rows(cfg.q, cfg.eps, cfg.seed, jobs), None),
@@ -188,16 +165,11 @@ def _run_circuit(args) -> int:
     if args.cap is not None:
         cap = args.cap
     check_cap(cap)
-    out_path = _resolve_out(args.out, cfg_out, "circuit-run.csv")
+    out_path = _resolve_out(args.out, cfg_out)
     rows = cmd_circuit_run(args.file, eps_list, cap)
-
-    buf = io.StringIO()
-    buf.write(_comment_block([f"querylab {__version__}", f"circuit = {args.file}"]))
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("kind", "params", "measured"))
-    for kind, params, measured in rows:
-        w.writerow([kind, repr(params), repr(measured)])
-    _emit(buf.getvalue(), out_path)
+    comments = [f"querylab {__version__}", f"circuit = {args.file}"]
+    records = ([kind, repr(params), repr(measured)] for kind, params, measured in rows)
+    _emit(_to_csv(comments, ("kind", "params", "measured"), records), out_path)
     return 0
 
 
@@ -215,12 +187,13 @@ def main(argv=None) -> int:
     }
     for kind in KINDS:
         sweep = sub.add_parser(kind, help=helps[kind])
-        _add_common_flags(sweep)
+        _add_common_flags(sweep, cap=kind == "separation")
         sweep.add_argument("--seed", type=int, help="master seed override")
-        sweep.add_argument("--jobs", type=int, help="worker threads (default: all cores)")
+        sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                           help="worker threads (default: all cores)")
     circ = sub.add_parser("circuit-run", help="run one circuit file and report advantages")
     circ.add_argument("file", help="circuit in the text line format")
-    _add_common_flags(circ)
+    _add_common_flags(circ, cap=True)
 
     args = parser.parse_args(argv)
     try:

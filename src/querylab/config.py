@@ -205,8 +205,10 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
     try:
         return ExperimentConfig(kind, **grid, **fields)
     except ConfigError as exc:
-        if exc.line is None and exc.key in key_lines:
-            raise ConfigError(str(exc), line=key_lines[exc.key], key=exc.key) from None
+        # a default n is valid alone and can fail only against the file's q
+        line = key_lines.get(exc.key, key_lines.get("q") if exc.key == "n" else None)
+        if exc.line is None and line is not None:
+            raise ConfigError(str(exc), line=line, key=exc.key) from None
         raise
 
 

@@ -3,9 +3,10 @@
 Every sweep derives one child seed per grid cell from the master seed and the
 cell's position, so rows are reproducible in isolation and the assembled
 output is byte-identical for a fixed config regardless of the worker count.
-The cell pool is the only parallel layer: each sweep runs with OpenBLAS
-pinned to one thread, which also keeps the bytes independent of the BLAS
-thread count.
+``_map_cells`` runs every unit of work of every command, ``circuit-run``'s
+one circuit included, and is the only parallel layer: it pins OpenBLAS to
+one thread while its cells run, which also keeps the bytes independent of
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -103,18 +104,22 @@ def cell_seed(master: int, index: int) -> int:
 
 
 def _map_cells(fn, args_list, jobs: int):
-    """Evaluate cells, possibly in a pool; results keep submission order."""
-    if jobs <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
+    """Evaluate cells at one OpenBLAS thread, possibly in a pool; results keep submission order.
+
+    The pin spans the pool's whole life, its shutdown included, so no cell
+    runs after the previous thread count is restored.
+    """
+    with one_blas_thread():
+        if jobs <= 1 or len(args_list) <= 1:
+            return [fn(*args) for args in args_list]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(fn, *args) for args in args_list]
+            return [f.result() for f in futures]
 
 
 # --------------------------------------------------------------- lemma suite
 
 
-@one_blas_thread()
 def lemma_rows(q_grid, eps_grid, master_seed: int = 0, jobs: int = 1) -> list:
     """Spectral-window, basis-quality, overlap, and mean-window checks.
 
@@ -235,7 +240,6 @@ _INVERSE_D = 4
 _INVERSE_N = 8
 
 
-@one_blas_thread()
 def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Forward-ceiling cells plus the inverse-family block.
 
@@ -340,7 +344,6 @@ def _distinguisher_trial(method: str, eps: float, d: int, q: int, seed: int):
     return truth, out
 
 
-@one_blas_thread()
 def endtoend_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
     """Success rates with Wilson intervals, query accounting, budget ratios.
 
@@ -409,7 +412,6 @@ def endtoend_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple:
 _TAIL_MULTIPLIERS = (0.3, 0.5)
 
 
-@one_blas_thread()
 def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Hoeffding-tail rows and the two calibrated trace-gap rows.
 

@@ -17,6 +17,7 @@ import pytest
 
 import querylab
 from querylab import blas, cli, experiments
+from querylab.blas import one_blas_thread
 from querylab.config import (
     KINDS,
     ExperimentConfig,
@@ -351,25 +352,25 @@ def test_cli_csv_is_byte_identical_across_jobs(tmp_path, capsys):
     assert not any("jobs" in ln for ln in header if ln.startswith("#"))
 
 
+def _run_at_blas_threads(tmp_path, name, command, threads: int) -> bytes:
+    # the CSV bytes of one querylab process started with OPENBLAS_NUM_THREADS set
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    out = tmp_path / f"{name}_t{threads}.csv"
+    proc = subprocess.run([sys.executable, "-m", "querylab", *command, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
 def _csv_bytes_over_jobs_and_blas_threads(tmp_path, name, command) -> set:
     # the distinct CSV outputs of one command at --jobs {1, 2} x
     # OPENBLAS_NUM_THREADS {1, 2}
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("QUERYLAB_JOBS", "QUERYLAB_OUT", "OMP_NUM_THREADS")}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
-    outs = set()
-    for jobs in (1, 2):
-        for threads in (1, 2):
-            out = tmp_path / f"{name}_j{jobs}_t{threads}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "querylab", *command,
-                 "--jobs", str(jobs), "--out", str(out)],
-                env={**base, "OPENBLAS_NUM_THREADS": str(threads)},
-                capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            outs.add(out.read_bytes())
-    return outs
+    return {_run_at_blas_threads(tmp_path, f"{name}_j{jobs}", [*command, "--jobs", str(jobs)],
+                                 threads)
+            for jobs in (1, 2) for threads in (1, 2)}
 
 
 def test_separation_csv_independent_of_jobs_and_blas_threads(tmp_path):
@@ -393,20 +394,47 @@ def test_lemma_csv_independent_of_jobs_and_blas_threads(tmp_path):
     assert len(outs) == 1
 
 
-TINY_SWEEPS = {
-    "lemmas": lambda: experiments.lemma_rows((8,), (0.1,), jobs=2),
-    "separation": lambda: experiments.separation_rows(ExperimentConfig(
+def test_circuit_run_bytes_independent_of_blas_threads_and_equal_to_separation(tmp_path):
+    # the inverse circuit of the default separation block, run on its own: its
+    # one circuit is a unit of the cell pool too, so at any OpenBLAS thread
+    # count it carries the bits of the separation rows for the same circuit
+    path = tmp_path / "inverse.txt"
+    path.write_text(circuit_to_text(grover_iterate_circuit(4, 8), 8))
+    outs = {_run_at_blas_threads(tmp_path, "inverse", ["circuit-run", str(path)], threads)
+            for threads in (1, 2)}
+    assert len(outs) == 1
+    body = [ln for ln in outs.pop().decode().splitlines() if not ln.startswith("#")]
+    circuit_adv = {ast.literal_eval(params)[1]: measured
+                   for kind, params, measured in csv.reader(body) if kind == "circuit_adv"}
+    separation = (DATA_DIR / "separation_guard.csv").read_text().splitlines()
+    inverse_adv = {ast.literal_eval(row[1])[3]: row[2]
+                   for row in csv.reader(ln for ln in separation if not ln.startswith("#"))
+                   if row[0] == "inverse_adv" and ast.literal_eval(row[1])[:3] == (4, 8, 8)}
+    assert sorted(circuit_adv) == [0.05, 0.1, 0.2]
+    assert circuit_adv == {eps: inverse_adv[eps] for eps in circuit_adv}
+
+
+def _tiny_circuit_run(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(circuit_to_text(grover_iterate_circuit(3, 2), 8))
+    return cli.cmd_circuit_run(str(path))
+
+
+TINY_RUNS = {
+    "lemmas": lambda tmp_path: experiments.lemma_rows((8,), (0.1,), jobs=2),
+    "separation": lambda tmp_path: experiments.separation_rows(ExperimentConfig(
         "separation", eps=(0.1, 0.2), d=(2,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
-    "endtoend": lambda: experiments.endtoend_rows(ExperimentConfig(
+    "endtoend": lambda tmp_path: experiments.endtoend_rows(ExperimentConfig(
         "endtoend", eps=(0.1,), d=(500,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
-    "concentration": lambda: experiments.concentration_rows(ExperimentConfig(
+    "concentration": lambda tmp_path: experiments.concentration_rows(ExperimentConfig(
         "concentration", eps=(0.2,), d=(500,), q=(8,), n=(1,), trials=100, seed=0,
         cap=10**5), 2),
+    "circuit-run": _tiny_circuit_run,
 }
 
 
-@pytest.mark.parametrize("sweep", sorted(TINY_SWEEPS))
-def test_sweeps_run_at_one_blas_thread_and_restore_it(sweep, monkeypatch):
+@pytest.mark.parametrize("run", sorted(TINY_RUNS))
+def test_sweeps_run_at_one_blas_thread_and_restore_it(run, monkeypatch, tmp_path):
     controls = blas._controls()
     if controls is None:
         pytest.skip("no OpenBLAS loaded in this process")
@@ -418,21 +446,24 @@ def test_sweeps_run_at_one_blas_thread_and_restore_it(sweep, monkeypatch):
     real = experiments._map_cells
 
     def spy(fn, args_list, jobs):
-        seen.append(get())
-        if fail:
-            raise RuntimeError("cell pool failed")
-        return real(fn, args_list, jobs)
+        def cell(*args):
+            seen.append(get())
+            if fail:
+                raise RuntimeError("cell failed")
+            return fn(*args)
+        return real(cell, args_list, jobs)
 
     monkeypatch.setattr(experiments, "_map_cells", spy)
+    monkeypatch.setattr(cli, "_map_cells", spy)
     try:
-        TINY_SWEEPS[sweep]()
+        TINY_RUNS[run](tmp_path)
         assert seen and set(seen) == {1}
         assert get() == outer
         seen.clear()
         fail.append(True)
-        with pytest.raises(RuntimeError, match="cell pool failed"):
-            TINY_SWEEPS[sweep]()
-        assert seen == [1]
+        with pytest.raises(RuntimeError, match="cell failed"):
+            TINY_RUNS[run](tmp_path)
+        assert seen and set(seen) == {1}
         assert get() == outer
     finally:
         put(before)
@@ -599,6 +630,20 @@ def test_grid_lengths_are_checked_before_any_unit(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err == f"error: line 6: {message}\n"
 
 
+@pytest.mark.parametrize("grid,line", [
+    ("q = 4", 5),
+    ("n = 2, 6\nq = 4", 5),
+])
+def test_separation_n_above_q_names_a_line_the_file_set(grid, line):
+    # a default n (at most 6) is valid alone, so a file that leaves n out and
+    # sets q = 4 has its q line named; a file that sets n has its n line
+    # named, also when the q line comes after it
+    text = f"[experiment]\nkind = separation\n\n[grid]\n{grid}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line {line}: query count 6 exceeds phase order 4; need n <= q"
+
+
 def test_cli_negative_seed_exits_before_any_unit(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a unit ran before the seed was checked")
@@ -634,24 +679,7 @@ def test_cli_circuit_run_rejects_keys_it_does_not_read(tmp_path, monkeypatch, ca
     assert parse_config((tmp_path / "run.ini").read_text()).kind == "separation"
 
 
-def test_cli_env_output_dir_and_jobs(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, SMALL_CONC)
-    outdir = tmp_path / "results"
-    monkeypatch.setenv(cli.ENV_OUT, str(outdir))
-    monkeypatch.setenv(cli.ENV_JOBS, "2")
-    code = cli.main(["concentration", "--config", cfg])
-    assert code in (0, 1)
-    assert (outdir / "concentration.csv").exists()
-    # explicit flag beats the environment
-    explicit = tmp_path / "explicit.csv"
-    cli.main(["concentration", "--config", cfg, "--out", str(explicit)])
-    assert explicit.exists()
-    monkeypatch.setenv(cli.ENV_JOBS, "three")
-    assert cli.main(["concentration", "--config", cfg]) == 2
-
-
-def test_cli_stdout_when_no_out(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+def test_cli_stdout_when_no_out(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL_CONC)
     code = cli.main(["concentration", "--config", cfg])
     captured = capsys.readouterr()
@@ -781,12 +809,12 @@ def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
     body = [ln for ln in out.splitlines() if not ln.startswith("#")]
     rows = [parts for parts in csv.reader(body) if parts[0] == "circuit_adv"]
     assert len(rows) == 3
-    state = run_purified(circuit)
-    base = average_density(state, 0.0, 8)
-    for _, params, measured in rows:
-        eps = ast.literal_eval(params)[1]
-        expected = trace_distance(base, average_density(state, eps, 8))
-        assert math.isclose(float(measured), expected, rel_tol=0, abs_tol=1e-15)
+    with one_blas_thread():
+        state = run_purified(circuit)
+        base = average_density(state, 0.0, 8)
+        for _, params, measured in rows:
+            eps = ast.literal_eval(params)[1]
+            assert float(measured) == trace_distance(base, average_density(state, eps, 8))
 
 
 def test_cli_circuit_run_honours_config_output_path(tmp_path, monkeypatch, capsys):
@@ -810,6 +838,17 @@ def test_cli_circuit_run_has_no_sweep_flags(tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["circuit-run", str(path), flag, "3"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["verify-lemmas", "endtoend", "concentration"])
+def test_cli_cap_only_where_the_cap_is_read(kind, capsys):
+    # only separation and circuit-run read the histogram key cap
+    with pytest.raises(SystemExit) as exc:
+        cli.main([kind, "--cap", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+    assert cli.main(["separation", "--cap", "0"]) == 2
+    assert capsys.readouterr().err == "error: key cap must be >= 1, got 0\n"
 
 
 def test_cli_circuit_run_rejects_non_unitary_gate(tmp_path, capsys):

@@ -3,7 +3,7 @@
 Library layout:
 
 - ``phases``: biased distributions over order-q roots of unity, their moments and moment table.
-- ``linalg``: statevectors, density matrices, partial trace, trace distance, the unitarity check.
+- ``linalg``: the checked density matrix, trace distance, the unitarity check, two unitaries.
 - ``ensembles``: diagonal-oracle ensembles and their normalized-trace statistics.
 - ``biased_fourier``: lemma quantities of the near-orthonormal frames built from biased
   phase columns, read from their Toeplitz moment Gram.

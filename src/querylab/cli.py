@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import KINDS, ExperimentConfig, check_cap, config_to_text, default_config, load_config
+from .config import KINDS, ExperimentConfig, config_to_text, default_config, load_config
 from .errors import ConfigError, QuerylabError
 from .experiments import (
     _map_cells,
@@ -37,11 +37,8 @@ __all__ = [
 ROW_COLUMNS = ("kind", "params", "measured", "bound", "passed", "seed")
 TRIAL_COLUMNS = ("method", "trial", "truth", "label", "estimate", "forward", "inverse", "seed")
 
-# Bias points reported by circuit-run when no config supplies a grid.
-_CIRCUIT_RUN_EPS = (0.05, 0.1, 0.2)
-
-# Config keys circuit-run has no use for: the circuit file fixes d and q, and
-# an exact run draws nothing and repeats nothing.
+# circuit-run reads a separation config, but not these keys: the circuit file
+# fixes d and q, and an exact run draws nothing and repeats nothing.
 _CIRCUIT_RUN_UNREAD = ("seed", "d", "q", "n", "trials")
 
 
@@ -60,12 +57,15 @@ def _to_csv(comment_lines, columns, records) -> str:
     return buf.getvalue()
 
 
+def _row_fields(r) -> list:
+    """A result row's CSV fields, in `ROW_COLUMNS` order."""
+    return [r.kind, repr(r.params), repr(float(r.measured)),
+            "" if r.bound is None else repr(float(r.bound)), int(r.passed), r.seed]
+
+
 def rows_to_csv(rows, comment_lines) -> str:
     """Serialize result rows under a '#'-prefixed comment header."""
-    return _to_csv(comment_lines, ROW_COLUMNS, (
-        [r.kind, repr(r.params), repr(float(r.measured)),
-         "" if r.bound is None else repr(float(r.bound)), int(r.passed), r.seed]
-        for r in rows))
+    return _to_csv(comment_lines, ROW_COLUMNS, (_row_fields(r) for r in rows))
 
 
 def trials_to_csv(records, comment_lines) -> str:
@@ -73,7 +73,8 @@ def trials_to_csv(records, comment_lines) -> str:
     return _to_csv(comment_lines, TRIAL_COLUMNS, records)
 
 
-def cmd_circuit_run(path: str, eps_list=_CIRCUIT_RUN_EPS, cap: int = DEFAULT_KEY_CAP):
+def cmd_circuit_run(path: str, eps_list=default_config("separation").eps,
+                    cap: int = DEFAULT_KEY_CAP):
     """Run one circuit file exactly and report its bias-advantage profile.
 
     Returns plain tuples (kind, params, measured) since nothing here is
@@ -123,15 +124,21 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _run_experiment(args) -> int:
-    kind = args.command
-    cfg = load_config(args.config) if args.config else default_config(kind)
+def _resolve_config(args, kind: str, unread: tuple = ()) -> ExperimentConfig:
+    """The --config file (or the default config of ``kind``), with --seed and --cap applied."""
+    cfg = load_config(args.config, unread) if args.config else default_config(kind)
     if cfg.kind != kind:
-        raise ConfigError(f"config is for kind {cfg.kind!r} but the command is {kind!r}")
-    if args.seed is not None:
+        raise ConfigError(f"{args.command} reads a {kind!r} config, got kind {cfg.kind!r}")
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "cap", None) is not None:
         cfg = replace(cfg, cap=args.cap)
+    return cfg
+
+
+def _run_experiment(args) -> int:
+    kind = args.command
+    cfg = _resolve_config(args, kind)
     jobs = args.jobs
     if jobs < 1:
         raise ConfigError(f"worker count must be >= 1, got {jobs}")
@@ -151,22 +158,19 @@ def _run_experiment(args) -> int:
         stem, ext = os.path.splitext(out_path)
         _emit(trials_to_csv(records, comments), f"{stem}_trials{ext or '.csv'}")
 
-    failures = sum(not r.passed for r in rows)
+    failed = [r for r in rows if not r.passed]
     dest = out_path or "stdout"
-    print(f"{kind}: {len(rows)} rows, {failures} failed -> {dest}", file=sys.stderr)
-    return 0 if failures == 0 else 1
+    print(f"{kind}: {len(rows)} rows, {len(failed)} failed -> {dest}", file=sys.stderr)
+    for r in failed:
+        row_kind, params, measured, bound = _row_fields(r)[:4]
+        print(f"  failed {row_kind} {params}: measured {measured}, bound {bound}", file=sys.stderr)
+    return 0 if not failed else 1
 
 
 def _run_circuit(args) -> int:
-    eps_list, cap, cfg_out = _CIRCUIT_RUN_EPS, DEFAULT_KEY_CAP, None
-    if args.config:
-        cfg = load_config(args.config, _CIRCUIT_RUN_UNREAD)
-        eps_list, cap, cfg_out = cfg.eps, cfg.cap, cfg.out
-    if args.cap is not None:
-        cap = args.cap
-    check_cap(cap)
-    out_path = _resolve_out(args.out, cfg_out)
-    rows = cmd_circuit_run(args.file, eps_list, cap)
+    cfg = _resolve_config(args, "separation", _CIRCUIT_RUN_UNREAD)
+    out_path = _resolve_out(args.out, cfg.out)
+    rows = cmd_circuit_run(args.file, cfg.eps, cfg.cap)
     comments = [f"querylab {__version__}", f"circuit = {args.file}"]
     records = ([kind, repr(params), repr(measured)] for kind, params, measured in rows)
     _emit(_to_csv(comments, ("kind", "params", "measured"), records), out_path)

@@ -14,8 +14,8 @@ from .ensembles import gap_dimension
 from .errors import ConfigError
 from .query_sim import DEFAULT_KEY_CAP
 
-__all__ = ["ExperimentConfig", "KINDS", "check_cap", "default_config", "parse_config",
-           "config_to_text", "load_config"]
+__all__ = ["ExperimentConfig", "KINDS", "default_config", "parse_config", "config_to_text",
+           "load_config"]
 
 KINDS = ("verify-lemmas", "separation", "endtoend", "concentration")
 
@@ -29,12 +29,6 @@ def _check_single_valued(kind: str, grid) -> None:
     for key in _SINGLE_VALUED.get(kind, ()):
         if len(grid[key]) > 1:
             raise ConfigError(f"{kind} reads one {key} value, got {grid[key]}", key=key)
-
-
-def check_cap(cap: int) -> None:
-    """Reject a histogram key cap below 1."""
-    if cap < 1:
-        raise ConfigError(f"key cap must be >= 1, got {cap}", key="cap")
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}", key="trials")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}", key="seed")
-        check_cap(self.cap)
+        if self.cap < 1:
+            raise ConfigError(f"key cap must be >= 1, got {self.cap}", key="cap")
         _check_single_valued(self.kind, vars(self))
         if self.kind == "separation" and max(self.n) > self.q[0]:
             raise ConfigError(f"query count {max(self.n)} exceeds phase order {self.q[0]}; "

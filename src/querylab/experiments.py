@@ -38,7 +38,7 @@ from .families import (
     matched_forward_circuit,
     random_interleaved_circuit,
 )
-from .linalg import StateVector, partial_trace, trace_distance
+from .linalg import DensityMatrix, trace_distance
 from .phases import phase_mean
 from .query_sim import average_density, run_purified
 
@@ -185,9 +185,9 @@ def _scaling_pair(eps: float, flavor: str) -> float:
         raise ParameterError(f"unknown pair flavor {flavor!r}")
 
     def reduced(first, second):
-        amps = np.concatenate([first / math.sqrt(2), second / math.sqrt(2)])
-        state = StateVector(amps, (2, 3))
-        return partial_trace(state.density_matrix(), 1)
+        # the two-level marginal of (|0>|first> + |1>|second>)/sqrt(2) is M M^dagger
+        m = np.stack([first, second]) / math.sqrt(2)
+        return DensityMatrix(m @ m.conj().T)
 
     return float(trace_distance(reduced(a, b), reduced(*ref)))
 

@@ -1,8 +1,9 @@
-"""Dense linear algebra over small multi-register complex state spaces.
+"""Dense linear algebra for the distinguishing advantage of a query circuit.
 
-States are flat complex vectors with an ordered tuple of register dimensions;
-the flat index runs in C order over the registers (first register is the most
-significant axis). Everything here is a pure function over immutable values.
+The advantage is the trace distance between two ensemble-averaged outputs,
+so this module holds the checked density matrix, the trace distance, the
+unitarity check and the two unitary builders (the DFT and a Haar-random
+unitary). Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 __all__ = [
-    "StateVector",
     "DensityMatrix",
     "checked_unitary",
-    "partial_trace",
     "trace_distance",
     "dft_matrix",
     "random_unitary",
@@ -27,66 +26,25 @@ __all__ = [
 _ATOL = 1e-10
 
 
-def _as_dims(register_dims) -> tuple:
-    try:
-        dims = tuple(int(d) for d in register_dims)
-    except TypeError:
-        dims = (int(register_dims),)
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionError(f"register dimensions must be positive, got {register_dims!r}")
-    return dims
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A unit-norm (within 1e-10) complex vector over an ordered product of registers."""
-
-    amplitudes: np.ndarray
-    register_dims: tuple
-
-    def __post_init__(self):
-        dims = _as_dims(self.register_dims)
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != math.prod(dims):
-            raise DimensionError(
-                f"amplitude length {amps.size} does not match register dims {dims}"
-            )
-        if abs(np.linalg.norm(amps) - 1.0) > _ATOL:
-            raise ParameterError(f"state vector has norm {np.linalg.norm(amps)!r}")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
-        object.__setattr__(self, "register_dims", dims)
-
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()),
-                             self.register_dims)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over an ordered product of registers."""
+    """A square, Hermitian, PSD, unit-trace complex matrix (each within 1e-10)."""
 
     entries: np.ndarray
-    register_dims: tuple
 
     def __post_init__(self):
-        dims = _as_dims(self.register_dims)
         m = np.array(self.entries, dtype=complex)
-        n = math.prod(dims)
-        if m.shape != (n, n):
-            raise DimensionError(f"entries shape {m.shape} does not match dims {dims}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise DimensionError(f"density matrix must be square and non-empty, "
+                                 f"got shape {m.shape}")
         if np.abs(m - m.conj().T).max() > _ATOL:
             raise ParameterError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > _ATOL or abs(np.trace(m).imag) > _ATOL:
             raise ParameterError(f"density matrix trace {np.trace(m)!r} is not 1")
         if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -_ATOL:
             raise ParameterError("density matrix has an eigenvalue below -1e-10")
-        object.__setattr__(self, "entries", _frozen(m))
-        object.__setattr__(self, "register_dims", dims)
+        m.flags.writeable = False
+        object.__setattr__(self, "entries", m)
 
 
 def checked_unitary(matrix, what: str) -> np.ndarray:
@@ -100,21 +58,6 @@ def checked_unitary(matrix, what: str) -> np.ndarray:
     if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > _ATOL:
         raise ParameterError(f"{what} is not unitary within 1e-10")
     return m
-
-
-def partial_trace(rho: DensityMatrix, register: int) -> DensityMatrix:
-    """Trace out the register at index ``register``."""
-    dims = rho.register_dims
-    r = int(register)
-    if not 0 <= r < len(dims):
-        raise DimensionError(f"register index {register!r} out of range for dims {dims}")
-    if len(dims) == 1:
-        raise DimensionError("cannot trace out every register")
-    # contract the dropped axis with its primed partner
-    t = np.trace(rho.entries.reshape(dims + dims), axis1=r, axis2=r + len(dims))
-    kept_dims = dims[:r] + dims[r + 1:]
-    n = math.prod(kept_dims)
-    return DensityMatrix(t.reshape(n, n), kept_dims)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError, ParameterError, QuerylabError, ResourceLimitError
-from .linalg import DensityMatrix, StateVector, checked_unitary
+from .linalg import DensityMatrix, checked_unitary
 from .phases import moment_table, pmf_vector
 
 __all__ = [
@@ -123,11 +123,6 @@ class QueryCircuit:
     def forward_only(self) -> bool:
         return self.inverse_count == 0
 
-    def initial_state(self) -> StateVector:
-        amps = np.zeros(self.d * self.aux_dim, dtype=complex)
-        amps[0] = 1.0
-        return StateVector(amps, (self.d, self.aux_dim))
-
 
 @dataclass(frozen=True)
 class PurifiedState:
@@ -209,7 +204,7 @@ def run_purified(circuit: QueryCircuit, key_cap: int = DEFAULT_KEY_CAP) -> Purif
     """
     d, aux = circuit.d, circuit.aux_dim
     keys = np.zeros((1, d), dtype=np.int64)
-    vecs = circuit.initial_state().amplitudes[None, :]
+    vecs = np.eye(1, d * aux, dtype=complex)
     for step in circuit.steps:
         if isinstance(step, FixedGate):
             vecs = vecs @ step.matrix.T
@@ -323,7 +318,7 @@ def average_density(p: PurifiedState, eps, q: int):
                 part[:, cols] = vecs[rows].T @ weights(rows, cols)
             rho += part @ conj
         rho = (rho + rho.conj().T) / 2
-        out.append(DensityMatrix(rho, (p.d, p.aux_dim)))
+        out.append(DensityMatrix(rho))
     return out if np.ndim(eps) else out[0]
 
 
@@ -349,10 +344,10 @@ def brute_force_average(circuit: QueryCircuit, eps: float, q: int) -> DensityMat
         raise ResourceLimitError(
             f"brute force would enumerate q^d = {q ** circuit.d} oracles (cap 10^4)"
         )
-    start = circuit.initial_state().amplitudes
+    dim = circuit.d * circuit.aux_dim
+    start = np.eye(1, dim, dtype=complex)[0]
     pmf = pmf_vector(eps, q)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    dim = circuit.d * circuit.aux_dim
     rho = np.zeros((dim, dim), dtype=complex)
     for assignment in itertools.product(range(q), repeat=circuit.d):
         weight = float(np.prod(pmf[list(assignment)]))
@@ -361,7 +356,7 @@ def brute_force_average(circuit: QueryCircuit, eps: float, q: int) -> DensityMat
         out = _dense_run(circuit, roots[list(assignment)], start)
         rho += weight * np.outer(out, out.conj())
     rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, (circuit.d, circuit.aux_dim))
+    return DensityMatrix(rho)
 
 
 def _format_complex(z: complex) -> str:
@@ -406,6 +401,8 @@ def circuit_from_text(text: str) -> tuple:
         d, q, aux = (int(x) for x in head)
     except ValueError as exc:
         raise ConfigError(f"non-integer header field in {lines[0]!r}", line=1) from exc
+    if d < 1 or q < 2 or aux < 1:
+        raise ConfigError(f"header needs d >= 1, q >= 2 and aux >= 1, got {lines[0]!r}", line=1)
     steps = []
     for idx, ln in enumerate(lines[1:], start=2):
         s = ln.strip()

@@ -38,7 +38,6 @@ from querylab.errors import DegeneracyError, DimensionError, ParameterError, Que
 from querylab.families import probe_pieces
 from querylab.linalg import (
     DensityMatrix,
-    StateVector,
     checked_unitary,
     dft_matrix,
     trace_distance,
@@ -201,15 +200,15 @@ class DensePreparation(PreparationOracle):
     def _flag_probability(self, m):
         return float(np.sum(np.abs(self.state(m)[self._mask]) ** 2))
 
-    def collapse(self, m: int) -> StateVector:
-        """Normalized flagged component after m iterates, shaped by the register dims."""
+    def collapse(self, m: int) -> np.ndarray:
+        """Normalized flagged component after m iterates, reshaped to the register dims."""
         state = self.state(m)
         w = np.zeros_like(state)
         w[self._mask] = state[self._mask]
         n = np.linalg.norm(w)
         if n < 1e-12:
             raise DegeneracyError("state has no flagged component to collapse onto")
-        return StateVector(w / n, self._dims)
+        return (w / n).reshape(self._dims)
 
 
 def uniform_ramp_unitary(d: int) -> np.ndarray:
@@ -275,7 +274,7 @@ class RotatedPurification:
         for w in self.rotated.values():
             rho += np.outer(w, w.conj())
         rho = (rho + rho.conj().T) / 2
-        return DensityMatrix(rho, (self.d, self.aux_dim))
+        return DensityMatrix(rho)
 
 
 def biased_ft_rotate(p: PurifiedState, eps: float, q: int) -> RotatedPurification:

@@ -28,7 +28,7 @@ from querylab.config import (
 from querylab.errors import ConfigError, ParameterError
 from querylab.families import grover_iterate_circuit
 from querylab.linalg import trace_distance
-from querylab.query_sim import average_density, circuit_to_text, run_purified
+from querylab.query_sim import average_density, circuit_from_text, circuit_to_text, run_purified
 
 
 # ------------------------------------------------------------------- config
@@ -410,7 +410,7 @@ def test_circuit_run_bytes_independent_of_blas_threads_and_equal_to_separation(t
     inverse_adv = {ast.literal_eval(row[1])[3]: row[2]
                    for row in csv.reader(ln for ln in separation if not ln.startswith("#"))
                    if row[0] == "inverse_adv" and ast.literal_eval(row[1])[:3] == (4, 8, 8)}
-    assert sorted(circuit_adv) == [0.05, 0.1, 0.2]
+    assert sorted(circuit_adv) == [0.02, 0.05, 0.1, 0.2]
     assert circuit_adv == {eps: inverse_adv[eps] for eps in circuit_adv}
 
 
@@ -519,6 +519,23 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["concentration", "--config", ok, "--out", missing_out]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_summary_names_each_failed_row(tmp_path, capsys):
+    # the failing config of test_cli_exit_codes: one line per failed row, in
+    # row order, with the CSV's kind, params, measured and bound
+    fail = _write_config(tmp_path, SMALL_CONC.replace("d = 2000", "d = 50"))
+    out = tmp_path / "fail.csv"
+    assert cli.main(["concentration", "--config", fail, "--out", str(out)]) == 1
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    rows = list(csv.DictReader(body))
+    failed = [r for r in rows if r["passed"] == "0"]
+    assert failed
+    assert capsys.readouterr().err.splitlines() == [
+        f"concentration: {len(rows)} rows, {len(failed)} failed -> {out}",
+        *(f"  failed {r['kind']} {r['params']}: measured {r['measured']}, bound {r['bound']}"
+          for r in failed),
+    ]
 
 
 @pytest.mark.parametrize("argv,runner", [
@@ -808,7 +825,8 @@ def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
     out = capsys.readouterr().out
     body = [ln for ln in out.splitlines() if not ln.startswith("#")]
     rows = [parts for parts in csv.reader(body) if parts[0] == "circuit_adv"]
-    assert len(rows) == 3
+    # no config: the default biases of a separation config
+    assert [ast.literal_eval(params)[1] for _, params, _ in rows] == [0.02, 0.05, 0.1, 0.2]
     with one_blas_thread():
         state = run_purified(circuit)
         base = average_density(state, 0.0, 8)
@@ -829,6 +847,52 @@ def test_cli_circuit_run_honours_config_output_path(tmp_path, monkeypatch, capsy
     assert [row[0] for row in csv.reader(body)][-1] == "circuit_adv"
     assert cli.main(["circuit-run", "c.txt", "--config", "run.ini", "--out", "y.csv"]) == 0
     assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["verify-lemmas", "endtoend", "concentration"])
+def test_cli_circuit_run_reads_only_a_separation_config(tmp_path, monkeypatch, capsys, kind):
+    # the kind picks default biases and checks, so another kind is an error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    (tmp_path / "run.ini").write_text(f"[experiment]\nkind = {kind}\n")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the circuit was read before the config kind was checked")
+
+    monkeypatch.setattr(cli, "cmd_circuit_run", must_not_run)
+    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: circuit-run reads a 'separation' config, got kind {kind!r}\n")
+
+
+def test_cli_circuit_run_with_kind_only_config_matches_no_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    (tmp_path / "run.ini").write_text("[experiment]\nkind = separation\n")
+    assert cli.main(["circuit-run", "c.txt"]) == 0
+    bare = capsys.readouterr().out
+    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini"]) == 0
+    assert capsys.readouterr().out == bare
+
+
+@pytest.mark.parametrize("header", ["3 1 2", "3 0 2", "3 8 0", "0 8 2", "-1 8 2"])
+def test_cli_circuit_run_checks_the_header_before_any_gate(tmp_path, monkeypatch, capsys,
+                                                           header):
+    # the gate line would fail to parse under the bad header; the header is
+    # blamed first, and nothing runs
+    path = tmp_path / "c.txt"
+    path.write_text(header + "\nG 1,0 0,0\nQ+\n")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the circuit ran with a bad header")
+
+    monkeypatch.setattr(experiments, "run_purified", must_not_run)
+    with pytest.raises(ConfigError) as err:
+        circuit_from_text(path.read_text())
+    assert err.value.line == 1
+    assert cli.main(["circuit-run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: header needs d >= 1, q >= 2 and aux >= 1, got {header!r}\n")
 
 
 def test_cli_circuit_run_has_no_sweep_flags(tmp_path):

@@ -18,7 +18,7 @@ from reference import dense_probe_matrix, oracle_values
 
 def run_with_oracle(circuit, oracle: DiagonalOracle) -> np.ndarray:
     """Apply the circuit to |0,0> with a concrete diagonal oracle plugged in."""
-    v = circuit.initial_state().amplitudes.copy()
+    v = np.eye(1, circuit.d * circuit.aux_dim, dtype=complex)[0]
     dims = (circuit.d, circuit.aux_dim)
     for step in circuit.steps:
         if isinstance(step, FixedGate):

@@ -60,15 +60,19 @@ class TestQueryCircuit:
             QueryCircuit(2, 2, (FixedGate(np.eye(3)),))
 
     def test_initial_state(self):
-        s = QueryCircuit(3, 2, ()).initial_state()
-        assert s.register_dims == (3, 2)
-        assert s.amplitudes[0] == 1.0
+        # every run starts at the basis vector |0>|0>
+        e0 = np.eye(6)[0]
+        state = run_purified(QueryCircuit(3, 2, ()))
+        assert state.keys.tolist() == [[0, 0, 0]]
+        assert np.array_equal(state.vectors, e0[None, :])
+        rho = brute_force_average(QueryCircuit(3, 2, ()), 0.1, 4)
+        assert np.abs(rho.entries - np.outer(e0, e0)).max() < 1e-12
 
 
 def reference_purify(circuit):
     """The dict-of-tuples loop: (keys in lexicographic order, stacked vectors)."""
     d, aux = circuit.d, circuit.aux_dim
-    comps = {(0,) * d: circuit.initial_state().amplitudes.astype(complex)}
+    comps = {(0,) * d: np.eye(1, d * aux, dtype=complex)[0]}
     for step in circuit.steps:
         if isinstance(step, FixedGate):
             keys = list(comps)

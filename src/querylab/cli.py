@@ -104,12 +104,14 @@ def _add_common_flags(p: argparse.ArgumentParser, cap: bool) -> None:
 def _resolve_out(flag_value, cfg_out):
     """The output path, or None for stdout.
 
-    Called before any work starts, so a path in a missing directory is an
-    error at once rather than after the sweep.
+    Called before any work starts, so an empty path, a directory or a path in
+    a missing directory is an error at once rather than after the sweep.
     """
     out = flag_value if flag_value is not None else cfg_out
     if out is None:
         return None
+    if not out or os.path.isdir(out):
+        raise ConfigError(f"output path {out!r} is empty or a directory")
     directory = os.path.dirname(out) or os.curdir
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory!r} does not exist")
@@ -204,8 +206,8 @@ def main(argv=None) -> int:
         if args.command == "circuit-run":
             return _run_circuit(args)
         return _run_experiment(args)
-    except (QuerylabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (QuerylabError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -4,11 +4,15 @@ Three sections. ``[experiment]`` holds kind, master seed, and the purified
 key cap; ``[grid]`` holds the parameter lists; ``[output]`` optionally names
 the CSV path. Blank lines and ``#`` comments are allowed anywhere. Floats
 are serialized with repr, so a config round-trips bit-exactly.
+
+``_KEYS`` is the one place a key is declared: its section and the
+converter of one value. Parsing, the line an error names, the echo of
+``config_to_text`` and the field types all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ensembles import gap_dimension
 from .errors import ConfigError
@@ -24,11 +28,11 @@ KINDS = ("verify-lemmas", "separation", "endtoend", "concentration")
 _SINGLE_VALUED = {"separation": ("q",), "endtoend": ("eps", "d", "q"), "concentration": ("q",)}
 
 
-def _check_single_valued(kind: str, grid) -> None:
-    """Reject several values for a grid key of which ``kind`` reads only the first."""
-    for key in _SINGLE_VALUED.get(kind, ()):
-        if len(grid[key]) > 1:
-            raise ConfigError(f"{kind} reads one {key} value, got {grid[key]}", key=key)
+def _kind(value: str) -> str:
+    """``value``, if it names an experiment kind."""
+    if value not in KINDS:
+        raise ConfigError(f"unknown experiment kind {value!r}; expected one of {KINDS}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,15 +48,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
-        object.__setattr__(self, "d", tuple(int(v) for v in self.d))
-        object.__setattr__(self, "q", tuple(int(v) for v in self.q))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "cap", int(self.cap))
+        _kind(self.kind)
         for name in ("eps", "d", "q", "n"):
             if not getattr(self, name):
                 raise ConfigError(f"grid entry {name!r} must be non-empty", key=name)
@@ -70,7 +66,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}", key="seed")
         if self.cap < 1:
             raise ConfigError(f"key cap must be >= 1, got {self.cap}", key="cap")
-        _check_single_valued(self.kind, vars(self))
+        for name in _SINGLE_VALUED.get(self.kind, ()):
+            if len(getattr(self, name)) > 1:
+                raise ConfigError(f"{self.kind} reads one {name} value, got "
+                                  f"{getattr(self, name)}", key=name)
         if self.kind == "separation" and max(self.n) > self.q[0]:
             raise ConfigError(f"query count {max(self.n)} exceeds phase order {self.q[0]}; "
                               "need n <= q", key="n")
@@ -102,24 +101,55 @@ def default_config(kind: str) -> ExperimentConfig:
     if kind == "endtoend":
         return ExperimentConfig(kind, (0.05,), (gap_dimension(0.05),), (257,),
                                 (1,), 400, 0, DEFAULT_KEY_CAP)
-    if kind == "concentration":
-        return ExperimentConfig(kind, (0.1,), (gap_dimension(0.1),), (257,),
-                                (1,), 1000, 0, DEFAULT_KEY_CAP)
-    raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
+    # concentration, the one kind left; _kind rejects a value that names none
+    return ExperimentConfig(_kind(kind), (0.1,), (gap_dimension(0.1),), (257,),
+                            (1,), 1000, 0, DEFAULT_KEY_CAP)
 
 
-_GRID_KEYS = ("eps", "d", "q", "n", "trials")
-_EXPERIMENT_KEYS = ("kind", "seed", "cap")
+# Each key of the format: its section and the converter of one of its values.
+# Table order is the order of config_to_text.
+_KEYS = {
+    "kind": ("experiment", _kind),
+    "seed": ("experiment", int),
+    "cap": ("experiment", int),
+    "eps": ("grid", float),
+    "d": ("grid", int),
+    "q": ("grid", int),
+    "n": ("grid", int),
+    "trials": ("grid", int),
+    "path": ("output", str),
+}
+_LISTS = ("eps", "d", "q", "n")  # keys that take a comma list
+_FIELDS = {"path": "out"}  # the ExperimentConfig field of a key not named as its field
+
+
+def _convert(key: str, text: str, lineno: int):
+    """The field value of the line ``key = text``; an error names the line."""
+    conv = _KEYS[key][1]
+    try:
+        if key not in _LISTS:
+            return conv(text)
+        items = [p.strip() for p in text.split(",") if p.strip()]
+        if items:
+            return tuple(conv(p) for p in items)
+        message = f"{key} list is empty"
+    except ConfigError as exc:
+        message = str(exc)
+    except ValueError:
+        message = (f"{key} has a malformed entry in {text!r}" if key in _LISTS
+                   else f"{key} must be an integer, got {text!r}")
+    raise ConfigError(message, line=lineno)
 
 
 def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
     """Parse the sectioned key = value format; errors carry line numbers.
 
     A key the caller names in ``unread``, or a list for a grid key of which
-    the kind reads one value, is an error rather than silently dropped.
+    the kind reads one value, is an error rather than silently dropped. Of
+    several faults on the lines, the first in line order is reported.
     """
     section = None
-    seen = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,83 +158,33 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
             if not line.endswith("]"):
                 raise ConfigError(f"unterminated section header {raw.strip()!r}", line=lineno)
             section = line[1:-1].strip()
-            if section not in ("experiment", "grid", "output"):
+            if section not in {own for own, _ in _KEYS.values()}:
                 raise ConfigError(f"unknown section {section!r}", line=lineno)
             continue
         if section is None:
             raise ConfigError("key outside any section", line=lineno)
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {raw.strip()!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if section == "experiment" and key not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [experiment]", line=lineno)
-        if section == "grid" and key not in _GRID_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [grid]", line=lineno)
-        if section == "output" and key != "path":
-            raise ConfigError(f"unknown key {key!r} in [output]", line=lineno)
-        if (section, key) in seen:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if _KEYS.get(key, (None,))[0] != section:
+            raise ConfigError(f"unknown key {key!r} in [{section}]", line=lineno)
+        if key in lines:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         if key in unread:
             raise ConfigError(f"key {key!r} is set but this command does not read it",
                               line=lineno)
-        seen[(section, key)] = (value, lineno)
-
-    def take(section, key, default=None, required=False):
-        if (section, key) in seen:
-            return seen.pop((section, key))
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return (default, None)
-
-    kind, kind_line = take("experiment", "kind", required=True)
-    # the line that set each key, for errors ExperimentConfig raises
-    key_lines = {}
-
-    def parse_int(section, key, default):
-        value, lineno = take(section, key, default)
-        if value is default:
-            return default
-        key_lines[key] = lineno
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}", line=lineno) from None
-
-    def parse_list(key, conv, default):
-        value, lineno = take("grid", key, default)
-        if value is default:
-            return default
-        key_lines[key] = lineno
-        items = [p.strip() for p in value.split(",") if p.strip()]
-        if not items:
-            raise ConfigError(f"{key} list is empty", line=lineno)
-        try:
-            return tuple(conv(p) for p in items)
-        except ValueError:
-            raise ConfigError(f"{key} has a malformed entry in {value!r}", line=lineno) from None
-
+        values[_FIELDS.get(key, key)] = _convert(key, value, lineno)
+        lines[key] = lineno
+    if "kind" not in values:
+        raise ConfigError("missing required key 'kind' in [experiment]")
     try:
-        base = default_config(kind)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), line=kind_line) from None
-    grid = {key: parse_list(key, conv, getattr(base, key))
-            for key, conv in (("eps", float), ("d", int), ("q", int), ("n", int))}
-    fields = dict(
-        trials=parse_int("grid", "trials", base.trials),
-        seed=parse_int("experiment", "seed", base.seed),
-        cap=parse_int("experiment", "cap", base.cap),
-        out=take("output", "path", None)[0],
-    )
-    try:
-        return ExperimentConfig(kind, **grid, **fields)
+        return replace(default_config(values["kind"]), **values)
     except ConfigError as exc:
         # a default n is valid alone and can fail only against the file's q
-        line = key_lines.get(exc.key, key_lines.get("q") if exc.key == "n" else None)
-        if exc.line is None and line is not None:
-            raise ConfigError(str(exc), line=line, key=exc.key) from None
-        raise
+        line = lines.get(exc.key, lines.get("q") if exc.key == "n" else None)
+        if line is None:
+            raise
+        raise ConfigError(str(exc), line=line, key=exc.key) from None
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -217,22 +197,16 @@ def config_to_text(cfg: ExperimentConfig) -> str:
                                 or len(cfg.out.splitlines()) > 1):
         raise ConfigError(f"output path {cfg.out!r} cannot be written to a config: "
                           "parse_config would read it back as another path")
-    lines = [
-        "[experiment]",
-        f"kind = {cfg.kind}",
-        f"seed = {cfg.seed}",
-        f"cap = {cfg.cap}",
-        "",
-        "[grid]",
-        f"eps = {', '.join(repr(e) for e in cfg.eps)}",
-        f"d = {', '.join(str(v) for v in cfg.d)}",
-        f"q = {', '.join(str(v) for v in cfg.q)}",
-        f"n = {', '.join(str(v) for v in cfg.n)}",
-        f"trials = {cfg.trials}",
-    ]
-    if cfg.out is not None:
-        lines += ["", "[output]", f"path = {cfg.out}"]
-    return "\n".join(lines) + "\n"
+    lines, section = [], None
+    for key, (own, _) in _KEYS.items():
+        value = getattr(cfg, _FIELDS.get(key, key))
+        if value is None:
+            continue
+        if own != section:
+            section = own
+            lines += ["", f"[{section}]"]
+        lines.append(f"{key} = {', '.join(map(str, value)) if key in _LISTS else value}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 def load_config(path: str, unread: tuple = ()) -> ExperimentConfig:

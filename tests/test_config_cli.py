@@ -19,6 +19,7 @@ import querylab
 from querylab import blas, cli, experiments
 from querylab.blas import one_blas_thread
 from querylab.config import (
+    _KEYS,
     KINDS,
     ExperimentConfig,
     config_to_text,
@@ -118,6 +119,24 @@ def test_config_validation_rejects_bad_values(field, value):
     base[field] = value
     with pytest.raises(ConfigError):
         ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("key,section", [
+    (key, section) for key, (own, _) in _KEYS.items()
+    for section in ("experiment", "grid", "output") if section != own])
+def test_every_key_is_rejected_outside_its_section(key, section):
+    text = f"[experiment]\nkind = separation\n\n[{section}]\n{key} = 1\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line 5: unknown key {key!r} in [{section}]"
+    assert err.value.line == 5
+
+
+def test_parse_reports_the_earliest_of_several_faults():
+    text = "[experiment]\nkind = separation\n\n[grid]\ntrials = many\neps = 0.1, oops\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == "line 5: trials must be an integer, got 'many'"
 
 
 def test_config_requires_kind():
@@ -547,6 +566,8 @@ def test_cli_checks_the_output_directory_before_any_work(tmp_path, monkeypatch, 
                                                          argv, runner):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    kind = "separation" if argv[0] == "circuit-run" else argv[0]
+    (tmp_path / "run.ini").write_text(f"[experiment]\nkind = {kind}\n\n[output]\npath =\n")
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("the run started before --out was checked")
@@ -554,6 +575,27 @@ def test_cli_checks_the_output_directory_before_any_work(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, runner, must_not_run)
     assert cli.main(argv + ["--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: output directory ")
+    # an existing directory, and an empty [output] path in the config
+    for out, shown in ((["--out", str(tmp_path)], repr(str(tmp_path))),
+                       (["--config", "run.ini"], "''")):
+        assert cli.main(argv + out) == 2
+        assert capsys.readouterr().err == f"error: output path {shown} is empty or a directory\n"
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 7.28 TiB for an array with shape (10**12,)",
+     "Unable to allocate 7.28 TiB for an array with shape (10**12,)"),
+    ("", "MemoryError"),  # Python's own allocations raise it bare
+])
+def test_cli_reports_an_allocation_failure_with_exit_2(monkeypatch, capsys, message, shown):
+    # exit 1 means a row failed its bound; a run that cannot allocate its
+    # arrays did not produce rows at all
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "endtoend_rows", out_of_memory)
+    assert cli.main(["endtoend", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
 
 
 @pytest.mark.parametrize("kind,key", [

@@ -43,8 +43,7 @@ _CIRCUIT_RUN_UNREAD = ("seed", "d", "q", "n", "trials")
 
 
 def _config_comments(cfg: ExperimentConfig) -> list:
-    echo = replace(cfg, out=None)
-    return [f"querylab {__version__}"] + config_to_text(echo).rstrip("\n").split("\n")
+    return [f"querylab {__version__}"] + config_to_text(cfg).rstrip("\n").split("\n")
 
 
 def _to_csv(comment_lines, columns, records) -> str:
@@ -101,21 +100,26 @@ def _add_common_flags(p: argparse.ArgumentParser, cap: bool) -> None:
         p.add_argument("--cap", type=int, help="histogram key cap override")
 
 
-def _resolve_out(flag_value, cfg_out):
-    """The output path, or None for stdout.
+def _resolve_out(args) -> list:
+    """Every path the command writes, the --out CSV first; [None] for stdout.
 
+    An endtoend run also writes its trials to ``<stem>_trials<ext or .csv>``.
     Called before any work starts, so an empty path, a directory or a path in
     a missing directory is an error at once rather than after the sweep.
     """
-    out = flag_value if flag_value is not None else cfg_out
-    if out is None:
-        return None
-    if not out or os.path.isdir(out):
-        raise ConfigError(f"output path {out!r} is empty or a directory")
-    directory = os.path.dirname(out) or os.curdir
-    if not os.path.isdir(directory):
-        raise ConfigError(f"output directory {directory!r} does not exist")
-    return out
+    if args.out is None:
+        return [None]
+    paths = [args.out]
+    if args.command == "endtoend":
+        stem, ext = os.path.splitext(args.out)
+        paths.append(f"{stem}_trials{ext or '.csv'}")
+    for out in paths:
+        if not out or os.path.isdir(out):
+            raise ConfigError(f"output path {out!r} is empty or a directory")
+        directory = os.path.dirname(out) or os.curdir
+        if not os.path.isdir(directory):
+            raise ConfigError(f"output directory {directory!r} does not exist")
+    return paths
 
 
 def _emit(text: str, out_path) -> None:
@@ -144,10 +148,10 @@ def _run_experiment(args) -> int:
     jobs = args.jobs
     if jobs < 1:
         raise ConfigError(f"worker count must be >= 1, got {jobs}")
-    out_path = _resolve_out(args.out, cfg.out)
+    paths = _resolve_out(args)
 
     runners = {
-        "verify-lemmas": lambda: (lemma_rows(cfg.q, cfg.eps, cfg.seed, jobs), None),
+        "verify-lemmas": lambda: (lemma_rows(cfg.q, cfg.eps, cfg.seed), None),
         "separation": lambda: (separation_rows(cfg, jobs), None),
         "endtoend": lambda: endtoend_rows(cfg, jobs),
         "concentration": lambda: (concentration_rows(cfg, jobs), None),
@@ -155,13 +159,12 @@ def _run_experiment(args) -> int:
     rows, records = runners[kind]()
 
     comments = _config_comments(cfg)
-    _emit(rows_to_csv(rows, comments), out_path)
-    if records is not None and out_path is not None:
-        stem, ext = os.path.splitext(out_path)
-        _emit(trials_to_csv(records, comments), f"{stem}_trials{ext or '.csv'}")
+    _emit(rows_to_csv(rows, comments), paths[0])
+    if len(paths) > 1:
+        _emit(trials_to_csv(records, comments), paths[1])
 
     failed = [r for r in rows if not r.passed]
-    dest = out_path or "stdout"
+    dest = paths[0] or "stdout"
     print(f"{kind}: {len(rows)} rows, {len(failed)} failed -> {dest}", file=sys.stderr)
     for r in failed:
         row_kind, params, measured, bound = _row_fields(r)[:4]
@@ -171,11 +174,11 @@ def _run_experiment(args) -> int:
 
 def _run_circuit(args) -> int:
     cfg = _resolve_config(args, "separation", _CIRCUIT_RUN_UNREAD)
-    out_path = _resolve_out(args.out, cfg.out)
+    paths = _resolve_out(args)
     rows = cmd_circuit_run(args.file, cfg.eps, cfg.cap)
     comments = [f"querylab {__version__}", f"circuit = {args.file}"]
     records = ([kind, repr(params), repr(measured)] for kind, params, measured in rows)
-    _emit(_to_csv(comments, ("kind", "params", "measured"), records), out_path)
+    _emit(_to_csv(comments, ("kind", "params", "measured"), records), paths[0])
     return 0
 
 

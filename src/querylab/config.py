@@ -1,8 +1,7 @@
 """Experiment configuration: a sectioned ``key = value`` text format.
 
-Three sections. ``[experiment]`` holds kind, master seed, and the purified
-key cap; ``[grid]`` holds the parameter lists; ``[output]`` optionally names
-the CSV path. Blank lines and ``#`` comments are allowed anywhere. Floats
+Two sections. ``[experiment]`` holds kind, master seed, and the purified
+key cap; ``[grid]`` holds the parameter lists. Blank lines and ``#`` comments are allowed anywhere. Floats
 are serialized with repr, so a config round-trips bit-exactly.
 
 ``_KEYS`` is the one place a key is declared: its section and the
@@ -45,7 +44,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     cap: int
-    out: str | None = None
 
     def __post_init__(self):
         _kind(self.kind)
@@ -117,10 +115,8 @@ _KEYS = {
     "q": ("grid", int),
     "n": ("grid", int),
     "trials": ("grid", int),
-    "path": ("output", str),
 }
 _LISTS = ("eps", "d", "q", "n")  # keys that take a comma list
-_FIELDS = {"path": "out"}  # the ExperimentConfig field of a key not named as its field
 
 
 def _convert(key: str, text: str, lineno: int):
@@ -173,7 +169,7 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
         if key in unread:
             raise ConfigError(f"key {key!r} is set but this command does not read it",
                               line=lineno)
-        values[_FIELDS.get(key, key)] = _convert(key, value, lineno)
+        values[key] = _convert(key, value, lineno)
         lines[key] = lineno
     if "kind" not in values:
         raise ConfigError("missing required key 'kind' in [experiment]")
@@ -188,20 +184,10 @@ def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
-    """Canonical serialization; parse_config(config_to_text(c)) == c.
-
-    An output path that would not read back as itself (one holding ``#``, a
-    line break, or surrounding whitespace) is an error.
-    """
-    if cfg.out is not None and ("#" in cfg.out or cfg.out.strip() != cfg.out
-                                or len(cfg.out.splitlines()) > 1):
-        raise ConfigError(f"output path {cfg.out!r} cannot be written to a config: "
-                          "parse_config would read it back as another path")
+    """Canonical serialization; parse_config(config_to_text(c)) == c."""
     lines, section = [], None
     for key, (own, _) in _KEYS.items():
-        value = getattr(cfg, _FIELDS.get(key, key))
-        if value is None:
-            continue
+        value = getattr(cfg, key)
         if own != section:
             section = own
             lines += ["", f"[{section}]"]

@@ -120,15 +120,15 @@ def _map_cells(fn, args_list, jobs: int):
 # --------------------------------------------------------------- lemma suite
 
 
-def lemma_rows(q_grid, eps_grid, master_seed: int = 0, jobs: int = 1) -> list:
+def lemma_rows(q_grid, eps_grid, master_seed: int = 0) -> list:
     """Spectral-window, basis-quality, overlap, and mean-window checks.
 
     One row per (check, q, eps). The two mean rows additionally pin the
     large-q limit of the full-bias phase mean against 2/pi.
 
-    The cells run in order whatever ``jobs`` is: each is a Levinson loop of
-    small numpy steps that holds the GIL, so worker threads would take turns
-    on it and only add hand-offs. ``jobs`` is kept so every sweep takes it.
+    The cells run in order: each is a Levinson loop of small numpy steps
+    that holds the GIL, so worker threads would take turns on it and only
+    add hand-offs.
     """
     grid = [(q, eps) for q in q_grid for eps in eps_grid]
     cells = [(cell_seed(master_seed, index), q, eps) for index, (q, eps) in enumerate(grid)]

@@ -119,10 +119,6 @@ class QueryCircuit:
     def inverse_count(self) -> int:
         return sum(isinstance(s, InverseQuery) for s in self.steps)
 
-    @property
-    def forward_only(self) -> bool:
-        return self.inverse_count == 0
-
 
 @dataclass(frozen=True)
 class PurifiedState:

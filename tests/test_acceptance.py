@@ -30,7 +30,7 @@ def _verdict(number, ok, detail):
 
 def test_criterion_1_lemma_suite():
     t0 = time.time()
-    rows = experiments.lemma_rows((8, 64, 257, 1024), (0.0, 0.1, 0.25, 0.45), 0, jobs=4)
+    rows = experiments.lemma_rows((8, 64, 257, 1024), (0.0, 0.1, 0.25, 0.45), 0)
     elapsed = time.time() - t0
     failed = [r for r in rows if not r.passed]
     windows = [r for r in rows if r.kind == "mean_window"]

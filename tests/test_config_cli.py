@@ -47,7 +47,6 @@ def test_round_trip_preserves_awkward_floats():
         "separation",
         eps=(0.1, 0.30000000000000004, 1e-05, 0.0),
         d=(3,), q=(8,), n=(1, 2), trials=7, seed=12345, cap=99,
-        out="results/sep.csv",
     )
     text = config_to_text(cfg)
     again = parse_config(text)
@@ -64,15 +63,6 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ConfigError) as err:
         parse_config("[experiment]\nkind = separation\n[grid]\neps = 0.1, oops\n")
     assert err.value.line == 4
-
-
-@pytest.mark.parametrize("out", ["res#1.csv", "a\nb.csv", "a\rb.csv", " lead.csv", "trail.csv "])
-def test_config_to_text_rejects_paths_that_do_not_read_back(out):
-    # parse_config cuts '#' comments, splits lines and strips values, so
-    # such a path would come back as another file
-    cfg = replace(default_config("separation"), out=out)
-    with pytest.raises(ConfigError, match="cannot be written to a config"):
-        config_to_text(cfg)
 
 
 @pytest.mark.parametrize("line,message", [
@@ -102,6 +92,10 @@ def test_parse_rejects_duplicates_and_unknown_keys():
         parse_config("[experiment]\nkind = separation\nflavor = mint\n")
     with pytest.raises(ConfigError):
         parse_config("[mystery]\nkind = separation\n")
+    # the output path is not part of a config: --out names it
+    with pytest.raises(ConfigError) as err:
+        parse_config("[experiment]\nkind = separation\n\n[output]\npath = r.csv\n")
+    assert str(err.value) == "line 4: unknown section 'output'"
 
 
 @pytest.mark.parametrize("field,value", [
@@ -125,11 +119,14 @@ def test_config_validation_rejects_bad_values(field, value):
     (key, section) for key, (own, _) in _KEYS.items()
     for section in ("experiment", "grid", "output") if section != own])
 def test_every_key_is_rejected_outside_its_section(key, section):
+    # [output] is no section of the format, so its header line is the fault
     text = f"[experiment]\nkind = separation\n\n[{section}]\n{key} = 1\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert str(err.value) == f"line 5: unknown key {key!r} in [{section}]"
-    assert err.value.line == 5
+    line, message = ((4, "unknown section 'output'") if section == "output"
+                     else (5, f"unknown key {key!r} in [{section}]"))
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
 
 
 def test_parse_reports_the_earliest_of_several_faults():
@@ -169,7 +166,7 @@ def test_cell_seeds_are_stable_and_distinct():
 
 
 def test_lemma_rows_pass_on_small_grid():
-    rows = experiments.lemma_rows((8, 64), (0.0, 0.1, 0.25), master_seed=1, jobs=2)
+    rows = experiments.lemma_rows((8, 64), (0.0, 0.1, 0.25), master_seed=1)
     # six checks per (q, eps) cell plus the single large-q limit row
     assert len(rows) == 6 * 6 + 1
     assert all(r.passed for r in rows)
@@ -191,19 +188,24 @@ def test_lemma_cell_builds_no_dense_frame(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
-    rows = experiments.lemma_rows((8, 64), (0.1,), jobs=1)
+    rows = experiments.lemma_rows((8, 64), (0.1,))
     assert calls == {"svd": 0, "qr": 0}
     assert len(rows) == 2 * 6 + 1 and all(r.passed for r in rows)  # plus mean_limit
 
 
-def test_lemma_cells_run_in_order_without_a_pool(monkeypatch):
-    # the cells hold the GIL, so jobs > 1 must not start worker threads
+def test_lemma_cells_run_in_order_without_a_pool(monkeypatch, tmp_path):
+    # the cells hold the GIL, so --jobs > 1 must not start worker threads
     def no_pool(*args, **kwargs):
         raise AssertionError("lemma_rows started a worker pool")
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
-    rows = experiments.lemma_rows((8, 64), (0.0, 0.1), jobs=4)
-    assert [r.params for r in rows[::6]][:4] == [(8, 0.0), (8, 0.1), (64, 0.0), (64, 0.1)]
+    cfg = _write_config(tmp_path, "[experiment]\nkind = verify-lemmas\n\n"
+                                  "[grid]\neps = 0.0, 0.1\nq = 8, 64\n")
+    out = tmp_path / "lemmas.csv"
+    assert cli.main(["verify-lemmas", "--jobs", "4", "--config", cfg, "--out", str(out)]) == 0
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    params = [ast.literal_eval(row["params"]) for row in csv.DictReader(body)]
+    assert params[::6][:4] == [(8, 0.0), (8, 0.1), (64, 0.0), (64, 0.1)]
 
 
 def test_lemma_rows_mean_window_only_for_large_q():
@@ -440,7 +442,7 @@ def _tiny_circuit_run(tmp_path):
 
 
 TINY_RUNS = {
-    "lemmas": lambda tmp_path: experiments.lemma_rows((8,), (0.1,), jobs=2),
+    "lemmas": lambda tmp_path: experiments.lemma_rows((8,), (0.1,)),
     "separation": lambda tmp_path: experiments.separation_rows(ExperimentConfig(
         "separation", eps=(0.1, 0.2), d=(2,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
     "endtoend": lambda tmp_path: experiments.endtoend_rows(ExperimentConfig(
@@ -515,6 +517,27 @@ def test_cli_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("kind,grid", [
+    ("verify-lemmas", "eps = 0.0, 0.1\nq = 8"),
+    ("separation", "eps = 0.1\nd = 2\nq = 8\nn = 1, 2\ntrials = 2"),
+    ("endtoend", "eps = 0.1\nd = 1000\nq = 257\ntrials = 4"),
+    ("concentration", "eps = 0.2\nd = 2000\nq = 8\ntrials = 150"),
+])
+def test_csv_header_parses_back_to_the_config_of_the_run(tmp_path, kind, grid):
+    # the header below the version line is the whole recipe of a rerun,
+    # a --seed override included
+    text = f"[experiment]\nkind = {kind}\nseed = 3\n\n[grid]\n{grid}\n"
+    out = tmp_path / "r.csv"
+    assert cli.main([kind, "--config", _write_config(tmp_path, text), "--seed", "11",
+                     "--jobs", "1", "--out", str(out)]) in (0, 1)
+    written = [out] + ([tmp_path / "r_trials.csv"] if kind == "endtoend" else [])
+    for path in written:
+        header = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        assert header[0] == f"# querylab {querylab.__version__}"
+        echoed = parse_config("\n".join(ln[2:] for ln in header[1:]))
+        assert echoed == replace(parse_config(text), seed=11)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # passing sweep
     ok = _write_config(tmp_path, SMALL_CONC.replace("d = 2000", "d = 80000"))
@@ -566,8 +589,7 @@ def test_cli_checks_the_output_directory_before_any_work(tmp_path, monkeypatch, 
                                                          argv, runner):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
-    kind = "separation" if argv[0] == "circuit-run" else argv[0]
-    (tmp_path / "run.ini").write_text(f"[experiment]\nkind = {kind}\n\n[output]\npath =\n")
+    (tmp_path / "r_trials.csv").mkdir()
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("the run started before --out was checked")
@@ -575,11 +597,15 @@ def test_cli_checks_the_output_directory_before_any_work(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, runner, must_not_run)
     assert cli.main(argv + ["--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: output directory ")
-    # an existing directory, and an empty [output] path in the config
-    for out, shown in ((["--out", str(tmp_path)], repr(str(tmp_path))),
-                       (["--config", "run.ini"], "''")):
-        assert cli.main(argv + out) == 2
-        assert capsys.readouterr().err == f"error: output path {shown} is empty or a directory\n"
+    # an existing directory, an empty path, and for endtoend a directory
+    # where its trials file would go
+    bad = [(str(tmp_path), str(tmp_path)), ("", "")]
+    if argv[0] == "endtoend":
+        bad.append(("r.csv", "r_trials.csv"))
+    for out, shown in bad:
+        assert cli.main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: output path {shown!r} is empty or a directory\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("message,shown", [
@@ -877,18 +903,23 @@ def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
             assert float(measured) == trace_distance(base, average_density(state, eps, 8))
 
 
-def test_cli_circuit_run_honours_config_output_path(tmp_path, monkeypatch, capsys):
+def test_cli_circuit_run_takes_its_output_path_from_out_alone(tmp_path, monkeypatch, capsys):
+    # a config names no output path: an [output] section is an error before
+    # the circuit is read, also beside --out
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
-    (tmp_path / "run.ini").write_text(
-        "[experiment]\nkind = separation\n\n[grid]\neps = 0.1\n\n[output]\npath = x.csv\n")
-    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini"]) == 0
+    grid = "[experiment]\nkind = separation\n\n[grid]\neps = 0.1\n"
+    (tmp_path / "old.ini").write_text(grid + "\n[output]\npath = x.csv\n")
+    (tmp_path / "run.ini").write_text(grid)
+    for out in ([], ["--out", "y.csv"]):
+        assert cli.main(["circuit-run", "c.txt", "--config", "old.ini", *out]) == 2
+        assert capsys.readouterr().err == "error: line 7: unknown section 'output'\n"
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()
+    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini", "--out", "y.csv"]) == 0
     assert capsys.readouterr().out == ""
-    body = [ln for ln in (tmp_path / "x.csv").read_text().splitlines()
+    body = [ln for ln in (tmp_path / "y.csv").read_text().splitlines()
             if not ln.startswith("#")]
     assert [row[0] for row in csv.reader(body)][-1] == "circuit_adv"
-    assert cli.main(["circuit-run", "c.txt", "--config", "run.ini", "--out", "y.csv"]) == 0
-    assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["verify-lemmas", "endtoend", "concentration"])

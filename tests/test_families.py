@@ -102,7 +102,7 @@ def test_iterates_amplify_flagged_mass():
 def test_matched_twin_same_skeleton_forward_only():
     c = grover_iterate_circuit(4, 6)
     t = matched_forward_circuit(4, 6)
-    assert t.forward_only
+    assert t.inverse_count == 0
     assert t.forward_count + t.inverse_count == c.forward_count + c.inverse_count == 6
     assert len(t.steps) == len(c.steps)
     for a, b in zip(c.steps, t.steps):

@@ -52,8 +52,6 @@ class TestQueryCircuit:
         c = QueryCircuit(2, 1, (FORWARD, INVERSE, FORWARD))
         assert c.forward_count == 2
         assert c.inverse_count == 1
-        assert not c.forward_only
-        assert QueryCircuit(2, 1, (FORWARD,)).forward_only
 
     def test_gate_dimension_checked(self):
         with pytest.raises(Exception):

@@ -9,9 +9,7 @@ TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted((TESTS.parent / "src" / "querylab").glob("*.py"))
 
 # Parameters that no body reads, each with the reason it stays.
-ALLOWED = {
-    "experiments.lemma_rows.jobs": "tests/test_acceptance.py passes jobs=4 to every sweep",
-}
+ALLOWED = {}
 
 
 def _is_abstract(func) -> bool:

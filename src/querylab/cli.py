@@ -25,7 +25,7 @@ from .experiments import (
     lemma_rows,
     separation_rows,
 )
-from .query_sim import DEFAULT_KEY_CAP, circuit_from_text
+from .query_sim import circuit_from_text
 
 __all__ = [
     "main",
@@ -40,10 +40,6 @@ TRIAL_COLUMNS = ("method", "trial", "truth", "label", "estimate", "forward", "in
 # circuit-run reads a separation config, but not these keys: the circuit file
 # fixes d and q, and an exact run draws nothing and repeats nothing.
 _CIRCUIT_RUN_UNREAD = ("seed", "d", "q", "n", "trials")
-
-
-def _config_comments(cfg: ExperimentConfig) -> list:
-    return [f"querylab {__version__}"] + config_to_text(cfg).rstrip("\n").split("\n")
 
 
 def _to_csv(comment_lines, columns, records) -> str:
@@ -72,8 +68,7 @@ def trials_to_csv(records, comment_lines) -> str:
     return _to_csv(comment_lines, TRIAL_COLUMNS, records)
 
 
-def cmd_circuit_run(path: str, eps_list=default_config("separation").eps,
-                    cap: int = DEFAULT_KEY_CAP):
+def cmd_circuit_run(path: str, eps_list, cap: int):
     """Run one circuit file exactly and report its bias-advantage profile.
 
     Returns plain tuples (kind, params, measured) since nothing here is
@@ -93,10 +88,10 @@ def cmd_circuit_run(path: str, eps_list=default_config("separation").eps,
     return rows
 
 
-def _add_common_flags(p: argparse.ArgumentParser, cap: bool) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, kind: str) -> None:
     p.add_argument("--config", help="key=value config file; defaults are per-command")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    if cap:  # only separation and circuit-run read the histogram key cap
+    if default_config(kind).cap is not None:
         p.add_argument("--cap", type=int, help="histogram key cap override")
 
 
@@ -135,11 +130,8 @@ def _resolve_config(args, kind: str, unread: tuple = ()) -> ExperimentConfig:
     cfg = load_config(args.config, unread) if args.config else default_config(kind)
     if cfg.kind != kind:
         raise ConfigError(f"{args.command} reads a {kind!r} config, got kind {cfg.kind!r}")
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "cap", None) is not None:
-        cfg = replace(cfg, cap=args.cap)
-    return cfg
+    flags = {key: getattr(args, key, None) for key in ("seed", "cap")}
+    return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _run_experiment(args) -> int:
@@ -158,7 +150,7 @@ def _run_experiment(args) -> int:
     }
     rows, records = runners[kind]()
 
-    comments = _config_comments(cfg)
+    comments = [f"querylab {__version__}"] + config_to_text(cfg).rstrip("\n").split("\n")
     _emit(rows_to_csv(rows, comments), paths[0])
     if len(paths) > 1:
         _emit(trials_to_csv(records, comments), paths[1])
@@ -196,13 +188,13 @@ def main(argv=None) -> int:
     }
     for kind in KINDS:
         sweep = sub.add_parser(kind, help=helps[kind])
-        _add_common_flags(sweep, cap=kind == "separation")
+        _add_common_flags(sweep, kind)
         sweep.add_argument("--seed", type=int, help="master seed override")
         sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                            help="worker threads (default: all cores)")
     circ = sub.add_parser("circuit-run", help="run one circuit file and report advantages")
     circ.add_argument("file", help="circuit in the text line format")
-    _add_common_flags(circ, cap=True)
+    _add_common_flags(circ, "separation")
 
     args = parser.parse_args(argv)
     try:

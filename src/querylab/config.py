@@ -6,7 +6,9 @@ are serialized with repr, so a config round-trips bit-exactly.
 
 ``_KEYS`` is the one place a key is declared: its section and the
 converter of one value. Parsing, the line an error names, the echo of
-``config_to_text`` and the field types all read it.
+``config_to_text`` and the field types all read it. ``_DEFAULTS`` names
+the keys each kind reads, with their defaults: a config holds None for
+every other key, and setting one is an error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from .query_sim import DEFAULT_KEY_CAP
 __all__ = ["ExperimentConfig", "KINDS", "default_config", "parse_config", "config_to_text",
            "load_config"]
 
-KINDS = ("verify-lemmas", "separation", "endtoend", "concentration")
+_DEFAULTS = {
+    "verify-lemmas": {"seed": 0, "eps": (0.0, 0.1, 0.25, 0.45), "q": (8, 64, 257, 1024)},
+    "separation": {"seed": 0, "cap": DEFAULT_KEY_CAP, "eps": (0.02, 0.05, 0.1, 0.2),
+                   "d": (3, 4), "q": (8,), "n": (1, 2, 3, 4, 5, 6), "trials": 20},
+    "endtoend": {"seed": 0, "eps": (0.05,), "d": (gap_dimension(0.05),), "q": (257,),
+                 "trials": 400},
+    "concentration": {"seed": 0, "eps": (0.1,), "d": (gap_dimension(0.1),), "q": (257,),
+                      "trials": 1000},
+}
+KINDS = tuple(_DEFAULTS)
 
 
 # Grid keys of which a kind reads only the first value.
@@ -37,32 +48,38 @@ def _kind(value: str) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    eps: tuple
-    d: tuple
-    q: tuple
-    n: tuple
-    trials: int
-    seed: int
-    cap: int
+    eps: tuple | None = None
+    d: tuple | None = None
+    q: tuple | None = None
+    n: tuple | None = None
+    trials: int | None = None
+    seed: int | None = None
+    cap: int | None = None
 
     def __post_init__(self):
-        _kind(self.kind)
-        for name in ("eps", "d", "q", "n"):
-            if not getattr(self, name):
-                raise ConfigError(f"grid entry {name!r} must be non-empty", key=name)
+        reads = _DEFAULTS[_kind(self.kind)]
+        for key in _KEYS:
+            value = getattr(self, key)
+            if key != "kind" and (value is not None) != (key in reads):
+                raise ConfigError(f"key {key!r} is not set but {self.kind} reads it"
+                                  if value is None else
+                                  f"key {key!r} is set but {self.kind} does not read it", key=key)
+            if key in _LISTS and value is not None and not value:
+                raise ConfigError(f"grid entry {key!r} must be non-empty", key=key)
+        # every kind reads eps, q and seed; the other range checks skip unread keys
         if any(not 0.0 <= e < 1.0 for e in self.eps):
             raise ConfigError(f"eps values must lie in [0, 1), got {self.eps}", key="eps")
         for name in ("d", "n"):
-            if any(v < 1 for v in getattr(self, name)):
+            if name in reads and any(v < 1 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be >= 1, got {getattr(self, name)}",
                                   key=name)
         if any(v < 2 for v in self.q):
             raise ConfigError(f"q values must be >= 2, got {self.q}", key="q")
-        if self.trials < 1:
+        if "trials" in reads and self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}", key="trials")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}", key="seed")
-        if self.cap < 1:
+        if "cap" in reads and self.cap < 1:
             raise ConfigError(f"key cap must be >= 1, got {self.cap}", key="cap")
         for name in _SINGLE_VALUED.get(self.kind, ()):
             if len(getattr(self, name)) > 1:
@@ -90,18 +107,7 @@ class ExperimentConfig:
 
 
 def default_config(kind: str) -> ExperimentConfig:
-    if kind == "verify-lemmas":
-        return ExperimentConfig(kind, (0.0, 0.1, 0.25, 0.45), (1,), (8, 64, 257, 1024),
-                                (1,), 1, 0, DEFAULT_KEY_CAP)
-    if kind == "separation":
-        return ExperimentConfig(kind, (0.02, 0.05, 0.1, 0.2), (3, 4), (8,),
-                                (1, 2, 3, 4, 5, 6), 20, 0, DEFAULT_KEY_CAP)
-    if kind == "endtoend":
-        return ExperimentConfig(kind, (0.05,), (gap_dimension(0.05),), (257,),
-                                (1,), 400, 0, DEFAULT_KEY_CAP)
-    # concentration, the one kind left; _kind rejects a value that names none
-    return ExperimentConfig(_kind(kind), (0.1,), (gap_dimension(0.1),), (257,),
-                            (1,), 1000, 0, DEFAULT_KEY_CAP)
+    return ExperimentConfig(kind, **_DEFAULTS[_kind(kind)])
 
 
 # Each key of the format: its section and the converter of one of its values.
@@ -140,8 +146,8 @@ def _convert(key: str, text: str, lineno: int):
 def parse_config(text: str, unread: tuple = ()) -> ExperimentConfig:
     """Parse the sectioned key = value format; errors carry line numbers.
 
-    A key the caller names in ``unread``, or a list for a grid key of which
-    the kind reads one value, is an error rather than silently dropped. Of
+    A key the kind does not read or the caller names in ``unread``, or a
+    list for a grid key the kind reads one value of, is an error; of
     several faults on the lines, the first in line order is reported.
     """
     section = None
@@ -188,6 +194,8 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     lines, section = [], None
     for key, (own, _) in _KEYS.items():
         value = getattr(cfg, key)
+        if value is None:
+            continue
         if own != section:
             section = own
             lines += ["", f"[{section}]"]

@@ -137,7 +137,7 @@ def lemma_rows(q_grid, eps_grid, master_seed: int = 0) -> list:
         summary = frame_summary(q, eps)
         lo = math.sqrt(1.0 - eps) - 1e-10
         hi = math.sqrt(1.0 + 2.0 * eps) + 1e-10
-        sharp = 1.0 - 2.0 * eps**2 / (1.0 - eps) - 1e-9 if eps < 1.0 else 0.0
+        sharp = 1.0 - 2.0 * eps**2 / (1.0 - eps) - 1e-9
         # same numeric slack as the sharp bound; exact at eps=0 up to rounding
         coarse = 1.0 - 4.0 * eps**2 - 1e-9
         cap = 2.0 * eps**2 / (1.0 - eps) + 1e-10

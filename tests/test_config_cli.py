@@ -19,7 +19,9 @@ import querylab
 from querylab import blas, cli, experiments
 from querylab.blas import one_blas_thread
 from querylab.config import (
+    _DEFAULTS,
     _KEYS,
+    _LISTS,
     KINDS,
     ExperimentConfig,
     config_to_text,
@@ -127,6 +129,31 @@ def test_every_key_is_rejected_outside_its_section(key, section):
                      else (5, f"unknown key {key!r} in [{section}]"))
     assert str(err.value) == f"line {line}: {message}"
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("kind,key", [
+    *(("verify-lemmas", key) for key in ("d", "n", "trials", "cap")),
+    *((kind, key) for kind in ("endtoend", "concentration") for key in ("n", "cap"))])
+def test_every_key_a_kind_does_not_read_is_rejected(tmp_path, capsys, kind, key):
+    # 0 is out of range for each of these keys too: the unread key is named first
+    text = f"[experiment]\nkind = {kind}\n\n[{_KEYS[key][0]}]\n{key} = 0\n"
+    out = tmp_path / "r.csv"
+    assert cli.main([kind, "--config", _write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 5: key {key!r} is set but {kind} does not read it\n")
+    assert not out.exists() and not (tmp_path / "r_trials.csv").exists()
+    with pytest.raises(ConfigError) as err:
+        replace(default_config(kind), **{key: (1,) if key in _LISTS else 1})
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_built_in_code_needs_every_key_its_kind_reads(kind):
+    for key in _DEFAULTS[kind]:
+        with pytest.raises(ConfigError) as err:
+            replace(default_config(kind), **{key: None})
+        assert str(err.value) == f"key {key!r} is not set but {kind} reads it"
+        assert err.value.key == key
 
 
 def test_parse_reports_the_earliest_of_several_faults():
@@ -254,8 +281,7 @@ def test_separation_rows_deterministic_across_jobs():
 
 
 def test_endtoend_rows_structure():
-    cfg = ExperimentConfig("endtoend", eps=(0.1,), d=(2000,), q=(257,), n=(1,),
-                           trials=6, seed=2, cap=10**5)
+    cfg = ExperimentConfig("endtoend", eps=(0.1,), d=(2000,), q=(257,), trials=6, seed=2)
     rows, records = experiments.endtoend_rows(cfg, jobs=3)
     kinds = [r.kind for r in rows]
     for method in ("estimation", "amplification", "naive"):
@@ -278,8 +304,7 @@ def test_endtoend_rows_structure():
 
 
 def test_endtoend_schedule_slopes():
-    cfg = ExperimentConfig("endtoend", eps=(0.1,), d=(500,), q=(8,), n=(1,),
-                           trials=2, seed=3, cap=10**5)
+    cfg = ExperimentConfig("endtoend", eps=(0.1,), d=(500,), q=(8,), trials=2, seed=3)
     rows, _ = experiments.endtoend_rows(cfg)
     by_kind = {r.kind: r for r in rows}
     assert by_kind["estimation_query_slope"].passed
@@ -289,8 +314,7 @@ def test_endtoend_schedule_slopes():
 
 
 def test_concentration_rows_fail_below_calibrated_dimension():
-    cfg = ExperimentConfig("concentration", eps=(0.1,), d=(400,), q=(8,), n=(1,),
-                           trials=200, seed=5, cap=10**5)
+    cfg = ExperimentConfig("concentration", eps=(0.1,), d=(400,), q=(8,), trials=200, seed=5)
     rows = experiments.concentration_rows(cfg)
     gap = [r for r in rows if r.kind == "gap_unbiased_small"]
     assert len(gap) == 1
@@ -303,20 +327,20 @@ def test_config_built_in_code_rejects_lists_a_kind_reads_one_value_of():
         experiments.separation_rows(
             ExperimentConfig("separation", (0.1,), (2,), (8, 16), (1,), 2, 0, 10**5), 1)
     for key, values in (("eps", (0.1, 0.2)), ("d", (500, 600))):
-        grid = {"eps": (0.1,), "d": (500,), "q": (8,), "n": (1,), key: values}
+        grid = {"eps": (0.1,), "d": (500,), "q": (8,), key: values}
         with pytest.raises(ConfigError, match=f"one {key} value") as err:
-            ExperimentConfig("endtoend", **grid, trials=2, seed=0, cap=10**5)
+            ExperimentConfig("endtoend", **grid, trials=2, seed=0)
         assert err.value.line is None
 
 
 def test_concentration_rows_broadcast_and_mismatch():
-    cfg = ExperimentConfig("concentration", eps=(0.2, 0.3), d=(1000,), q=(8,), n=(1,),
-                           trials=150, seed=5, cap=10**5)
+    cfg = ExperimentConfig("concentration", eps=(0.2, 0.3), d=(1000,), q=(8,), trials=150,
+                           seed=5)
     rows = experiments.concentration_rows(cfg, jobs=2)
     assert {r.params[1] for r in rows} == {0.2, 0.3}
     with pytest.raises(ConfigError, match="d grid length 2") as err:
         ExperimentConfig("concentration", eps=(0.1, 0.2, 0.3), d=(10, 20), q=(8,),
-                         n=(1,), trials=150, seed=5, cap=10**5)
+                         trials=150, seed=5)
     assert err.value.key == "d"
 
 
@@ -324,8 +348,8 @@ def test_row_seeds_reproduce_tail_fraction():
     # any row can be replayed in isolation from its recorded seed
     from querylab.ensembles import concentration_check
 
-    cfg = ExperimentConfig("concentration", eps=(0.2,), d=(1000,), q=(8,), n=(1,),
-                           trials=150, seed=21, cap=10**5)
+    cfg = ExperimentConfig("concentration", eps=(0.2,), d=(1000,), q=(8,), trials=150,
+                           seed=21)
     rows = experiments.concentration_rows(cfg)
     row = next(r for r in rows if r.kind == "tail_biased")
     t = row.params[3]
@@ -347,7 +371,6 @@ SMALL_CONC = """\
 [experiment]
 kind = concentration
 seed = 31
-cap = 100000
 
 [grid]
 eps = 0.2
@@ -438,7 +461,8 @@ def test_circuit_run_bytes_independent_of_blas_threads_and_equal_to_separation(t
 def _tiny_circuit_run(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(circuit_to_text(grover_iterate_circuit(3, 2), 8))
-    return cli.cmd_circuit_run(str(path))
+    cfg = default_config("separation")
+    return cli.cmd_circuit_run(str(path), cfg.eps, cfg.cap)
 
 
 TINY_RUNS = {
@@ -446,10 +470,9 @@ TINY_RUNS = {
     "separation": lambda tmp_path: experiments.separation_rows(ExperimentConfig(
         "separation", eps=(0.1, 0.2), d=(2,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
     "endtoend": lambda tmp_path: experiments.endtoend_rows(ExperimentConfig(
-        "endtoend", eps=(0.1,), d=(500,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
+        "endtoend", eps=(0.1,), d=(500,), q=(8,), trials=2, seed=0), 2),
     "concentration": lambda tmp_path: experiments.concentration_rows(ExperimentConfig(
-        "concentration", eps=(0.2,), d=(500,), q=(8,), n=(1,), trials=100, seed=0,
-        cap=10**5), 2),
+        "concentration", eps=(0.2,), d=(500,), q=(8,), trials=100, seed=0), 2),
     "circuit-run": _tiny_circuit_run,
 }
 
@@ -536,6 +559,49 @@ def test_csv_header_parses_back_to_the_config_of_the_run(tmp_path, kind, grid):
         assert header[0] == f"# querylab {querylab.__version__}"
         echoed = parse_config("\n".join(ln[2:] for ln in header[1:]))
         assert echoed == replace(parse_config(text), seed=11)
+
+
+TINY_GRIDS = {
+    "verify-lemmas": "eps = 0.1\nq = 8",
+    "separation": "eps = 0.1\nd = 2\nq = 8\nn = 1\ntrials = 1",
+    "endtoend": "eps = 0.1\nd = 500\nq = 8\ntrials = 2",
+    "concentration": "eps = 0.2\nd = 500\nq = 8\ntrials = 100",
+    "circuit-run": "eps = 0.1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_GRIDS))
+def test_each_command_reads_exactly_the_keys_its_kind_declares(tmp_path, monkeypatch, command):
+    reads = set()
+
+    class Recorder(ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in _KEYS and name != "kind":
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    kind = "separation" if command == "circuit-run" else command
+    resolve = cli._resolve_config
+
+    def recording(*args):
+        recorder = Recorder(**vars(resolve(*args)))
+        reads.clear()  # drop the reads of validation
+        return recorder
+
+    monkeypatch.setattr(cli, "_resolve_config", recording)
+    # the header echoes every key that is set, so it reads a plain copy
+    monkeypatch.setattr(cli, "config_to_text",
+                        lambda cfg: config_to_text(ExperimentConfig(**vars(cfg))))
+    (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    argv = ["circuit-run", str(tmp_path / "c.txt")] if command == "circuit-run" else [
+        command, "--jobs", "1"]
+    text = f"[experiment]\nkind = {kind}\n\n[grid]\n{TINY_GRIDS[command]}\n"
+    assert cli.main([*argv, "--config", _write_config(tmp_path, text),
+                     "--out", str(tmp_path / "r.csv")]) in (0, 1)
+    expected = set(_DEFAULTS[kind])
+    if command == "circuit-run":
+        expected -= set(cli._CIRCUIT_RUN_UNREAD)
+    assert reads == expected
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -655,9 +721,9 @@ def test_endtoend_input_is_checked_before_any_trial(tmp_path, monkeypatch, capsy
         parse_config(text)
     assert str(err.value) == f"line 5: {message}"
     key, value = (part.strip() for part in line.split("="))
-    grid = {"eps": (0.1,), "d": (500,), "q": (8,), "n": (1,), key: (ast.literal_eval(value),)}
+    grid = {"eps": (0.1,), "d": (500,), "q": (8,), key: (ast.literal_eval(value),)}
     with pytest.raises(ConfigError, match=message):
-        ExperimentConfig("endtoend", **grid, trials=2, seed=0, cap=10**5)
+        ExperimentConfig("endtoend", **grid, trials=2, seed=0)
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a trial ran before the config was checked")
@@ -679,9 +745,9 @@ def test_concentration_input_is_checked_before_any_unit(tmp_path, monkeypatch, c
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert str(err.value) == f"line 5: {message}"
-    fields = {"eps": (0.1,), "d": (500,), "q": (8,), "n": (1,), "trials": 100, **bad}
+    fields = {"eps": (0.1,), "d": (500,), "q": (8,), "trials": 100, **bad}
     with pytest.raises(ConfigError, match=re.escape(message)):
-        ExperimentConfig("concentration", **fields, seed=0, cap=10**5)
+        ExperimentConfig("concentration", **fields, seed=0)
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a unit ran before the config was checked")
@@ -778,7 +844,6 @@ def test_cli_endtoend_writes_trials_sibling(tmp_path):
 [experiment]
 kind = endtoend
 seed = 7
-cap = 100000
 
 [grid]
 eps = 0.1

@@ -35,7 +35,6 @@ __all__ = [
     "amplitude_estimate",
     "estimate_budget",
     "amplitude_amplify",
-    "trace_probe",
     "pair_probe",
     "distinguish_by_estimation",
     "distinguish_by_amplification",
@@ -216,19 +215,35 @@ def _coarse_terms(eps: float, levels: tuple) -> tuple:
     return coarse, terms
 
 
+@lru_cache(maxsize=32)
+def _fine_terms(eps: float, levels: tuple, winner: int) -> tuple:
+    """The fine angle grid around coarse point ``winner`` and each level's read-only log terms.
+
+    Fits share few coarse winners (23 distinct ones over the 320 fits of
+    the endtoend-large-d config), so these too are built once per (eps,
+    chain, winner). One entry at a ten-level chain holds 21 arrays of 801
+    floats, about 135 KB.
+    """
+    step = 0.25 * eps
+    best = _coarse_terms(eps, levels)[0][winner]
+    lo = max(0.0, best - 2 * step)
+    hi = min(math.pi / 2, best + 2 * step)
+    fine = np.linspace(lo, hi, 801)
+    terms = tuple(_log_terms(m, fine) for m in levels)
+    for a in (fine, *(t for pair in terms for t in pair)):
+        a.flags.writeable = False
+    return fine, terms
+
+
 def _mle_theta(counts, eps: float) -> float:
     """Maximum-likelihood angle from per-level hit counts.
 
     Coarse scan at a fraction of the deepest level's oscillation period, then
     a fine scan around the winner.
     """
-    step = 0.25 * eps
-    coarse, terms = _coarse_terms(eps, tuple(m for m, _, _ in counts))
-    best = coarse[int(np.argmax(_loglik(counts, terms)))]
-    lo = max(0.0, best - 2 * step)
-    hi = min(math.pi / 2, best + 2 * step)
-    fine = np.linspace(lo, hi, 801)
-    fine_terms = [_log_terms(m, fine) for m, _, _ in counts]
+    levels = tuple(m for m, _, _ in counts)
+    _, terms = _coarse_terms(eps, levels)
+    fine, fine_terms = _fine_terms(eps, levels, int(np.argmax(_loglik(counts, terms))))
     return float(fine[int(np.argmax(_loglik(counts, fine_terms)))])
 
 
@@ -282,26 +297,15 @@ def amplitude_amplify(oracle: PreparationOracle, rng) -> bool:
         scale *= AMPLIFY_GROWTH
 
 
-def trace_probe(oracle: DiagonalOracle) -> PreparationOracle:
-    """Preparation whose flagged amplitude is the oracle's normalized trace.
-
-    Fourier in, one forward query, Fourier out, flag flip on index 0: the
-    flagged component of the prepared state is ntr(U)|0,1>. Its iterates are
-    the exact two-level rotation of that 2d x 2d unitary, so after the O(d)
-    trace computation every iterate is O(1) at any dimension.
-    """
-    return PairedPreparation(normalized_trace(oracle), 0.0)
-
-
 def pair_probe(oracle: DiagonalOracle) -> PairedPreparation:
     """Preparation flagging both the plain and the ramp-twisted trace.
 
     The flagged component is alpha|0,1> + beta|1,1> with alpha the normalized
     trace of U and beta that of the ramp-conjugated oracle; measuring the
     first register of the flagged state tells which functional dominates.
-    Like trace_probe it is the exact two-level reduction of a dense probe
-    unitary: the ramp unitary in, one query, its adjoint out, and a flag flip
-    on query indices 0 and 1.
+    It is the exact two-level reduction of a dense probe unitary: the ramp
+    unitary in, one query, its adjoint out, and a flag flip on query indices
+    0 and 1.
     """
     d = oracle.dimension
     if d < 2:
@@ -322,13 +326,17 @@ class DistinguishOutcome:
 
 
 def distinguish_by_estimation(
-    oracle: DiagonalOracle,
+    trace: complex,
     eps: float,
     rng,
     method: str = "amplitude",
 ) -> DistinguishOutcome:
-    """Label an oracle 0 (unbiased) or 1 (biased) from its trace amplitude.
+    """Label an oracle 0 (unbiased) or 1 (biased) from its normalized trace ``trace``.
 
+    The trace probe (Fourier in, one forward query, Fourier out, flag flip
+    on index 0) has flagged component ntr(U)|0,1>, so it is the exact
+    two-level rotation ``PairedPreparation(trace, 0)`` and reads nothing of
+    the oracle but its trace.
     Estimates |ntr| to within 0.05*eps, then decides 0 exactly when the
     estimate falls below 0.15*eps. method="amplitude" uses the iterate-based
     estimator (forward and inverse queries, Theta(1/eps) total);
@@ -337,7 +345,7 @@ def distinguish_by_estimation(
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"bias parameter must lie in (0, 1), got {eps}")
-    probe = trace_probe(oracle)
+    probe = PairedPreparation(trace, 0.0)
     if method == "amplitude":
         a_hat = amplitude_estimate(probe, 0.05 * eps, rng)
     elif method == "naive":

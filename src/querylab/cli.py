@@ -145,7 +145,7 @@ def _run_experiment(args) -> int:
     runners = {
         "verify-lemmas": lambda: (lemma_rows(cfg.q, cfg.eps, cfg.seed), None),
         "separation": lambda: (separation_rows(cfg, jobs), None),
-        "endtoend": lambda: endtoend_rows(cfg, jobs),
+        "endtoend": lambda: endtoend_rows(cfg),
         "concentration": lambda: (concentration_rows(cfg, jobs), None),
     }
     rows, records = runners[kind]()

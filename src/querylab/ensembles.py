@@ -8,7 +8,9 @@ distribution; bias 0 is the uniform ensemble, every entry uniform over the
 order-q roots.
 
 Draws carry no ramp; a ramped oracle is a draw composed with
-``DiagonalOracle.compose_ramp``.
+``DiagonalOracle.compose_ramp``. A caller that reads only a draw's plain
+trace takes it from ``draw_trace``, which counts the exponents as they are
+drawn and stores none of them.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .phases import _check_order, phase_mean, pmf_vector, sample_exponents
+from .phases import _check_order, phase_mean, pmf_vector, sample_exponents, sample_histogram
 
 __all__ = [
     "DiagonalOracle",
     "GAP_DIMENSION_FACTOR",
     "gap_dimension",
     "draw",
+    "draw_trace",
     "normalized_trace",
     "concentration_check",
     "trace_gap_check",
@@ -56,6 +59,11 @@ def _histogram(exponents: np.ndarray, q: int) -> np.ndarray:
     for lo in range(0, exponents.size, _TRACE_BLOCK):
         counts += np.bincount(exponents[lo:lo + _TRACE_BLOCK], minlength=q)
     return counts
+
+
+def _histogram_trace(counts: np.ndarray, d: int) -> complex:
+    # the normalized trace of a d-entry diagonal with these exponent counts
+    return complex(counts @ _roots(counts.size) / d)
 
 
 def _unit_phases(steps: np.ndarray, d: int) -> np.ndarray:
@@ -171,8 +179,18 @@ def normalized_trace(oracle: DiagonalOracle) -> complex:
     """
     if oracle.ramp_turns:
         return _ramp_trace(oracle.exponents, oracle.order, oracle.ramp_turns) / oracle.dimension
-    return complex(_histogram(oracle.exponents, oracle.order) @ _roots(oracle.order)
-                   / oracle.dimension)
+    return _histogram_trace(_histogram(oracle.exponents, oracle.order), oracle.dimension)
+
+
+def draw_trace(eps: float, d: int, q: int, rng: np.random.Generator) -> complex:
+    """Normalized trace of one bias-``eps`` draw, from its exponent histogram alone.
+
+    Equal bit for bit to ``normalized_trace(draw(eps, d, q, rng))``, and
+    leaves ``rng`` in the same state, but the d exponents are counted block
+    by block as they are drawn and never stored.
+    """
+    d = _check_dimension(d)
+    return _histogram_trace(sample_histogram(eps, q, rng, d), d)
 
 
 def _ntr_samples(eps: float, d: int, q: int, trials: int,

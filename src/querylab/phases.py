@@ -25,6 +25,7 @@ __all__ = [
     "phase_moment",
     "moment_table",
     "sample_exponents",
+    "sample_histogram",
     "window_halfwidth",
 ]
 
@@ -109,7 +110,8 @@ def moment_table(eps: float, q: int, max_power: int) -> np.ndarray:
 
 
 # Uniforms per block of the sampler; a block's scratch arrays are reused,
-# so a draw allocates nothing d-length besides its result.
+# so a draw allocates nothing d-length besides its result, and a histogram
+# draw nothing d-length at all.
 _SAMPLE_BLOCK = 1 << 15
 
 
@@ -128,6 +130,45 @@ def _guide_table(eps: float, q: int) -> tuple:
     cdf.flags.writeable = False
     guide.flags.writeable = False
     return cdf, guide, buckets, one_step
+
+
+def _exponent_blocks(eps: float, q: int, rng: np.random.Generator, size: int,
+                     out: np.ndarray | None = None):
+    """Yield the exponents of a ``size``-entry draw block by block.
+
+    The one sampler loop behind ``sample_exponents`` and ``sample_histogram``
+    (see the former for the method). Each yielded block is a view of ``out``
+    when given, else of one reused block buffer that the next block
+    overwrites, so a consumer must read it before resuming the loop.
+    """
+    cdf, guide, buckets, one_step = _guide_table(_check_bias(eps), _check_order(q))
+    n = min(size, _SAMPLE_BLOCK)
+    # the 8-byte block buffers are rows of one allocation: freeing it raises
+    # glibc's mmap and trim thresholds above its size, so the next draw
+    # reuses the memory; three separate buffers would be trimmed and faulted
+    # in again on every histogram draw (about 180 minor faults each)
+    rows = np.empty((2 if out is not None else 3, n))
+    u, scratch, step = rows[0], rows[1], np.empty(n, bool)
+    # the bucket indices and the CDF values are never live at once, so they
+    # share one row
+    bucket = scratch.view(np.intp)
+    block = rows[2].view(np.int64) if out is None else None
+    for lo in range(0, size, _SAMPLE_BLOCK):
+        m = min(_SAMPLE_BLOCK, size - lo)
+        kb = block[:m] if out is None else out[lo:lo + m]
+        rng.random(out=u[:m])
+        # u*B is exact, and the cast floors it as u*B >= 0
+        np.multiply(u[:m], buckets, out=bucket[:m], casting="unsafe")
+        np.take(guide, bucket[:m], out=kb, mode="clip")
+        np.take(cdf, kb, out=scratch[:m], mode="clip")
+        np.greater_equal(u[:m], scratch[:m], out=step[:m])
+        kb += step[:m]
+        if not one_step:
+            moving = np.flatnonzero(step[:m])
+            while moving.size:
+                moving = moving[u[moving] >= cdf[kb[moving]]]
+                kb[moving] += 1
+        yield kb
 
 
 def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -153,23 +194,21 @@ def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) ->
     otherwise flat or nearly flat CDF runs need more, and the entries that
     stepped keep stepping while ``u >= cdf[k]``.
     """
-    cdf, guide, buckets, one_step = _guide_table(_check_bias(eps), _check_order(q))
     k = np.empty(size, dtype=np.int64)
-    n = min(size, _SAMPLE_BLOCK)
-    u, x, bucket, step = np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
-    for lo in range(0, size, _SAMPLE_BLOCK):
-        m = min(_SAMPLE_BLOCK, size - lo)
-        kb = k[lo:lo + m]
-        rng.random(out=u[:m])
-        np.multiply(u[:m], buckets, out=x[:m])
-        np.copyto(bucket[:m], x[:m], casting="unsafe")  # floor, as u*B >= 0
-        np.take(guide, bucket[:m], out=kb, mode="clip")
-        np.take(cdf, kb, out=x[:m], mode="clip")
-        np.greater_equal(u[:m], x[:m], out=step[:m])
-        kb += step[:m]
-        if not one_step:
-            moving = np.flatnonzero(step[:m])
-            while moving.size:
-                moving = moving[u[moving] >= cdf[kb[moving]]]
-                kb[moving] += 1
+    for _ in _exponent_blocks(eps, q, rng, size, out=k):
+        pass
     return k
+
+
+def sample_histogram(eps: float, q: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Exponent counts of a ``size``-entry draw, without storing the draw.
+
+    ``bincount(sample_exponents(eps, q, rng, size), minlength=q)`` with the
+    same uniforms, so the generator ends in the same state; each block is
+    counted while it is in cache, and nothing ``size``-length is allocated.
+    """
+    q = _check_order(q)
+    counts = np.zeros(q, dtype=np.int64)
+    for kb in _exponent_blocks(eps, q, rng, size):
+        counts += np.bincount(kb, minlength=q)
+    return counts

@@ -7,7 +7,8 @@ difference-coded moment weights. The tests compare those against the dense
 matrices and frames here:
 
 - ``DensePreparation`` and ``dense_probe_matrix``: the explicit 2d x 2d
-  probe unitaries that ``amplitude.trace_probe`` and ``pair_probe`` reduce,
+  probe unitaries that ``amplitude.PairedPreparation`` reduces (the trace
+  probe, which ``distinguish_by_estimation`` builds, and ``pair_probe``),
   and the collapsed flagged state that ``first_register_zero`` measures;
 - ``gram_schmidt``, ``frame_matrix`` and ``build_biased_frame``: the q x q
   biased Fourier frame and its orthonormalization;
@@ -19,7 +20,7 @@ matrices and frames here:
   entry, which ``ensembles.normalized_trace`` sums in factored form;
 - ``mle_loglik`` and ``mle_theta``: the amplitude-estimation likelihood
   and fit with every log term computed afresh, where ``amplitude``
-  caches the coarse grid's terms.
+  caches the terms of the coarse grid and of each fine grid.
 """
 
 from __future__ import annotations

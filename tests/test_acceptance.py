@@ -119,7 +119,7 @@ def test_criterion_6_endtoend_distinguishers():
     t0 = time.time()
     cfg = default_config("endtoend")
     assert cfg.eps == (0.05,) and cfg.d == (gap_dimension(0.05),) and cfg.trials == 400
-    rows, _ = experiments.endtoend_rows(cfg, jobs=8)
+    rows, _ = experiments.endtoend_rows(cfg)
     by_kind = {r.kind: r for r in rows}
     rates = {m: by_kind[f"{m}_success"].measured
              for m in ("estimation", "amplification", "naive")}

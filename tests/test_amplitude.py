@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from querylab import amplitude
+from querylab import amplitude, experiments
 from querylab.amplitude import (
     ESTIMATE_BUDGET_CONSTANT,
     PairedPreparation,
@@ -18,7 +18,6 @@ from querylab.amplitude import (
     estimate_budget,
     naive_estimate,
     pair_probe,
-    trace_probe,
 )
 from querylab.ensembles import DiagonalOracle, draw, normalized_trace
 from querylab.errors import DegeneracyError, DimensionError, ParameterError
@@ -31,6 +30,11 @@ from reference import (
     mle_theta,
     uniform_ramp_unitary,
 )
+
+
+def trace_probe(oracle: DiagonalOracle) -> PairedPreparation:
+    """The probe distinguish_by_estimation builds from the oracle's trace."""
+    return PairedPreparation(normalized_trace(oracle), 0.0)
 
 
 def dense_with_amplitude(dim, mask, rng):
@@ -297,8 +301,8 @@ def test_estimate_target_validated():
 
 @pytest.mark.parametrize("eps", [0.0025, 0.01, 0.05, 0.3])
 def test_mle_theta_matches_per_call_scan(eps):
-    # the cached coarse log terms give the likelihood and the fit of a scan
-    # that builds them afresh, bit for bit
+    # the cached coarse and fine log terms give the likelihood and the fit of
+    # a scan that builds them afresh, bit for bit
     rng = np.random.default_rng(int(eps * 10**4))
     chain = amplitude._estimation_chain(eps)
     levels = tuple(chain)
@@ -312,6 +316,13 @@ def test_mle_theta_matches_per_call_scan(eps):
     assert amplitude._coarse_terms(eps, levels)[0] is coarse
     assert not coarse.flags.writeable and len(terms) == len(chain)
     assert not any(t.flags.writeable for pair in terms for t in pair)
+    # one bounded, read-only fine grid per coarse winner index
+    assert 0 < amplitude._fine_terms.cache_info().maxsize <= 32
+    fine, fine_terms = amplitude._fine_terms(eps, levels, 3)
+    assert amplitude._fine_terms(eps, levels, 3)[0] is fine
+    assert fine.size == 801 and len(fine_terms) == len(chain)
+    assert not fine.flags.writeable
+    assert not any(t.flags.writeable for pair in fine_terms for t in pair)
 
 
 def test_estimation_stays_on_public_surface():
@@ -415,7 +426,7 @@ def test_ramp_unitary_needs_two_dimensions():
 def test_estimation_distinguisher_identity_is_biased():
     rng = np.random.default_rng(17)
     oracle = DiagonalOracle(np.zeros(16, dtype=int), 8, 16)
-    out = distinguish_by_estimation(oracle, 0.1, rng)
+    out = distinguish_by_estimation(normalized_trace(oracle), 0.1, rng)
     assert out.label == 1
     assert out.estimate > 0.9
 
@@ -427,8 +438,8 @@ def test_estimation_distinguisher_both_ensembles():
         rng = np.random.default_rng((trial, 41))
         u0 = draw(0.0, d, q, rng)
         u1 = draw(eps, d, q, rng)
-        out0 = distinguish_by_estimation(u0, eps, rng)
-        out1 = distinguish_by_estimation(u1, eps, rng)
+        out0 = distinguish_by_estimation(normalized_trace(u0), eps, rng)
+        out1 = distinguish_by_estimation(normalized_trace(u1), eps, rng)
         assert out0.inverse_queries > 0
         correct[0] += out0.label == 0
         correct[1] += out1.label == 1
@@ -444,8 +455,8 @@ def test_naive_distinguisher_forward_only():
         rng = np.random.default_rng((trial, 43))
         u0 = draw(0.0, d, q, rng)
         u1 = draw(eps, d, q, rng)
-        out0 = distinguish_by_estimation(u0, eps, rng, method="naive")
-        out1 = distinguish_by_estimation(u1, eps, rng, method="naive")
+        out0 = distinguish_by_estimation(normalized_trace(u0), eps, rng, method="naive")
+        out1 = distinguish_by_estimation(normalized_trace(u1), eps, rng, method="naive")
         assert out0.inverse_queries == 0 and out1.inverse_queries == 0
         assert out0.forward_queries == shots
         correct[0] += out0.label == 0
@@ -457,7 +468,7 @@ def test_naive_distinguisher_forward_only():
 def test_estimation_method_validated():
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        distinguish_by_estimation(DiagonalOracle([0, 1], 4, 2), 0.1, rng, method="other")
+        distinguish_by_estimation(0.0, 0.1, rng, method="other")
 
 
 def test_query_scaling_iterate_vs_naive():
@@ -467,9 +478,9 @@ def test_query_scaling_iterate_vs_naive():
     ae_totals, naive_totals = [], []
     for eps in grid:
         rng = np.random.default_rng((int(1000 * eps), 47))
-        u = draw(eps, d, q, rng)
-        ae = distinguish_by_estimation(u, eps, rng)
-        nv = distinguish_by_estimation(u, eps, rng, method="naive")
+        ntr = normalized_trace(draw(eps, d, q, rng))
+        ae = distinguish_by_estimation(ntr, eps, rng)
+        nv = distinguish_by_estimation(ntr, eps, rng, method="naive")
         assert ae.inverse_queries > 0
         assert nv.inverse_queries == 0
         ae_totals.append(ae.forward_queries + ae.inverse_queries)
@@ -536,6 +547,22 @@ def test_amplification_distinguisher_builds_no_dense_arrays():
         tracemalloc.stop()
     assert labels == {1, 2}
     assert peak < 8 * d
+
+
+def test_naive_trial_stores_no_draw():
+    # at d = gap_dimension(0.05) a naive trial counts its draw block by block:
+    # its peak allocation stays below 1 MB, less than half of the 2.56 MB a
+    # stored int64 exponent array would take
+    eps, d, q = 0.05, 320_000, 257
+    experiments._distinguisher_trial("naive", eps, 1000, q, 0)  # fill the table caches
+    tracemalloc.start()
+    try:
+        truth, out = experiments._distinguisher_trial("naive", eps, d, q, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.label == truth
+    assert peak < 10**6
 
 
 def test_amplification_stub_alpha_only():

@@ -235,6 +235,23 @@ def test_lemma_cells_run_in_order_without_a_pool(monkeypatch, tmp_path):
     assert params[::6][:4] == [(8, 0.0), (8, 0.1), (64, 0.0), (64, 0.1)]
 
 
+def test_endtoend_trials_run_in_order_without_a_pool(monkeypatch, tmp_path):
+    # a trial's remaining work holds the GIL, so --jobs > 1 must not start
+    # worker threads
+    def no_pool(*args, **kwargs):
+        raise AssertionError("endtoend_rows started a worker pool")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    cfg = _write_config(tmp_path, "[experiment]\nkind = endtoend\n\n"
+                                  "[grid]\neps = 0.2\nd = 2000\nq = 8\ntrials = 3\n")
+    out = tmp_path / "endtoend.csv"
+    assert cli.main(["endtoend", "--jobs", "4", "--config", cfg, "--out", str(out)]) == 0
+    body = [ln for ln in (tmp_path / "endtoend_trials.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    order = [(row["method"], int(row["trial"])) for row in csv.DictReader(body)]
+    assert order == [(m, t) for m in ("estimation", "amplification", "naive") for t in range(3)]
+
+
 def test_lemma_rows_mean_window_only_for_large_q():
     rows = experiments.lemma_rows((257,), (0.1,), master_seed=1)
     window = [r for r in rows if r.kind == "mean_window"]
@@ -282,7 +299,7 @@ def test_separation_rows_deterministic_across_jobs():
 
 def test_endtoend_rows_structure():
     cfg = ExperimentConfig("endtoend", eps=(0.1,), d=(2000,), q=(257,), trials=6, seed=2)
-    rows, records = experiments.endtoend_rows(cfg, jobs=3)
+    rows, records = experiments.endtoend_rows(cfg)
     kinds = [r.kind for r in rows]
     for method in ("estimation", "amplification", "naive"):
         assert f"{method}_success" in kinds
@@ -470,7 +487,7 @@ TINY_RUNS = {
     "separation": lambda tmp_path: experiments.separation_rows(ExperimentConfig(
         "separation", eps=(0.1, 0.2), d=(2,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
     "endtoend": lambda tmp_path: experiments.endtoend_rows(ExperimentConfig(
-        "endtoend", eps=(0.1,), d=(500,), q=(8,), trials=2, seed=0), 2),
+        "endtoend", eps=(0.1,), d=(500,), q=(8,), trials=2, seed=0)),
     "concentration": lambda tmp_path: experiments.concentration_rows(ExperimentConfig(
         "concentration", eps=(0.2,), d=(500,), q=(8,), trials=100, seed=0), 2),
     "circuit-run": _tiny_circuit_run,

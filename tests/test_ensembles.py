@@ -6,11 +6,12 @@ from querylab.ensembles import (
     DiagonalOracle,
     concentration_check,
     draw,
+    draw_trace,
     gap_dimension,
     normalized_trace,
     trace_gap_check,
 )
-from querylab.phases import phase_mean
+from querylab.phases import _SAMPLE_BLOCK, _guide_table, phase_mean
 from reference import oracle_values
 
 
@@ -246,3 +247,19 @@ class TestDistributionInvariants:
         assert dv.ramp_turns == 1
         assert normalized_trace(dv.compose_ramp(-1)) == normalized_trace(v)
         assert np.array_equal(dv.exponents, v.exponents)
+
+
+@pytest.mark.parametrize("q", [2, 3, 257, 1024])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.45, 0.9, 1.0])
+def test_draw_trace_is_the_full_draw_trace(eps, q):
+    # the histogram-only draw reads the same uniforms as the full draw and
+    # gives its normalized trace bit for bit; at eps = 0.9 and q >= 257 some
+    # draws take more than one guide-table step
+    if eps == 0.9 and q >= 257:
+        assert not _guide_table(eps, q)[3]
+    for size in (1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 40_001):
+        rng, ref = np.random.default_rng((size, q)), np.random.default_rng((size, q))
+        got = draw_trace(eps, size, q, rng)
+        want = normalized_trace(draw(eps, size, q, ref))
+        assert type(got) is complex and got == want
+        assert rng.random() == ref.random()

@@ -10,7 +10,8 @@ reflections are fixed gates and are free. Any subclass of PreparationOracle
 that implements the one hook can be driven. The diagonal-oracle probes are
 one class, PairedPreparation: the exact O(1)-per-iterate two-level
 reduction, at every dimension, of a dense 2d x 2d probe unitary that only
-the tests build.
+the tests build. The distinguishers take the oracle's normalized traces as
+numbers and build that probe themselves, so nothing here reads a draw.
 
 No controlled application of X exists anywhere on this surface.
 """
@@ -24,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import DiagonalOracle, normalized_trace
 from .errors import DegeneracyError, ParameterError
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "amplitude_estimate",
     "estimate_budget",
     "amplitude_amplify",
-    "pair_probe",
     "distinguish_by_estimation",
     "distinguish_by_amplification",
     "ESTIMATE_SHOTS",
@@ -127,7 +126,7 @@ class PairedPreparation(PreparationOracle):
     The register is (d, 2), the second factor holding the flag. Both probes
     use it: the trace probe with beta = 0, and the pair probe, where the
     first register of the flagged state carries which of the two trace
-    functionals dominates.
+    functionals dominates (see ``distinguish_by_amplification``).
     """
 
     def __init__(self, alpha: complex, beta: complex):
@@ -297,24 +296,6 @@ def amplitude_amplify(oracle: PreparationOracle, rng) -> bool:
         scale *= AMPLIFY_GROWTH
 
 
-def pair_probe(oracle: DiagonalOracle) -> PairedPreparation:
-    """Preparation flagging both the plain and the ramp-twisted trace.
-
-    The flagged component is alpha|0,1> + beta|1,1> with alpha the normalized
-    trace of U and beta that of the ramp-conjugated oracle; measuring the
-    first register of the flagged state tells which functional dominates.
-    It is the exact two-level reduction of a dense probe unitary: the ramp
-    unitary in, one query, its adjoint out, and a flag flip on query indices
-    0 and 1.
-    """
-    d = oracle.dimension
-    if d < 2:
-        raise ParameterError(f"pair probe needs dimension >= 2, got {d}")
-    alpha = normalized_trace(oracle)
-    beta = normalized_trace(oracle.compose_ramp(-1))
-    return PairedPreparation(alpha, beta)
-
-
 @dataclass(frozen=True)
 class DistinguishOutcome:
     """Decision plus the evidence and cost that produced it."""
@@ -356,20 +337,30 @@ def distinguish_by_estimation(
     return DistinguishOutcome(label, a_hat, probe.forward_queries, probe.inverse_queries)
 
 
-def distinguish_by_amplification(oracle: DiagonalOracle, rng) -> DistinguishOutcome:
+def distinguish_by_amplification(alpha: complex, beta: complex, rng) -> DistinguishOutcome:
     """Label 1 or 2 according to which trace functional the oracle excites.
 
-    Amplifies the pair probe's flagged state, then measures its first
-    register: outcome 0 labels the plain oracle, anything else the ramped
-    one. If amplification exhausts its cap (vanishing flagged amplitude),
-    the label is a fair coin. The schedule needs no bias parameter, and the
-    measurement probability comes from the probe's two flagged amplitudes,
-    so no state vector is built.
+    ``alpha`` and ``beta`` are the flagged amplitudes of the pair probe: the
+    ramp unitary in, one query, its adjoint out, and a flag flip on query
+    indices 0 and 1, on a register of dimension d >= 2. Its flagged component
+    is alpha|0,1> + beta|1,1>, with alpha the normalized trace of the oracle U
+    and beta that of the ramp-conjugated oracle (U composed with -1 ramp
+    turns), so the probe is the exact two-level rotation
+    ``PairedPreparation(alpha, beta)`` and reads nothing of U but these two
+    traces. For a plain draw they are its plain trace and its trace at -1
+    turns; for a ramped draw (+1 turn), its trace at +1 turn and its plain
+    trace.
+
+    Amplifies the probe's flagged state, then measures its first register:
+    outcome 0 labels the plain oracle, anything else the ramped one. If
+    amplification exhausts its cap (vanishing flagged amplitude), the label
+    is a fair coin. The schedule needs no bias parameter, and the
+    measurement probability comes from the two flagged amplitudes, so no
+    state vector is built.
     """
-    probe = pair_probe(oracle)
+    probe = PairedPreparation(alpha, beta)
     if not amplitude_amplify(probe, rng):
         label = int(rng.integers(1, 3))
     else:
         label = 1 if rng.random() < probe.first_register_zero() else 2
     return DistinguishOutcome(label, None, probe.forward_queries, probe.inverse_queries)
-

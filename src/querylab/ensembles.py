@@ -1,36 +1,39 @@
-"""Diagonal-oracle ensembles and their normalized-trace statistics.
+"""Bias-eps ensembles of diagonal oracles and their normalized-trace statistics.
 
-An oracle here is a diagonal unitary on a d-dimensional register, stored as a
-vector of order-q phase exponents (never as a dense matrix) plus an optional
-deterministic phase ramp whose k-th entry is exp(2j*pi*k*ramp_turns/d). A
-draw takes every diagonal entry i.i.d. from the bias-eps window
-distribution; bias 0 is the uniform ensemble, every entry uniform over the
-order-q roots.
+An oracle here is a diagonal unitary on a d-dimensional register: entry k is
+the order-q root of unity exp(2j*pi*e_k/q), every exponent e_k drawn i.i.d.
+from the bias-eps window distribution; bias 0 is the uniform ensemble, every
+entry uniform over the order-q roots. Its ramp-twisted twin multiplies entry
+k by exp(2j*pi*k*turns/d).
 
-Draws carry no ramp; a ramped oracle is a draw composed with
-``DiagonalOracle.compose_ramp``. A caller that reads only a draw's plain
-trace takes it from ``draw_trace``, which counts the exponents as they are
-drawn and stores none of them.
+Callers read a draw only through its normalized traces, so no draw is
+stored: ``draw_trace`` counts the exponents as they are drawn, and
+``draw_traces`` also sums the twisted trace as the draw streams. The oracle
+objects these are checked against live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .phases import _check_order, phase_mean, pmf_vector, sample_exponents, sample_histogram
+from .errors import ParameterError
+from .phases import (
+    _SAMPLE_BLOCK,
+    _check_order,
+    _exponent_blocks,
+    phase_mean,
+    pmf_vector,
+    sample_histogram,
+)
 
 __all__ = [
-    "DiagonalOracle",
     "GAP_DIMENSION_FACTOR",
     "gap_dimension",
-    "draw",
     "draw_trace",
-    "normalized_trace",
+    "draw_traces",
     "concentration_check",
     "trace_gap_check",
 ]
@@ -48,19 +51,6 @@ def _roots(q: int) -> np.ndarray:
     return roots
 
 
-# Entries per block of the blocked histogram and the factored ramp trace.
-_TRACE_BLOCK = 1 << 15
-
-
-def _histogram(exponents: np.ndarray, q: int) -> np.ndarray:
-    # bincount block by block: one call over the whole array would copy it
-    # into a d-length temporary
-    counts = np.zeros(q, dtype=np.int64)
-    for lo in range(0, exponents.size, _TRACE_BLOCK):
-        counts += np.bincount(exponents[lo:lo + _TRACE_BLOCK], minlength=q)
-    return counts
-
-
 def _histogram_trace(counts: np.ndarray, d: int) -> complex:
     # the normalized trace of a d-entry diagonal with these exponent counts
     return complex(counts @ _roots(counts.size) / d)
@@ -69,31 +59,6 @@ def _histogram_trace(counts: np.ndarray, d: int) -> complex:
 def _unit_phases(steps: np.ndarray, d: int) -> np.ndarray:
     # exp(2j*pi*r/d) for integer steps r, each reduced mod d before scaling
     return np.exp(2j * np.pi * (steps % d) / d)
-
-
-def _ramp_trace(exponents: np.ndarray, q: int, turns: int) -> complex:
-    # sum_k roots[e_k] w^(k*turns), w = exp(2j*pi/d). With k = a*B + b and
-    # B = ceil(sqrt(d)) it is sum_a w^(a*B*turns) sum_b roots[e_(aB+b)] w^(b*turns):
-    # about 2*sqrt(d) exp calls, and the inner sums gather one row block at a
-    # time into a reused buffer and take one small matvec per block
-    d = exponents.size
-    width = math.isqrt(d - 1) + 1
-    full, tail = divmod(d, width)
-    cols = _unit_phases(np.arange(width) * turns, d)
-    rows = _unit_phases(np.arange(full + (tail > 0)) * (width * turns % d), d)
-    roots = _roots(q)
-    per_block = max(1, _TRACE_BLOCK // width)
-    buf = np.empty(min(per_block, full) * width, dtype=complex)
-    sums = np.empty(rows.size, dtype=complex)
-    for lo in range(0, full, per_block):
-        hi = min(lo + per_block, full)
-        block = buf[:(hi - lo) * width]
-        # mode="clip" keeps np.take unbuffered; exponents already lie in [0, q)
-        np.take(roots, exponents[lo * width:hi * width], out=block, mode="clip")
-        sums[lo:hi] = block.reshape(hi - lo, width) @ cols
-    if tail:
-        sums[full] = roots[exponents[full * width:]] @ cols[:tail]
-    return complex(sums @ rows)
 
 
 def _check_dimension(d: int) -> int:
@@ -110,87 +75,58 @@ def gap_dimension(eps: float) -> int:
     return math.ceil(GAP_DIMENSION_FACTOR / eps**2)
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalOracle:
-    """A diagonal unitary: order-q phase exponents plus an optional ramp.
-
-    Equality is identity: a field-wise ``==`` would compare the exponent
-    arrays entry by entry, which has no single truth value.
-    """
-
-    exponents: np.ndarray
-    order: int
-    dimension: int
-    ramp_turns: int = 0
-
-    def __post_init__(self):
-        q = _check_order(self.order)
-        d = _check_dimension(self.dimension)
-        # a private copy: freezing it must not freeze the caller's array
-        # (draw and compose_ramp share their frozen arrays through _shared)
-        e = np.array(self.exponents, dtype=np.int64)
-        if e.shape != (d,):
-            raise DimensionError(f"exponent vector shape {e.shape} does not match d={d}")
-        if e.min() < 0 or e.max() >= q:
-            e %= q
-        e.flags.writeable = False
-        object.__setattr__(self, "exponents", e)
-        object.__setattr__(self, "order", q)
-        object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "ramp_turns", int(self.ramp_turns) % d)
-
-    @classmethod
-    def _shared(cls, exponents: np.ndarray, order: int, dimension: int,
-                ramp_turns: int = 0) -> "DiagonalOracle":
-        # an oracle on a frozen int64 exponent array already reduced mod
-        # ``order``: a draw's or another oracle's. It is shared, not copied.
-        oracle = object.__new__(cls)
-        for name, value in (("exponents", exponents), ("order", order),
-                            ("dimension", dimension), ("ramp_turns", ramp_turns % dimension)):
-            object.__setattr__(oracle, name, value)
-        return oracle
-
-    def compose_ramp(self, turns: int) -> "DiagonalOracle":
-        """Multiply by ``turns`` additional ramp turns (negative to undo).
-
-        The result shares this oracle's exponent array.
-        """
-        return DiagonalOracle._shared(self.exponents, self.order, self.dimension,
-                                      self.ramp_turns + int(turns))
-
-
-def draw(eps: float, d: int, q: int, rng: np.random.Generator) -> DiagonalOracle:
-    """Sample one bias-``eps`` oracle; deterministic under a fixed generator state."""
-    d = _check_dimension(d)
-    e = sample_exponents(eps, q, rng, size=d)
-    e.flags.writeable = False
-    return DiagonalOracle._shared(e, int(q), d)
-
-
-def normalized_trace(oracle: DiagonalOracle) -> complex:
-    """Trace of the diagonal divided by the dimension; modulus at most 1.
-
-    Without a ramp the trace depends only on the exponent histogram, so it is
-    ``bincount(exponents, minlength=q) @ roots / d``: one integer pass over the
-    d entries and a length-q dot product, no per-entry complex arithmetic.
-    With a ramp the sum factors over a sqrt(d) x sqrt(d) index grid, with
-    every ramp phase reduced mod d in integers before it is scaled; it agrees
-    with a long-double entry sum to about 1e-17 at d = 320,000.
-    """
-    if oracle.ramp_turns:
-        return _ramp_trace(oracle.exponents, oracle.order, oracle.ramp_turns) / oracle.dimension
-    return _histogram_trace(_histogram(oracle.exponents, oracle.order), oracle.dimension)
-
-
 def draw_trace(eps: float, d: int, q: int, rng: np.random.Generator) -> complex:
     """Normalized trace of one bias-``eps`` draw, from its exponent histogram alone.
 
-    Equal bit for bit to ``normalized_trace(draw(eps, d, q, rng))``, and
-    leaves ``rng`` in the same state, but the d exponents are counted block
-    by block as they are drawn and never stored.
+    The d exponents are counted block by block as they are drawn and never
+    stored; the trace is ``counts @ roots / d``.
     """
     d = _check_dimension(d)
     return _histogram_trace(sample_histogram(eps, q, rng, d), d)
+
+
+def draw_traces(eps: float, d: int, q: int, turns: int, rng: np.random.Generator) -> tuple:
+    """Plain and ramp-twisted normalized traces of one bias-``eps`` draw, in one pass.
+
+    Returns ``(plain, twisted)``. ``plain`` equals ``draw_trace(eps, d, q,
+    rng)`` bit for bit, and ``rng`` ends in the same state. ``twisted`` is
+    sum_k roots[e_k] w^(k*turns) / d with w = exp(2j*pi/d): the normalized
+    trace of the draw composed with ``turns`` ramp turns. It depends on the
+    order of the entries, yet the draw is never stored.
+
+    With k = a*B + b and B = isqrt(d - 1) + 1 the twisted sum is
+    sum_a w^(a*B*turns) sum_b roots[e_(aB+b)] w^(b*turns): about 2*sqrt(d)
+    exp calls, every ramp phase reduced mod d in integers before it is
+    scaled. The sampler hands over whole rows of that grid, many at a time.
+    Each block is counted for the plain trace, then gathered into a reused
+    buffer and reduced to its row sums by one small matvec; the partial last
+    row, if any, is the end of the last block. The twisted trace agrees with
+    a long-double entry sum to about 1e-17 at d = 320,000.
+    """
+    d = _check_dimension(d)
+    q = _check_order(q)
+    turns = int(turns) % d
+    width = math.isqrt(d - 1) + 1
+    full, tail = divmod(d, width)
+    cols = _unit_phases(np.arange(width) * turns, d)
+    rows = _unit_phases(np.arange(full + (tail > 0)) * (width * turns % d), d)
+    roots = _roots(q)
+    per_block = max(1, _SAMPLE_BLOCK // width)
+    counts = np.zeros(q, dtype=np.int64)
+    buf = np.empty(min(per_block, full) * width, dtype=complex)
+    sums = np.empty(rows.size, dtype=complex)
+    lo = 0
+    for kb in _exponent_blocks(eps, q, rng, d, per_block * width):
+        counts += np.bincount(kb, minlength=q)
+        n = min(per_block, full - lo)
+        block = buf[:n * width]
+        # mode="clip" keeps np.take unbuffered; exponents already lie in [0, q)
+        np.take(roots, kb[:n * width], out=block, mode="clip")
+        sums[lo:lo + n] = block.reshape(n, width) @ cols
+        lo += n
+    if tail:
+        sums[full] = roots[kb[n * width:]] @ cols[:tail]
+    return _histogram_trace(counts, d), complex(sums @ rows) / d
 
 
 def _ntr_samples(eps: float, d: int, q: int, trials: int,

@@ -28,8 +28,8 @@ from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .ensembles import (
     concentration_check,
-    draw,
     draw_trace,
+    draw_traces,
     trace_gap_check,
 )
 from .errors import ParameterError
@@ -331,9 +331,11 @@ _MEAN_INVERSE_CHECKS = {
 def _distinguisher_trial(method: str, eps: float, d: int, q: int, seed: int):
     """One labeled instance -> (truth, outcome).
 
-    Estimation and naive trials read only the drawn oracle's plain trace, so
-    they draw its exponent histogram alone; amplification trials draw every
-    entry, since the ramped trace depends on their order.
+    A trial reads its drawn oracle only through normalized traces, so none
+    stores the draw. Estimation and naive trials read the plain trace, from
+    the exponent histogram alone. Amplification trials also read a trace
+    twisted by a ramp, which depends on the order of the entries;
+    ``draw_traces`` sums it block by block as the draw streams.
     """
     rng = np.random.default_rng(seed)
     if method in ("estimation", "naive"):
@@ -343,9 +345,11 @@ def _distinguisher_trial(method: str, eps: float, d: int, q: int, seed: int):
                                         method="amplitude" if method == "estimation" else "naive")
     else:
         truth = int(rng.integers(1, 3))
-        base = draw(eps, d, q, rng)
-        oracle = base if truth == 1 else base.compose_ramp(1)
-        out = distinguish_by_amplification(oracle, rng)
+        # the pair probe of a plain draw reads (plain, twisted at -1 turns);
+        # that of a ramped draw (+1 turn) reads (twisted at +1 turn, plain)
+        plain, twisted = draw_traces(eps, d, q, -1 if truth == 1 else 1, rng)
+        alpha, beta = (plain, twisted) if truth == 1 else (twisted, plain)
+        out = distinguish_by_amplification(alpha, beta, rng)
     return truth, out
 
 

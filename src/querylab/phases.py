@@ -24,7 +24,6 @@ __all__ = [
     "phase_mean",
     "phase_moment",
     "moment_table",
-    "sample_exponents",
     "sample_histogram",
     "window_halfwidth",
 ]
@@ -109,9 +108,8 @@ def moment_table(eps: float, q: int, max_power: int) -> np.ndarray:
     return table
 
 
-# Uniforms per block of the sampler; a block's scratch arrays are reused,
-# so a draw allocates nothing d-length besides its result, and a histogram
-# draw nothing d-length at all.
+# Default uniforms per block of the sampler; a block's scratch arrays are
+# reused, so a draw allocates nothing d-length.
 _SAMPLE_BLOCK = 1 << 15
 
 
@@ -133,29 +131,49 @@ def _guide_table(eps: float, q: int) -> tuple:
 
 
 def _exponent_blocks(eps: float, q: int, rng: np.random.Generator, size: int,
-                     out: np.ndarray | None = None):
-    """Yield the exponents of a ``size``-entry draw block by block.
+                     block: int = _SAMPLE_BLOCK):
+    """Yield a ``size``-entry bias-``eps`` exponent draw, ``block`` entries at a time.
 
-    The one sampler loop behind ``sample_exponents`` and ``sample_histogram``
-    (see the former for the method). Each yielded block is a view of ``out``
-    when given, else of one reused block buffer that the next block
-    overwrites, so a consumer must read it before resuming the loop.
+    The one sampler loop: ``sample_histogram`` and ``ensembles.draw_traces``
+    consume it. Each exponent comes from its own uniform by inverse CDF, so
+    two generators seeded identically produce identical exponent streams for
+    any two biases that share a pmf (in particular, a draw at ``eps = 0``
+    matches plain uniform sampling draw-for-draw). The blocks consume the
+    generator's stream exactly as one ``rng.random(size)`` call would, so
+    the exponents, and the generator state after the last block, are the
+    same for every ``block``.
+
+    The inverse CDF is an exact guide table (Chen & Asau's indexed search): a
+    uniform ``u`` starts at ``guide[floor(u*B)]`` and steps up while
+    ``u >= cdf[k]``. The bucket count B is a power of two, so ``u*B`` and
+    the bucket edges ``j/B`` are exact; ``j/B <= u`` makes each guide entry a
+    lower bound on the answer, and stepping stops at the first CDF value
+    above ``u``. Each exponent is therefore ``searchsorted(cdf, u, "right")``
+    for every ``u``, including ``u`` exactly on a CDF value. Each block
+    takes the step ``k += u >= cdf[k]``. That one step suffices when every
+    pmf entry exceeds 1/B, as at any bias below 3/4; otherwise flat or
+    nearly flat CDF runs need more, and the entries that stepped keep
+    stepping while ``u >= cdf[k]``.
+
+    Every yielded block but the last holds ``block`` entries. It is a view
+    of one reused buffer that the next block overwrites, so a consumer must
+    read it before resuming the loop.
     """
     cdf, guide, buckets, one_step = _guide_table(_check_bias(eps), _check_order(q))
-    n = min(size, _SAMPLE_BLOCK)
+    n = min(size, block)
     # the 8-byte block buffers are rows of one allocation: freeing it raises
     # glibc's mmap and trim thresholds above its size, so the next draw
     # reuses the memory; three separate buffers would be trimmed and faulted
-    # in again on every histogram draw (about 180 minor faults each)
-    rows = np.empty((2 if out is not None else 3, n))
+    # in again on every draw (about 180 minor faults each)
+    rows = np.empty((3, n))
     u, scratch, step = rows[0], rows[1], np.empty(n, bool)
     # the bucket indices and the CDF values are never live at once, so they
     # share one row
     bucket = scratch.view(np.intp)
-    block = rows[2].view(np.int64) if out is None else None
-    for lo in range(0, size, _SAMPLE_BLOCK):
-        m = min(_SAMPLE_BLOCK, size - lo)
-        kb = block[:m] if out is None else out[lo:lo + m]
+    k = rows[2].view(np.int64)
+    for lo in range(0, size, block):
+        m = min(block, size - lo)
+        kb = k[:m]
         rng.random(out=u[:m])
         # u*B is exact, and the cast floors it as u*B >= 0
         np.multiply(u[:m], buckets, out=bucket[:m], casting="unsafe")
@@ -171,41 +189,11 @@ def _exponent_blocks(eps: float, q: int, rng: np.random.Generator, size: int,
         yield kb
 
 
-def sample_exponents(eps: float, q: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` exponents from the bias-``eps`` distribution by inverse CDF.
-
-    Uses one uniform draw per sample, so two generators seeded identically
-    produce identical exponent streams for any two biases that share a pmf
-    (in particular, a draw at ``eps = 0`` matches plain uniform sampling
-    draw-for-draw).
-
-    The inverse CDF is an exact guide table (Chen & Asau's indexed search): a
-    uniform ``u`` starts at ``guide[floor(u*B)]`` and steps up while
-    ``u >= cdf[k]``. The bucket count B is a power of two, so ``u*B`` and
-    the bucket edges ``j/B`` are exact; ``j/B <= u`` makes each guide entry a
-    lower bound on the answer, and stepping stops at the first CDF value
-    above ``u``. The result is therefore ``searchsorted(cdf, u, "right")``
-    for every ``u``, including ``u`` exactly on a CDF value.
-
-    The uniforms are drawn in fixed blocks into reused buffers, so the blocks
-    consume the generator's stream exactly as one ``rng.random(size)`` call
-    would, and each block takes the step ``k += u >= cdf[k]``. That one step
-    suffices when every pmf entry exceeds 1/B, as at any bias below 3/4;
-    otherwise flat or nearly flat CDF runs need more, and the entries that
-    stepped keep stepping while ``u >= cdf[k]``.
-    """
-    k = np.empty(size, dtype=np.int64)
-    for _ in _exponent_blocks(eps, q, rng, size, out=k):
-        pass
-    return k
-
-
 def sample_histogram(eps: float, q: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Exponent counts of a ``size``-entry draw, without storing the draw.
+    """Exponent counts of a ``size``-entry bias-``eps`` draw, without storing the draw.
 
-    ``bincount(sample_exponents(eps, q, rng, size), minlength=q)`` with the
-    same uniforms, so the generator ends in the same state; each block is
-    counted while it is in cache, and nothing ``size``-length is allocated.
+    Each block of the sampler (``_exponent_blocks``) is counted while it is
+    in cache, and nothing ``size``-length is allocated.
     """
     q = _check_order(q)
     counts = np.zeros(q, dtype=np.int64)

@@ -8,16 +8,22 @@ matrices and frames here:
 
 - ``DensePreparation`` and ``dense_probe_matrix``: the explicit 2d x 2d
   probe unitaries that ``amplitude.PairedPreparation`` reduces (the trace
-  probe, which ``distinguish_by_estimation`` builds, and ``pair_probe``),
-  and the collapsed flagged state that ``first_register_zero`` measures;
+  probe, which ``distinguish_by_estimation`` builds, and the pair probe,
+  which ``distinguish_by_amplification`` builds), and the collapsed flagged
+  state that ``first_register_zero`` measures;
 - ``gram_schmidt``, ``frame_matrix`` and ``build_biased_frame``: the q x q
   biased Fourier frame and its orthonormalization;
 - ``biased_ft_rotate``: a forward-only purification re-expressed in the
   frame's rounded label basis;
 - ``moment_gram``: the dense K x K moment matrix of a purified state;
 - ``phase_pmf``: the bias distribution, one exponent at a time;
+- ``DiagonalOracle``, ``draw`` and ``normalized_trace``: a stored oracle
+  draw, every exponent a binary search of its own uniform in the CDF (the
+  contract of ``phases._exponent_blocks``), and its normalized trace, which
+  ``ensembles.draw_trace`` and ``ensembles.draw_traces`` compute from the
+  streamed draw without storing it;
 - ``ramp`` and ``oracle_values``: an oracle's complex diagonal, entry by
-  entry, which ``ensembles.normalized_trace`` sums in factored form;
+  entry, which ``ensembles.draw_traces`` sums in factored form;
 - ``mle_loglik`` and ``mle_theta``: the amplitude-estimation likelihood
   and fit with every log term computed afresh, where ``amplitude``
   caches the terms of the coarse grid and of each fine grid.
@@ -34,7 +40,7 @@ import numpy as np
 from querylab import query_sim
 from querylab.amplitude import PreparationOracle
 from querylab.biased_fourier import _check_args
-from querylab.ensembles import DiagonalOracle, _roots
+from querylab.ensembles import _check_dimension, _roots
 from querylab.errors import DegeneracyError, DimensionError, ParameterError, QuerylabError
 from querylab.families import probe_pieces
 from querylab.linalg import (
@@ -43,7 +49,7 @@ from querylab.linalg import (
     dft_matrix,
     trace_distance,
 )
-from querylab.phases import _check_bias, _check_order, moment_table, pmf_vector
+from querylab.phases import _check_bias, _check_order, _guide_table, moment_table, pmf_vector
 from querylab.query_sim import PurifiedState, average_density
 
 # ---------------------------------------------------------------- phases
@@ -63,6 +69,59 @@ def phase_pmf(eps: float, q: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------- oracles
+
+
+@dataclass(frozen=True, eq=False)
+class DiagonalOracle:
+    """A stored diagonal unitary: order-q phase exponents plus an optional ramp.
+
+    Entry k is exp(2j*pi*e_k/q) * exp(2j*pi*k*ramp_turns/d). The exponents
+    are a frozen int64 copy reduced mod q, and the ramp turns are reduced
+    mod d. Equality is identity: a field-wise ``==`` would compare the
+    exponent arrays entry by entry, which has no single truth value.
+    """
+
+    exponents: np.ndarray
+    order: int
+    dimension: int
+    ramp_turns: int = 0
+
+    def __post_init__(self):
+        q = _check_order(self.order)
+        d = _check_dimension(self.dimension)
+        e = np.array(self.exponents, dtype=np.int64) % q
+        if e.shape != (d,):
+            raise DimensionError(f"exponent vector shape {e.shape} does not match d={d}")
+        e.flags.writeable = False
+        object.__setattr__(self, "exponents", e)
+        object.__setattr__(self, "order", q)
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "ramp_turns", int(self.ramp_turns) % d)
+
+    def compose_ramp(self, turns: int) -> "DiagonalOracle":
+        """Multiply by ``turns`` additional ramp turns (negative to undo)."""
+        return DiagonalOracle(self.exponents, self.order, self.dimension,
+                              self.ramp_turns + int(turns))
+
+
+def draw(eps: float, d: int, q: int, rng) -> DiagonalOracle:
+    """One bias-``eps`` oracle: ``searchsorted(cdf, rng.random(d), "right")``."""
+    d = _check_dimension(d)
+    cdf = _guide_table(_check_bias(eps), _check_order(q))[0]
+    return DiagonalOracle(np.searchsorted(cdf, rng.random(d), side="right"), q, d)
+
+
+def normalized_trace(oracle: DiagonalOracle) -> complex:
+    """Trace of the diagonal divided by d.
+
+    Without a ramp it is ``bincount(exponents) @ roots / d``, the expression
+    the package evaluates on its streamed counts; with one it is the plain
+    sum of ``oracle_values``.
+    """
+    d = oracle.dimension
+    if oracle.ramp_turns:
+        return complex(oracle_values(oracle).sum() / d)
+    return complex(np.bincount(oracle.exponents, minlength=oracle.order) @ _roots(oracle.order) / d)
 
 
 def ramp(d: int, turns: int) -> np.ndarray:

@@ -17,17 +17,18 @@ from querylab.amplitude import (
     distinguish_by_estimation,
     estimate_budget,
     naive_estimate,
-    pair_probe,
 )
-from querylab.ensembles import DiagonalOracle, draw, normalized_trace
 from querylab.errors import DegeneracyError, DimensionError, ParameterError
 from querylab.linalg import random_unitary
 from reference import (
     DensePreparation,
+    DiagonalOracle,
     dense_probe_matrix,
+    draw,
     gram_schmidt,
     mle_loglik,
     mle_theta,
+    normalized_trace,
     uniform_ramp_unitary,
 )
 
@@ -35,6 +36,16 @@ from reference import (
 def trace_probe(oracle: DiagonalOracle) -> PairedPreparation:
     """The probe distinguish_by_estimation builds from the oracle's trace."""
     return PairedPreparation(normalized_trace(oracle), 0.0)
+
+
+def pair_traces(oracle: DiagonalOracle) -> tuple:
+    """The pair probe's flagged amplitudes: the oracle's trace and its trace at -1 ramp turns."""
+    return normalized_trace(oracle), normalized_trace(oracle.compose_ramp(-1))
+
+
+def pair_probe(oracle: DiagonalOracle) -> PairedPreparation:
+    """The probe distinguish_by_amplification builds from the two traces."""
+    return PairedPreparation(*pair_traces(oracle))
 
 
 def dense_with_amplitude(dim, mask, rng):
@@ -105,12 +116,6 @@ def test_collapse_needs_flagged_mass():
     # the first register of a vanishing flagged component has no distribution
     with pytest.raises(DegeneracyError):
         PairedPreparation(0.0, 0.0).first_register_zero()
-
-
-def test_paired_needs_two_level_register():
-    # alpha|0,1> + beta|1,1> needs a query register of dimension >= 2
-    with pytest.raises(ParameterError):
-        pair_probe(DiagonalOracle([0], 4, 1))
 
 
 # ---------------------------------------------------------------- probes
@@ -498,12 +503,26 @@ def test_amplification_distinguisher_both_labels():
     for trial in range(200):
         rng = np.random.default_rng((trial, 53))
         v = draw(eps, d, q, rng)
-        out1 = distinguish_by_amplification(v, rng)
-        out2 = distinguish_by_amplification(v.compose_ramp(1), rng)
+        out1 = distinguish_by_amplification(*pair_traces(v), rng)
+        out2 = distinguish_by_amplification(*pair_traces(v.compose_ramp(1)), rng)
         correct[1] += out1.label == 1
         correct[2] += out2.label == 2
     assert correct[1] / 200 >= 0.85
     assert correct[2] / 200 >= 0.85
+
+
+def test_amplification_trial_probes_its_draw_or_the_ramped_twin():
+    # truth 1 probes the drawn oracle, truth 2 its twin at +1 ramp turn: the
+    # trial's streamed traces give the outcome of the reference oracle's
+    # pair probe under the same generator
+    eps, d, q = 0.1, 4096, 257
+    for seed in range(40):
+        truth, out = experiments._distinguisher_trial("amplification", eps, d, q, seed)
+        rng = np.random.default_rng(seed)
+        assert int(rng.integers(1, 3)) == truth
+        v = draw(eps, d, q, rng)
+        probed = v if truth == 1 else v.compose_ramp(1)
+        assert out == distinguish_by_amplification(*pair_traces(probed), rng)
 
 
 def dense_paired_preparation(alpha, beta):
@@ -529,40 +548,23 @@ def test_first_register_zero_matches_collapsed_state():
                    - float(np.sum(np.abs(amps[0, :]) ** 2))) < 1e-12
 
 
-def test_amplification_distinguisher_builds_no_dense_arrays():
-    # at d = gap_dimension(0.05) the production path reads both traces and
-    # the measurement without any d-length temporary: its peak allocation
-    # stays below one d-length int64 array
-    eps, d, q = 0.05, 320_000, 257
-    rng = np.random.default_rng(73)
-    base = draw(eps, d, q, rng)
-    labels = set()
-    tracemalloc.start()
-    try:
-        for truth in (1, 2, 1, 2):
-            oracle = base if truth == 1 else base.compose_ramp(1)
-            labels.add(distinguish_by_amplification(oracle, rng).label)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert labels == {1, 2}
-    assert peak < 8 * d
-
-
 def test_naive_trial_stores_no_draw():
-    # at d = gap_dimension(0.05) a naive trial counts its draw block by block:
-    # its peak allocation stays below 1 MB, less than half of the 2.56 MB a
-    # stored int64 exponent array would take
+    # at d = gap_dimension(0.05) naive and amplification trials stream their
+    # draws block by block and store none of it, though a stored int64
+    # exponent array would take 2.56 MB: a naive trial only counts each
+    # block, and peaks below 1 MB; an amplification trial also gathers each
+    # block's roots for the twisted trace, and peaks below 2 MB
     eps, d, q = 0.05, 320_000, 257
-    experiments._distinguisher_trial("naive", eps, 1000, q, 0)  # fill the table caches
-    tracemalloc.start()
-    try:
-        truth, out = experiments._distinguisher_trial("naive", eps, d, q, 11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.label == truth
-    assert peak < 10**6
+    for method, bound in (("naive", 10**6), ("amplification", 2 * 10**6)):
+        experiments._distinguisher_trial(method, eps, 1000, q, 0)  # fill the table caches
+        tracemalloc.start()
+        try:
+            truth, out = experiments._distinguisher_trial(method, eps, d, q, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.label == truth, method
+        assert peak < bound, (method, peak)
 
 
 def test_amplification_stub_alpha_only():
@@ -584,7 +586,7 @@ def test_amplification_zero_bias_is_a_coin():
         truth = int(rng.integers(1, 3))
         u = draw(0.0, d, q, rng)
         probed = u if truth == 1 else u.compose_ramp(1)
-        out = distinguish_by_amplification(probed, rng)
+        out = distinguish_by_amplification(*pair_traces(probed), rng)
         matches += out.label == truth
     assert abs(matches / trials - 0.5) < 0.065
 
@@ -597,7 +599,8 @@ def test_amplification_relabeling_symmetry():
     for trial in range(trials):
         rng = np.random.default_rng((trial, 67))
         v = draw(eps, d, q, rng)
-        one_on_plain += distinguish_by_amplification(v, rng).label == 1
-        two_on_ramped += distinguish_by_amplification(v.compose_ramp(1), rng).label == 2
+        one_on_plain += distinguish_by_amplification(*pair_traces(v), rng).label == 1
+        two_on_ramped += distinguish_by_amplification(*pair_traces(v.compose_ramp(1)),
+                                                      rng).label == 2
     assert abs(one_on_plain - two_on_ramped) / trials < 0.05
 

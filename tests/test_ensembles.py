@@ -3,16 +3,14 @@ import pytest
 
 from querylab.errors import ParameterError
 from querylab.ensembles import (
-    DiagonalOracle,
     concentration_check,
-    draw,
     draw_trace,
+    draw_traces,
     gap_dimension,
-    normalized_trace,
     trace_gap_check,
 )
 from querylab.phases import _SAMPLE_BLOCK, _guide_table, phase_mean
-from reference import oracle_values
+from reference import DiagonalOracle, draw, normalized_trace, oracle_values
 
 
 class _ZeroStream:
@@ -60,17 +58,6 @@ class TestDiagonalOracle:
                 assert mine.flags.writeable == writeable and list(mine) == raw
                 assert not np.shares_memory(mine, u.exponents)
 
-    def test_draw_and_compose_ramp_share_exponents(self):
-        # a draw freezes the sampler's array; ramped twins share it
-        base = draw(0.3, 1000, 8, np.random.default_rng(4))
-        assert base.exponents.dtype == np.int64 and not base.exponents.flags.writeable
-        twin = base.compose_ramp(1)
-        assert twin.exponents is base.exponents
-        assert twin.compose_ramp(-1).exponents is base.exponents
-        assert (twin.order, twin.dimension, twin.ramp_turns) == (8, 1000, 1)
-        assert base.compose_ramp(-1).ramp_turns == 999
-        assert normalized_trace(twin.compose_ramp(-1)) == normalized_trace(base)
-
     def test_ramp_compose_roundtrip(self):
         u = DiagonalOracle(np.array([1, 2, 3, 4]), order=8, dimension=4, ramp_turns=1)
         back = u.compose_ramp(-1)
@@ -89,11 +76,13 @@ class TestDiagonalOracle:
         assert len({base, same, twin}) == 3
 
 
-# Every public entry point that draws from the bias-eps ensemble, called with
-# (eps, d, q): a bias outside [0, 1], a phase order below 2 and a dimension
-# below 1 are each rejected.
+# Every public entry point that draws from the bias-eps ensemble, and the
+# reference draw, called with (eps, d, q): a bias outside [0, 1], a phase
+# order below 2 and a dimension below 1 are each rejected.
 _ENTRY_POINTS = {
     "draw": lambda eps, d, q: draw(eps, d, q, np.random.default_rng(0)),
+    "draw_trace": lambda eps, d, q: draw_trace(eps, d, q, np.random.default_rng(0)),
+    "draw_traces": lambda eps, d, q: draw_traces(eps, d, q, 1, np.random.default_rng(0)),
     "concentration_check": lambda eps, d, q: concentration_check(
         eps, d, q, 0.1, 100, np.random.default_rng(0)),
     "trace_gap_check": lambda eps, d, q: trace_gap_check(eps, d, q, 10, np.random.default_rng(0)),
@@ -155,8 +144,12 @@ class TestDraw:
 
 class TestNormalizedTrace:
     def test_identity_oracle(self):
+        # every uniform 0 draws exponent 0: the plain trace is 1, and the
+        # ramp phases alone sum to 0
         u = DiagonalOracle(np.zeros(7, dtype=int), order=8, dimension=7)
         assert normalized_trace(u) == pytest.approx(1.0, abs=1e-12)
+        plain, twisted = draw_traces(0.3, 7, 8, 1, _ZeroStream())
+        assert plain == 1.0 and abs(twisted) < 1e-15
 
     def test_cancellation(self):
         u = DiagonalOracle(np.array([0, 4]), order=8, dimension=2)
@@ -165,38 +158,42 @@ class TestNormalizedTrace:
     def test_modulus_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            u = draw(0.5, 30, 8, rng)
-            assert abs(normalized_trace(u)) <= 1 + 1e-12
+            plain, twisted = draw_traces(0.5, 30, 8, 1, rng)
+            assert abs(plain) <= 1 + 1e-12 and abs(twisted) <= 1 + 1e-12
 
     def test_biased_modulus_monte_carlo(self):
         eps, d, q = 0.2, 10**4, 257
         rng = np.random.default_rng(2024)
-        vals = [abs(normalized_trace(draw(eps, d, q, rng))) for _ in range(10**3)]
+        vals = [abs(draw_trace(eps, d, q, rng)) for _ in range(10**3)]
         m = float(np.mean(vals))
         assert eps / 2 < m < eps
         assert abs(m - eps * phase_mean(1.0, q)) < 0.01
 
-    # 16,384 complex entries are 256 KiB, where numpy starts eliding
-    # temporaries, so the two sizes take different multiply orders
-    @pytest.mark.parametrize("d", [4096, 65_536])
+    # the streamed traces against the entry sum of the reference draw (turns
+    # 0 reads the plain trace). d = 2 is one row of the factored sum and
+    # d = 3 one row and a partial one; 16,384 complex entries are 256 KiB,
+    # where numpy starts eliding temporaries, so the two large sizes take
+    # different multiply orders
+    @pytest.mark.parametrize("d", [2, 3, 4096, 65_536])
     @pytest.mark.parametrize("turns", [0, 1, -1])
     def test_histogram_trace_matches_entry_sum(self, d, turns):
-        base = draw(0.3, d, 257, np.random.default_rng(d))
-        u = base.compose_ramp(turns)
-        assert abs(normalized_trace(u) - oracle_values(u).sum() / d) <= 1e-15
+        plain, twisted = draw_traces(0.3, d, 257, turns or 1, np.random.default_rng(d))
+        u = draw(0.3, d, 257, np.random.default_rng(d)).compose_ramp(turns)
+        assert abs((twisted if turns else plain) - oracle_values(u).sum() / d) <= 1e-15
 
-    # d = 40,001 leaves a partial last row of the factored sum; 320,000 is
-    # gap_dimension(0.05), the endtoend default
-    @pytest.mark.parametrize("d", [40_001, 320_000])
+    # d = 40,001 leaves a partial last row of the factored sum, which the
+    # last block of the streamed draw holds; d = 65,536 has no partial row;
+    # 320,000 is gap_dimension(0.05), the endtoend default
+    @pytest.mark.parametrize("d", [40_001, 65_536, 320_000])
     @pytest.mark.parametrize("turns", [1, -1])
     def test_ramp_trace_matches_long_double_sum(self, d, turns):
-        base = draw(0.05, d, 257, np.random.default_rng(d))
-        u = base.compose_ramp(turns)
-        assert abs(normalized_trace(u) - _long_double_trace(u)) <= 2e-17
+        _, twisted = draw_traces(0.05, d, 257, turns, np.random.default_rng(d))
+        u = draw(0.05, d, 257, np.random.default_rng(d)).compose_ramp(turns)
+        assert abs(twisted - _long_double_trace(u)) <= 2e-17
 
     def test_monte_carlo_mean_matches_phase_mean(self):
         rng = np.random.default_rng(7)
-        mean = np.mean([normalized_trace(draw(0.3, 2000, 8, rng)) for _ in range(200)])
+        mean = np.mean([draw_trace(0.3, 2000, 8, rng) for _ in range(200)])
         assert abs(mean - phase_mean(0.3, 8)) < 5e-3
 
 
@@ -252,14 +249,20 @@ class TestDistributionInvariants:
 @pytest.mark.parametrize("q", [2, 3, 257, 1024])
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.45, 0.9, 1.0])
 def test_draw_trace_is_the_full_draw_trace(eps, q):
-    # the histogram-only draw reads the same uniforms as the full draw and
-    # gives its normalized trace bit for bit; at eps = 0.9 and q >= 257 some
-    # draws take more than one guide-table step
+    # the histogram-only draw and the streamed two-trace draw read the same
+    # uniforms as the reference draw and give its plain normalized trace bit
+    # for bit, though the latter cuts its blocks at whole rows of the
+    # factored ramp sum; at eps = 0.9 and q >= 257 some draws take more than
+    # one guide-table step. d = 2 and 3 are one row, and one row and a
+    # partial one; 65,536 is whole rows only
     if eps == 0.9 and q >= 257:
         assert not _guide_table(eps, q)[3]
-    for size in (1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 40_001):
+    for size in (1, 2, 3, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 40_001, 65_536):
         rng, ref = np.random.default_rng((size, q)), np.random.default_rng((size, q))
+        streamed = np.random.default_rng((size, q))
         got = draw_trace(eps, size, q, rng)
         want = normalized_trace(draw(eps, size, q, ref))
+        plain, twisted = draw_traces(eps, size, q, 1 if size % 2 else -1, streamed)
         assert type(got) is complex and got == want
-        assert rng.random() == ref.random()
+        assert type(plain) is complex and type(twisted) is complex and plain == want
+        assert rng.random() == ref.random() == streamed.random()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from querylab.ensembles import DiagonalOracle, draw, normalized_trace
 from querylab.errors import ParameterError
 from querylab.experiments import advantage_profile
 from querylab.families import (
@@ -13,7 +12,7 @@ from querylab.families import (
     random_interleaved_circuit,
 )
 from querylab.query_sim import DEFAULT_KEY_CAP, FixedGate, ForwardQuery
-from reference import dense_probe_matrix, oracle_values
+from reference import DiagonalOracle, dense_probe_matrix, draw, normalized_trace, oracle_values
 
 
 def run_with_oracle(circuit, oracle: DiagonalOracle) -> np.ndarray:

@@ -4,15 +4,20 @@ import pytest
 from querylab.errors import ParameterError
 from querylab.phases import (
     _SAMPLE_BLOCK,
+    _exponent_blocks,
     _guide_table,
     moment_table,
     phase_mean,
     phase_moment,
     pmf_vector,
-    sample_exponents,
     window_halfwidth,
 )
-from reference import phase_pmf
+from reference import draw, phase_pmf
+
+
+def sample_exponents(eps, q, rng, size, block=_SAMPLE_BLOCK):
+    """The production sampler loop's draw, every reused block copied out."""
+    return np.concatenate([kb.copy() for kb in _exponent_blocks(eps, q, rng, size, block)])
 
 
 class _FixedStream:
@@ -242,19 +247,34 @@ class TestSampling:
     @pytest.mark.parametrize("size", [1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
                                       320_000])
     @pytest.mark.parametrize("eps,q", [(0.0, 8), (0.05, 257), (0.45, 1024), (0.9, 8),
-                                       (1.0, 257)])
+                                       (0.9, 257), (1.0, 257)])
     def test_blocked_draw_matches_one_call(self, size, eps, q):
         # the sampler draws its uniforms block by block, stepping more than
         # once per draw only above bias 3/4; the result and the generator
-        # state after it equal one rng.random(size) call
+        # state after it equal the reference draw, a binary search of one
+        # rng.random(size) call
         assert _guide_table(eps, q)[3] == (eps < 0.75)
-        cdf = np.cumsum(pmf_vector(eps, q))
-        cdf[-1] = 1.0
         rng, ref = np.random.default_rng(size), np.random.default_rng(size)
         got = sample_exponents(eps, q, rng, size=size)
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.searchsorted(cdf, ref.random(size), side="right"))
+        assert np.array_equal(got, draw(eps, size, q, ref).exponents)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("eps,q", [(0.45, 257), (0.9, 257), (1.0, 8)])
+    def test_stream_is_the_same_for_any_block_length(self, eps, q):
+        # the block length only cuts the stream: 5-entry blocks, whole rows
+        # of the factored ramp sum at d = 320,000 (57 rows of 566), the
+        # default and one block, and a last block of every length
+        size = 40_001
+        ref = np.random.default_rng(q)
+        want = draw(eps, size, q, ref).exponents
+        for block in (5, 57 * 566, _SAMPLE_BLOCK, size, 10**6):
+            rng = np.random.default_rng(q)
+            blocks = [kb.copy() for kb in _exponent_blocks(eps, q, rng, size, block)]
+            assert [b.size for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+            assert 0 < blocks[-1].size <= block
+            assert np.array_equal(np.concatenate(blocks), want)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_one_step_holds_below_three_quarters(self):
         # every pmf entry exceeds 1/B >= 1/(4q) exactly when eps < 3/4

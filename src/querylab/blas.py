@@ -8,10 +8,15 @@ cell pool as the only parallel layer and makes the output independent of the
 BLAS thread count (``OPENBLAS_NUM_THREADS`` or the library's default).
 
 The library is looked up among the shared objects already mapped into the
-process (numpy loads it on import) and driven through ``ctypes``; no
-environment variable is read or set. Where no OpenBLAS is found, for example
-on a platform without ``/proc/self/maps`` or with a numpy built against
-another BLAS, the pin does nothing.
+process (numpy loads it on import) and driven through ``ctypes``; the pin
+reads and sets no environment variable. Where no OpenBLAS is found, for
+example on a platform without ``/proc/self/maps`` or with a numpy built
+against another BLAS, the pin does nothing.
+
+``one_thread_at_load`` is the one environment setting: the CLI entry point
+(``querylab.__main__``) calls it before numpy loads, so OpenBLAS starts no
+worker threads that the pin would only leave idle. It saves CPU time, not
+bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import functools
 import os
 from contextlib import contextmanager
 
-__all__ = ["one_blas_thread"]
+__all__ = ["one_blas_thread", "one_thread_at_load"]
 
 # (get, set) symbol pairs: the OpenBLAS bundled in numpy wheels, then a plain build.
 _SYMBOLS = (
@@ -83,3 +88,16 @@ def one_blas_thread():
         yield
     finally:
         put(saved)
+
+
+def one_thread_at_load() -> None:
+    """Have OpenBLAS load with one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+
+    OpenBLAS reads the variable once, when numpy loads it, so the call takes
+    effect only before numpy is imported. OpenBLAS then starts no worker
+    threads, whose busy-wait before they sleep costs CPU time on every run. A value the
+    user has already set is kept, and ``one_blas_thread`` still pins every unit
+    to one thread, so that value cannot move a byte either. This module imports
+    no numpy, so calling it first is safe.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -174,6 +174,13 @@ def _run_circuit(args) -> int:
     return 0
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` also counts those it may not)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="querylab",
@@ -190,8 +197,8 @@ def main(argv=None) -> int:
         sweep = sub.add_parser(kind, help=helps[kind])
         _add_common_flags(sweep, kind)
         sweep.add_argument("--seed", type=int, help="master seed override")
-        sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                           help="worker threads (default: all cores)")
+        sweep.add_argument("--jobs", type=int, default=_usable_cores(),
+                           help="worker threads (default: usable cores)")
     circ = sub.add_parser("circuit-run", help="run one circuit file and report advantages")
     circ.add_argument("file", help="circuit in the text line format")
     _add_common_flags(circ, "separation")
@@ -205,6 +212,3 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

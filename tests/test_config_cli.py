@@ -413,17 +413,41 @@ def test_cli_csv_is_byte_identical_across_jobs(tmp_path, capsys):
     assert not any("jobs" in ln for ln in header if ln.startswith("#"))
 
 
-def _run_at_blas_threads(tmp_path, name, command, threads: int) -> bytes:
-    # the CSV bytes of one querylab process started with OPENBLAS_NUM_THREADS set
+def _child_env(threads) -> dict:
+    # this checkout's package, with OPENBLAS_NUM_THREADS set to threads (unset for None)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return env
+
+
+def _run_at_blas_threads(tmp_path, name, command, threads) -> bytes:
+    # the CSV bytes of one querylab process started with OPENBLAS_NUM_THREADS
+    # set to threads, or unset for None
     out = tmp_path / f"{name}_t{threads}.csv"
     proc = subprocess.run([sys.executable, "-m", "querylab", *command, "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_child_env(threads), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return out.read_bytes()
+
+
+@pytest.mark.parametrize("threads, expected", [(None, 1), (2, 2)])
+def test_cli_loads_openblas_at_one_thread_unless_the_variable_is_set(threads, expected):
+    # the entry point sets the default before numpy loads; a value the user
+    # set is kept (and the pin of _map_cells keeps it from moving a byte)
+    if blas._controls() is None:
+        pytest.skip("no OpenBLAS loaded in this process, so its thread count cannot be read")
+    if expected > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS caps its thread count at the cores this process may use")
+    code = ("import querylab.__main__, numpy; from querylab import blas; "
+            "print(blas._controls()[0]())")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(threads),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == expected
 
 
 def _csv_bytes_over_jobs_and_blas_threads(tmp_path, name, command) -> set:
@@ -452,6 +476,8 @@ def test_lemma_csv_independent_of_jobs_and_blas_threads(tmp_path):
     # the default lemma grid runs the Levinson recursion and the FFT up to
     # q = 1024 in both workers
     outs = _csv_bytes_over_jobs_and_blas_threads(tmp_path, "lemmas", ["verify-lemmas"])
+    # and at the entry point's own default, with the variable unset
+    outs.add(_run_at_blas_threads(tmp_path, "lemmas_j2", ["verify-lemmas", "--jobs", "2"], None))
     assert len(outs) == 1
 
 
@@ -473,6 +499,24 @@ def test_circuit_run_bytes_independent_of_blas_threads_and_equal_to_separation(t
                    if row[0] == "inverse_adv" and ast.literal_eval(row[1])[:3] == (4, 8, 8)}
     assert sorted(circuit_adv) == [0.02, 0.05, 0.1, 0.2]
     assert circuit_adv == {eps: inverse_adv[eps] for eps in circuit_adv}
+
+
+def test_jobs_defaults_to_the_usable_cores(tmp_path, monkeypatch):
+    # a process limited to one CPU (a cpuset) runs one worker, whatever
+    # os.cpu_count() says about the machine
+    seen = []
+    real = experiments._map_cells
+
+    def spy(fn, args_list, jobs):
+        seen.append(jobs)
+        return real(fn, args_list, jobs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(experiments, "_map_cells", spy)
+    cfg = _write_config(tmp_path, "[experiment]\nkind = separation\n\n"
+                                  "[grid]\neps = 0.1\nd = 2\nq = 8\nn = 1\ntrials = 2\n")
+    assert cli.main(["separation", "--config", cfg, "--out", str(tmp_path / "s.csv")]) in (0, 1)
+    assert seen and set(seen) == {1}
 
 
 def _tiny_circuit_run(tmp_path):

@@ -3,6 +3,11 @@
 Every unit of work runs through ``_map_cells``, which holds the one-OpenBLAS-
 thread pin around its cells. A pin or a thread pool anywhere else in the
 package would be a second layer, or a unit that runs outside the pin.
+
+``blas.one_thread_at_load`` is not a second layer: it runs no work and pins
+nothing. It only sets the thread count OpenBLAS starts with, before numpy
+loads, so it belongs at the process entry point, ``__main__``, and nowhere
+else; where it runs later it does nothing.
 """
 
 import ast
@@ -11,16 +16,18 @@ import pathlib
 TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted((TESTS.parent / "src" / "querylab").glob("*.py"))
 
-NAMES = ("one_blas_thread", "ThreadPoolExecutor")
+NAMES = ("one_blas_thread", "ThreadPoolExecutor", "one_thread_at_load")
 
-# The only references the package may hold: the imports that bring the two
-# names into ``experiments`` and their uses in ``_map_cells``. The definition
-# of ``one_blas_thread`` in ``blas`` is a def, not a reference.
+# The only references the package may hold: the imports that bring the pin
+# and the pool into ``experiments``, their uses in ``_map_cells``, and the
+# load-time call in ``__main__``. The definitions in ``blas`` are defs, not
+# references.
 EXPECTED = {
     "experiments imports one_blas_thread",
     "experiments imports ThreadPoolExecutor",
     "experiments._map_cells uses one_blas_thread",
     "experiments._map_cells uses ThreadPoolExecutor",
+    "__main__ uses one_thread_at_load",
 }
 
 

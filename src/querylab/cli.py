@@ -72,12 +72,12 @@ def cmd_circuit_run(path: str, eps_list, cap: int):
     """Run one circuit file exactly and report its bias-advantage profile.
 
     Returns plain tuples (kind, params, measured) since nothing here is
-    random or bounded. The circuit is one unit of work of the cell pool, so
-    it runs at one OpenBLAS thread like every sweep unit.
+    random or bounded. The circuit is one unit of work of the cell pool, a
+    batch of one, so it runs at one OpenBLAS thread like every sweep unit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         circuit, q = circuit_from_text(fh.read())
-    [(keys, advantages)] = _map_cells(advantage_profile, [(circuit, eps_list, q, cap)], 1)
+    [[(keys, advantages)]] = _map_cells(advantage_profile, [([circuit], eps_list, q, cap)], 1)
     rows = [
         ("circuit_dims", (circuit.d, circuit.aux_dim, q), float(len(circuit.steps))),
         ("circuit_forward_queries", (q,), float(circuit.forward_count)),

@@ -40,7 +40,7 @@ from .families import (
 )
 from .linalg import DensityMatrix, trace_distance
 from .phases import phase_mean
-from .query_sim import average_density, run_purified
+from .query_sim import PurifiedState, average_density, run_purified
 
 __all__ = [
     "ResultRow",
@@ -218,21 +218,36 @@ def purification_scaling_rows(eps_grid=(1e-1, 1e-2, 1e-3), master_seed: int = 0)
 # ---------------------------------------------------------------- separation
 
 
-def advantage_profile(circuit, eps_list, q: int, cap: int) -> tuple:
-    """(histogram key count, advantage at each bias) of one circuit.
+def advantage_profile(circuits, eps_list, q: int, cap: int) -> list:
+    """(histogram key count, advantage at each bias) of each circuit, in order.
 
     The advantage at bias eps is the trace distance between the bias-0 and
     bias-eps averaged outputs; the implied success probability of the best
     single-shot distinguisher is ``1/2 + advantage/2``. The histogram
-    decomposition does not depend on the bias, so the circuit is purified
-    once (at most ``cap`` keys) and averaged at every bias in one call.
+    decomposition does not depend on the bias, so each circuit is purified
+    once (at most ``cap`` keys). Circuits whose states share their keys and
+    query counts are averaged together, at every bias, in one
+    `average_density` call, which builds their moment weights once.
     """
-    state = run_purified(circuit, key_cap=cap)
+    states = [run_purified(c, key_cap=cap) for c in circuits]
+    groups = {}
+    for i, state in enumerate(states):
+        groups.setdefault(state.batch_key, []).append(i)
+    batches = [(indices, PurifiedState.stack([states[i] for i in indices]))
+               for indices in groups.values()]
+    del states  # the batches hold copies of their vectors
     positive = [e for e in eps_list if e != 0.0]
-    base, *biased = average_density(state, [0.0, *positive], q)
-    advantage = dict(zip(positive, (float(trace_distance(base, rho)) for rho in biased)))
-    return state.key_count, [advantage.get(eps, 0.0) for eps in eps_list]
+    out = [None] * len(circuits)
+    for indices, batch in batches:
+        for i, (base, *biased) in zip(indices, average_density(batch, [0.0, *positive], q)):
+            advantage = dict(zip(positive, (float(trace_distance(base, rho)) for rho in biased)))
+            out[i] = (batch.key_count, [advantage.get(eps, 0.0) for eps in eps_list])
+    return out
 
+
+# Circuits per unit of `separation_rows`: small batches share their moment
+# weights and keep the pool's units even.
+_BATCH = 5
 
 # Inverse-demonstration block: probe family dimension and query budget, per
 # the documented experiment layout.
@@ -248,8 +263,11 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     without a bound: the ceiling only constrains forward-only circuits, and
     the comparison thresholds live in the acceptance suite.
 
-    Every circuit is drawn first, each forward cell from its own seed, and
-    each circuit is then one unit of work; cell maxima are taken afterwards.
+    Every circuit is drawn first, each forward cell from its own seed. Each
+    cell's circuits, and the inverse block's, are then split into units of
+    work of at most `_BATCH` circuits, in draw order; cell maxima are taken
+    afterwards. A unit averages its circuits that share keys in one weight
+    pass, and small units keep the pool's workers evenly loaded.
     """
     q = cfg.q[0]
     eps_list = list(cfg.eps)
@@ -257,10 +275,15 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     forward_cells = [(d, n) for d in cfg.d for n in cfg.n]
     seeds = [cell_seed(cfg.seed, index) for index in range(len(forward_cells))]
     units = []
+
+    def submit(circuits, biases):
+        units.extend((circuits[i:i + _BATCH], biases, q, cfg.cap)
+                     for i in range(0, len(circuits), _BATCH))
+
     for (d, n), seed in zip(forward_cells, seeds):
         rng = np.random.default_rng(seed)
-        units += [(random_interleaved_circuit(d, 2, "+" * n, rng), eps_list, q, cfg.cap)
-                  for _ in range(cfg.trials)]
+        submit([random_interleaved_circuit(d, 2, "+" * n, rng) for _ in range(cfg.trials)],
+               eps_list)
     # Inverse block: the iterate family against its matched forward family.
     n_inv = min(_INVERSE_N, q)
     matched_seed = cell_seed(cfg.seed, 40_000)
@@ -270,8 +293,8 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
                          matched_forward_circuit(_INVERSE_D, n_inv)]
         inverse_block += [random_interleaved_circuit(_INVERSE_D, 2, "+" * n_inv, rng)
                           for _ in range(cfg.trials)]
-        units += [(c, positive, q, cfg.cap) for c in inverse_block]
-    profiles = [adv for _, adv in _map_cells(advantage_profile, units, jobs)]
+        submit(inverse_block, positive)
+    profiles = [adv for unit in _map_cells(advantage_profile, units, jobs) for _, adv in unit]
 
     rows = []
     best_by_eps = {eps: 0.0 for eps in eps_list}

@@ -127,6 +127,8 @@ class PurifiedState:
     Row k of ``keys`` (K x d, int64) is one histogram e; row k of ``vectors``
     (K x d*aux, complex) is the part of the output state that acquired the
     monomial ``prod_i U_i^{e_i}``. Rows are in lexicographic key order.
+    States that share their keys, dimensions and query counts stack into one
+    batch (`stack`), whose ``vectors`` gain a leading state axis (B x K x d*aux).
     """
 
     d: int
@@ -135,6 +137,25 @@ class PurifiedState:
     vectors: np.ndarray
     forward_count: int
     inverse_count: int
+
+    @classmethod
+    def stack(cls, states) -> PurifiedState:
+        """One batch of states that share keys, dimensions and query counts."""
+        first = states[0]
+        if any(s.batch_key != first.batch_key for s in states[1:]):
+            raise QuerylabError("a batch of purified states must share keys, "
+                                "dimensions and query counts")
+        # laid out as B x d*aux x K, so `average_density` reads the stacked rows without a copy
+        layout = np.empty((len(states), *first.vectors.shape[::-1]), dtype=complex)
+        vectors = np.stack([s.vectors.T for s in states], out=layout).transpose(0, 2, 1)
+        return cls(first.d, first.aux_dim, first.keys, vectors,
+                   first.forward_count, first.inverse_count)
+
+    @property
+    def batch_key(self) -> tuple:
+        """What the states of one batch share."""
+        return (self.d, self.aux_dim, self.forward_count, self.inverse_count,
+                self.keys.shape, self.keys.tobytes())
 
     @property
     def key_count(self) -> int:
@@ -224,7 +245,7 @@ def run_purified(circuit: QueryCircuit, key_cap: int = DEFAULT_KEY_CAP) -> Purif
 
 # Row block and column tile widths of `average_density`.
 _BLOCK = 512
-_TILE = 256
+_TILE = 64
 
 
 def _moment_weights(expo: np.ndarray, span: int, budget: int, tile: int):
@@ -261,9 +282,11 @@ def _moment_weights(expo: np.ndarray, span: int, budget: int, tile: int):
 
     def weights_for(table: np.ndarray):
         prod = np.ones(1)
-        for m in digits:
-            step = prod_buf[:prod.size * m.size].reshape(prod.size, m.size)
-            prod = np.outer(prod, table[m + span], out=step).reshape(-1)
+        for i, m in enumerate(digits):
+            # only the last, full-size product goes to the shared buffer: an
+            # output that overlaps its input costs numpy a temporary copy
+            last = prod_buf.reshape(prod.size, m.size) if i == len(digits) - 1 else None
+            prod = np.outer(prod, table[m + span], out=last).reshape(-1)
         if done > prefix > 0:  # fold[k] is read with a unit step per digit index
             lane, by_digit = table[fold], prod.reshape(radices)
             by_digit *= as_strided(lane, radices, lane.strides * prefix, writeable=False)
@@ -286,36 +309,45 @@ def average_density(p: PurifiedState, eps, q: int):
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
     ``eps`` is one bias (returns a DensityMatrix) or a sequence of biases
-    (returns a list, one per bias). Every bias shares one difference code and
+    (returns a list, one per bias). A batch of states (see
+    `PurifiedState.stack`) returns a list with that result for each state; a
+    single state is a batch of one. Every bias shares one difference code and
     one set of buffers (see `_moment_weights`); each builds only its own
     prefix table. Each block of `_BLOCK` rows gathers its weights in tiles of
-    `_TILE` columns and costs two small matmuls. Column tiles keep every
-    element's reduction order and the row blocks fix it, so a density has the
-    same bits whether its bias comes alone or in a sequence.
+    `_TILE` columns, once for the whole batch: one product multiplies each
+    tile by every state's vectors, stacked as rows, and each state's block of
+    its density is then its own row slice times its conjugate vectors. Column
+    tiles and stacked rows keep every element's reduction order and the row
+    blocks fix it, so a density has the same bits whether its bias comes
+    alone or in a sequence and its state alone or in a batch.
     """
-    expo, vecs = p.keys, p.vectors
+    expo = p.keys
     if not p.key_count:
         raise QuerylabError("empty purified state")
     nkeys = len(expo)
+    dim = p.vectors.shape[-1]
+    batch = p.vectors.reshape(-1, nkeys, dim)
+    # row b*dim + i is column i of state b's vectors: a view for a stacked batch
+    stacked = batch.transpose(0, 2, 1).reshape(-1, nkeys)
+    conj = batch.conj()
     span = int(expo.max() - expo.min())
     block = min(_BLOCK, nkeys)
     weights_for = _moment_weights(expo, span, block * nkeys, block * min(_TILE, nkeys))
-    conj = vecs.conj()
-    dim = vecs.shape[1]
-    part = np.empty((dim, nkeys), dtype=complex)
-    out = []
+    part = np.empty((len(stacked), nkeys), dtype=complex)
+    by_bias = []
     for bias in np.atleast_1d(eps):
         weights = weights_for(moment_table(float(bias), int(q), span))
-        rho = np.zeros((dim, dim), dtype=complex)
+        rho = np.zeros((len(batch), dim, dim), dtype=complex)
         for a in range(0, nkeys, _BLOCK):
             rows = slice(a, min(a + _BLOCK, nkeys))
             for c in range(0, nkeys, _TILE):
                 cols = slice(c, min(c + _TILE, nkeys))
-                part[:, cols] = vecs[rows].T @ weights(rows, cols)
-            rho += part @ conj
-        rho = (rho + rho.conj().T) / 2
-        out.append(DensityMatrix(rho))
-    return out if np.ndim(eps) else out[0]
+                part[:, cols] = stacked[:, rows] @ weights(rows, cols)
+            rho += part.reshape(len(batch), dim, nkeys) @ conj
+        rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
+        by_bias.append([DensityMatrix(r) for r in rho])
+    out = [list(per_state) if np.ndim(eps) else per_state[0] for per_state in zip(*by_bias)]
+    return out if p.vectors.ndim == 3 else out[0]
 
 
 def _dense_run(circuit: QueryCircuit, phases: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -29,7 +29,11 @@ from querylab.config import (
     parse_config,
 )
 from querylab.errors import ConfigError, ParameterError
-from querylab.families import grover_iterate_circuit
+from querylab.families import (
+    grover_iterate_circuit,
+    matched_forward_circuit,
+    random_interleaved_circuit,
+)
 from querylab.linalg import trace_distance
 from querylab.query_sim import average_density, circuit_from_text, circuit_to_text, run_purified
 
@@ -517,6 +521,66 @@ def test_jobs_defaults_to_the_usable_cores(tmp_path, monkeypatch):
                                   "[grid]\neps = 0.1\nd = 2\nq = 8\nn = 1\ntrials = 2\n")
     assert cli.main(["separation", "--config", cfg, "--out", str(tmp_path / "s.csv")]) in (0, 1)
     assert seen and set(seen) == {1}
+
+
+def test_separation_units_are_small_batches_of_one_block_in_draw_order(monkeypatch):
+    # the separation-deep benchmark grid: 6 forward cells and the inverse block
+    cfg = replace(default_config("separation"), eps=(0.02, 0.05, 0.1, 0.2), d=(4, 5),
+                  q=(16,), n=(6, 8, 10), trials=20, seed=0)
+    units, results = [], []
+    real = experiments._map_cells
+
+    def spy(fn, args_list, jobs):
+        out = real(fn, args_list, jobs)
+        units.extend(args_list)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(experiments, "_map_cells", spy)
+    experiments.separation_rows(cfg, 2)
+
+    # each forward cell draws from its own seed, then the inverse block
+    blocks = []
+    for index, (d, n) in enumerate((d, n) for d in cfg.d for n in cfg.n):
+        rng = np.random.default_rng(experiments.cell_seed(cfg.seed, index))
+        blocks.append((cfg.eps, [random_interleaved_circuit(d, 2, "+" * n, rng)
+                                 for _ in range(cfg.trials)]))
+    rng = np.random.default_rng(experiments.cell_seed(cfg.seed, 40_000))
+    positive = tuple(e for e in cfg.eps if e > 0)
+    blocks.append((positive, [grover_iterate_circuit(4, 8), matched_forward_circuit(4, 8)]
+                   + [random_interleaved_circuit(4, 2, "+" * 8, rng) for _ in range(cfg.trials)]))
+    drawn = [(eps, c) for eps, circuits in blocks for c in circuits]
+
+    assert len(units) == 6 * 4 + 5
+    ends = np.cumsum([len(circuits) for _, circuits in blocks])
+    start = 0
+    for circuits, eps, q, cap in units:
+        assert 1 <= len(circuits) <= experiments._BATCH
+        # a unit never reaches from one block into the next
+        block = np.searchsorted(ends, start, "right")
+        assert block == np.searchsorted(ends, start + len(circuits) - 1, "right")
+        assert tuple(eps) == blocks[block][0]
+        for c in circuits:
+            assert circuit_to_text(c, q) == circuit_to_text(drawn[start][1], q)
+            start += 1
+    assert start == len(drawn)
+    # flattened, the profiles are those of each circuit run alone, in draw order
+    with one_blas_thread():
+        alone = [experiments.advantage_profile([c], eps, 16, cfg.cap)[0] for eps, c in drawn]
+    assert [profile for unit in results for profile in unit] == alone
+
+
+def test_circuit_run_submits_one_unit_of_one_circuit(tmp_path, monkeypatch):
+    units = []
+    real = experiments._map_cells
+
+    def spy(fn, args_list, jobs):
+        units.extend(args_list)
+        return real(fn, args_list, jobs)
+
+    monkeypatch.setattr(cli, "_map_cells", spy)
+    _tiny_circuit_run(tmp_path)
+    assert len(units) == 1 and len(units[0][0]) == 1
 
 
 def _tiny_circuit_run(tmp_path):

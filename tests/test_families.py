@@ -142,11 +142,12 @@ def test_forward_family_advantage_scales_quadratically():
     rng = np.random.default_rng(2024)
     circuits = [random_interleaved_circuit(d, 2, "+" * n, rng) for _ in range(8)]
     circuits.append(matched_forward_circuit(d, n))
-    profiles = [advantage_profile(c, eps_grid, q, DEFAULT_KEY_CAP)[1] for c in circuits]
+    profiles = [adv for _, adv in advantage_profile(circuits, eps_grid, q, DEFAULT_KEY_CAP)]
     best = np.max(profiles, axis=0)
     slope = np.polyfit(np.log(eps_grid), np.log(best), 1)[0]
     assert 1.85 <= slope <= 2.15
 
-    _, inv_best = advantage_profile(grover_iterate_circuit(4, 6), eps_grid, q, DEFAULT_KEY_CAP)
+    [(_, inv_best)] = advantage_profile([grover_iterate_circuit(4, 6)], eps_grid, q,
+                                        DEFAULT_KEY_CAP)
     inv_slope = np.polyfit(np.log(eps_grid), np.log(inv_best), 1)[0]
     print(f"\ninverse-family advantage exponent over eps {eps_grid}: {inv_slope:.3f}")

@@ -1,12 +1,18 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from querylab import query_sim
+from querylab.blas import one_blas_thread
 from querylab.errors import ConfigError, ParameterError, QuerylabError, ResourceLimitError
 from querylab.experiments import advantage_profile
-from querylab.families import grover_iterate_circuit, random_interleaved_circuit
+from querylab.families import (
+    grover_iterate_circuit,
+    matched_forward_circuit,
+    random_interleaved_circuit,
+)
 from querylab.linalg import dft_matrix, random_unitary, trace_distance
 from querylab.phases import moment_table
 from querylab.query_sim import (
@@ -293,6 +299,67 @@ class TestWeightPath:
         assert peak <= 8 * 2**20
 
 
+def same_key_states(d, n, count, seed):
+    """``count`` purified random interleaved circuits of one (d, n) cell."""
+    rng = np.random.default_rng(seed)
+    return [run_purified(random_interleaved_circuit(d, 2, "+" * n, rng)) for _ in range(count)]
+
+
+class TestBatch:
+    CASES = [
+        # 1,001 keys: two row blocks
+        pytest.param(lambda: same_key_states(5, 10, 3, 40), 16, 512, id="deep"),
+        # the matched forward circuit shares its 165 keys with random circuits
+        pytest.param(lambda: [run_purified(matched_forward_circuit(4, 8)),
+                              *same_key_states(4, 8, 2, 41)], 16, 512, id="matched"),
+        # 21 keys in 7-row blocks: three row blocks
+        pytest.param(lambda: same_key_states(3, 5, 4, 42), 8, 7, id="block7"),
+    ]
+
+    @pytest.mark.parametrize("states,q,block", CASES)
+    def test_batch_equals_per_state_calls_bit_for_bit(self, states, q, block, monkeypatch):
+        states = states()
+        assert len({s.key_count for s in states}) == 1
+        monkeypatch.setattr(query_sim, "_BLOCK", block)
+        batch = PurifiedState.stack(states)
+        assert batch.vectors.shape == (len(states), *states[0].vectors.shape)
+        # at one OpenBLAS thread, as every unit runs: more threads split a
+        # product by its shape, so a taller stack could move the last bits
+        with one_blas_thread():
+            for state, rho in zip(states, average_density(batch, 0.05, q)):
+                assert np.array_equal(rho.entries, average_density(state, 0.05, q).entries)
+            for state, rhos in zip(states, average_density(batch, BIASES, q)):
+                alone = average_density(state, BIASES, q)
+                assert len(rhos) == len(BIASES)
+                assert all(np.array_equal(a.entries, b.entries) for a, b in zip(rhos, alone))
+
+    def test_batch_needs_equal_keys_and_counts(self):
+        deep, shallow = same_key_states(5, 10, 1, 40)[0], same_key_states(4, 8, 1, 41)[0]
+        with pytest.raises(QuerylabError, match="must share keys"):
+            PurifiedState.stack([deep, shallow])
+        # the same keys and net count, from one more forward and one inverse query
+        recounted = dataclasses.replace(deep, forward_count=deep.forward_count + 1,
+                                        inverse_count=1)
+        with pytest.raises(QuerylabError, match="must share keys"):
+            PurifiedState.stack([deep, recounted])
+
+    def test_traced_peak_of_one_batch_of_circuits(self):
+        # one unit of the separation-deep grid: five d = 5, n = 10 circuits
+        rng = np.random.default_rng(43)
+        circuits = [random_interleaved_circuit(5, 2, "+" * 10, rng) for _ in range(5)]
+        biases = [0.02, 0.05, 0.1, 0.2]
+        for bias in [0.0, *biases]:
+            moment_table(bias, 16, 10)
+        tracemalloc.start()
+        try:
+            profiles = advantage_profile(circuits, biases, 16, DEFAULT_KEY_CAP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [keys for keys, _ in profiles] == [1001] * 5
+        assert peak <= 8 * 2**20
+
+
 def pair_terms(p, q):
     """(off-lattice count h, moment product at eps = 1) of every key pair.
 
@@ -383,7 +450,7 @@ class TestDistinguishingAdvantage:
     def test_zero_bias_zero(self):
         rng = np.random.default_rng(6)
         c = random_circuit(2, 2, "+-", rng)
-        keys, adv = advantage_profile(c, [0.0, 0.3], 8, DEFAULT_KEY_CAP)
+        [(keys, adv)] = advantage_profile([c], [0.0, 0.3], 8, DEFAULT_KEY_CAP)
         assert keys == run_purified(c).key_count
         assert adv[0] == 0.0 and adv[1] > 0.0
 
@@ -393,7 +460,7 @@ class TestDistinguishingAdvantage:
             for _ in range(3):
                 n = int(rng.integers(1, 4))
                 c = random_circuit(2, 2, "+" * n, rng)
-                _, (adv,) = advantage_profile(c, [eps], 8, DEFAULT_KEY_CAP)
+                [(_, (adv,))] = advantage_profile([c], [eps], 8, DEFAULT_KEY_CAP)
                 assert adv <= 4 * n * eps**2 + 1e-10
 
 

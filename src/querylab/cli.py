@@ -72,8 +72,8 @@ def cmd_circuit_run(path: str, eps_list, cap: int):
     """Run one circuit file exactly and report its bias-advantage profile.
 
     Returns plain tuples (kind, params, measured) since nothing here is
-    random or bounded. The circuit is one unit of work of the cell pool, a
-    batch of one, so it runs at one OpenBLAS thread like every sweep unit.
+    random or bounded. The circuit is one `_map_cells` unit, so it runs at one
+    OpenBLAS thread like every sweep unit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         circuit, q = circuit_from_text(fh.read())
@@ -144,7 +144,7 @@ def _run_experiment(args) -> int:
 
     runners = {
         "verify-lemmas": lambda: (lemma_rows(cfg.q, cfg.eps, cfg.seed), None),
-        "separation": lambda: (separation_rows(cfg, jobs), None),
+        "separation": lambda: (separation_rows(cfg), None),
         "endtoend": lambda: endtoend_rows(cfg),
         "concentration": lambda: (concentration_rows(cfg, jobs), None),
     }
@@ -198,7 +198,8 @@ def main(argv=None) -> int:
         _add_common_flags(sweep, kind)
         sweep.add_argument("--seed", type=int, help="master seed override")
         sweep.add_argument("--jobs", type=int, default=_usable_cores(),
-                           help="worker threads (default: usable cores)")
+                           help="worker threads of concentration; the other sweeps "
+                                "run in order and ignore it (default: usable cores)")
     circ = sub.add_parser("circuit-run", help="run one circuit file and report advantages")
     circ.add_argument("file", help="circuit in the text line format")
     _add_common_flags(circ, "separation")

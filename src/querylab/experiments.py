@@ -3,10 +3,10 @@
 Every sweep derives one child seed per grid cell from the master seed and the
 cell's position, so rows are reproducible in isolation and the assembled
 output is byte-identical for a fixed config regardless of the worker count.
-``_map_cells`` runs every unit of work of every command, ``circuit-run``'s
-one circuit included, and is the only parallel layer: it pins OpenBLAS to
-one thread while its cells run, which also keeps the bytes independent of
-the BLAS thread count.
+``_map_cells`` runs every unit of work (a grid cell or one labeled trial) of
+every command, ``circuit-run``'s one circuit included, at one OpenBLAS thread,
+which keeps the bytes independent of the BLAS thread count. It is the only
+parallel layer; only ``concentration`` runs its units in its thread pool.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def cell_seed(master: int, index: int) -> int:
 
 
 def _map_cells(fn, args_list, jobs: int):
-    """Evaluate cells at one OpenBLAS thread, possibly in a pool; results keep submission order.
+    """Evaluate units at one OpenBLAS thread, in a pool if jobs > 1; results keep submission order.
 
     The pin spans the pool's whole life, its shutdown included, so no cell
     runs after the previous thread count is restored.
@@ -225,28 +225,29 @@ def advantage_profile(circuits, eps_list, q: int, cap: int) -> list:
     bias-eps averaged outputs; the implied success probability of the best
     single-shot distinguisher is ``1/2 + advantage/2``. The histogram
     decomposition does not depend on the bias, so each circuit is purified
-    once (at most ``cap`` keys). Circuits whose states share their keys and
-    query counts are averaged together, at every bias, in one
-    `average_density` call, which builds their moment weights once.
+    once (at most ``cap`` keys). The circuits run `_BATCH` at a time, in
+    order; a chunk's states that share keys and query counts are averaged
+    together, at every bias, in one `average_density` call.
     """
-    states = [run_purified(c, key_cap=cap) for c in circuits]
-    groups = {}
-    for i, state in enumerate(states):
-        groups.setdefault(state.batch_key, []).append(i)
-    batches = [(indices, PurifiedState.stack([states[i] for i in indices]))
-               for indices in groups.values()]
-    del states  # the batches hold copies of their vectors
     positive = [e for e in eps_list if e != 0.0]
     out = [None] * len(circuits)
-    for indices, batch in batches:
-        for i, (base, *biased) in zip(indices, average_density(batch, [0.0, *positive], q)):
-            advantage = dict(zip(positive, (float(trace_distance(base, rho)) for rho in biased)))
-            out[i] = (batch.key_count, [advantage.get(eps, 0.0) for eps in eps_list])
+    for start in range(0, len(circuits), _BATCH):
+        states = [run_purified(c, key_cap=cap) for c in circuits[start:start + _BATCH]]
+        groups = {}
+        for i, state in enumerate(states):
+            groups.setdefault(state.batch_key, []).append(i)
+        batches = [(indices, PurifiedState.stack([states[i] for i in indices]))
+                   for indices in groups.values()]
+        del states  # the batches hold copies of their vectors
+        for indices, batch in batches:
+            for i, (base, *biased) in zip(indices, average_density(batch, [0.0, *positive], q)):
+                advantage = dict(zip(positive, (float(trace_distance(base, r)) for r in biased)))
+                out[start + i] = (batch.key_count, [advantage.get(eps, 0.0) for eps in eps_list])
     return out
 
 
-# Circuits per unit of `separation_rows`: small batches share their moment
-# weights and keep the pool's units even.
+# Circuits `advantage_profile` purifies and averages at a time, a memory bound:
+# whole separation-deep cells as one batch raised the peak RSS from 46 to 54 MB.
 _BATCH = 5
 
 # Inverse-demonstration block: probe family dimension and query budget, per
@@ -255,7 +256,7 @@ _INVERSE_D = 4
 _INVERSE_N = 8
 
 
-def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
+def separation_rows(cfg: ExperimentConfig) -> list:
     """Forward-ceiling cells plus the inverse-family block.
 
     Forward rows carry the quadratic ceiling 4*n*eps^2 as their bound. The
@@ -263,11 +264,10 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     without a bound: the ceiling only constrains forward-only circuits, and
     the comparison thresholds live in the acceptance suite.
 
-    Every circuit is drawn first, each forward cell from its own seed. Each
-    cell's circuits, and the inverse block's, are then split into units of
-    work of at most `_BATCH` circuits, in draw order; cell maxima are taken
-    afterwards. A unit averages its circuits that share keys in one weight
-    pass, and small units keep the pool's workers evenly loaded.
+    Each forward cell draws its circuits from its own seed and is one unit
+    of work; the inverse block is the last. The units run in order: since
+    `advantage_profile` averages equal-key circuits in one weight pass, two
+    worker threads no longer cut the wall time, and cost CPU time and memory.
     """
     q = cfg.q[0]
     eps_list = list(cfg.eps)
@@ -275,15 +275,10 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     forward_cells = [(d, n) for d in cfg.d for n in cfg.n]
     seeds = [cell_seed(cfg.seed, index) for index in range(len(forward_cells))]
     units = []
-
-    def submit(circuits, biases):
-        units.extend((circuits[i:i + _BATCH], biases, q, cfg.cap)
-                     for i in range(0, len(circuits), _BATCH))
-
     for (d, n), seed in zip(forward_cells, seeds):
         rng = np.random.default_rng(seed)
-        submit([random_interleaved_circuit(d, 2, "+" * n, rng) for _ in range(cfg.trials)],
-               eps_list)
+        units.append(([random_interleaved_circuit(d, 2, "+" * n, rng)
+                       for _ in range(cfg.trials)], eps_list, q, cfg.cap))
     # Inverse block: the iterate family against its matched forward family.
     n_inv = min(_INVERSE_N, q)
     matched_seed = cell_seed(cfg.seed, 40_000)
@@ -293,15 +288,14 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
                          matched_forward_circuit(_INVERSE_D, n_inv)]
         inverse_block += [random_interleaved_circuit(_INVERSE_D, 2, "+" * n_inv, rng)
                           for _ in range(cfg.trials)]
-        submit(inverse_block, positive)
-    profiles = [adv for unit in _map_cells(advantage_profile, units, jobs) for _, adv in unit]
+        units.append((inverse_block, positive, q, cfg.cap))
+    profiles = _map_cells(advantage_profile, units, 1)
 
     rows = []
     best_by_eps = {eps: 0.0 for eps in eps_list}
-    for index, ((d, n), seed) in enumerate(zip(forward_cells, seeds)):
-        cell = profiles[index * cfg.trials:(index + 1) * cfg.trials]
+    for (d, n), seed, cell in zip(forward_cells, seeds, profiles):
         for j, eps in enumerate(eps_list):
-            cell_max = max(p[j] for p in cell)
+            cell_max = max(adv[j] for _, adv in cell)
             best_by_eps[eps] = max(best_by_eps[eps], cell_max)
             rows.append(_row("forward_adv", (d, q, n, eps), cell_max, seed,
                              4.0 * n * eps**2 + 1e-9, operator.le))
@@ -315,7 +309,7 @@ def separation_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     if not positive:
         return rows
 
-    inv_adv, *matched_profiles = profiles[len(forward_cells) * cfg.trials:]
+    inv_adv, *matched_profiles = (adv for _, adv in profiles[-1])
     for eps, adv in zip(positive, inv_adv):
         rows.append(_row("inverse_adv", (_INVERSE_D, q, n_inv, eps), adv,
                          cell_seed(cfg.seed, 30_000)))

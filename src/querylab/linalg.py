@@ -28,7 +28,7 @@ _ATOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A square, Hermitian, PSD, unit-trace complex matrix (each within 1e-10)."""
+    """A square, finite, Hermitian, PSD, unit-trace complex matrix (each within 1e-10)."""
 
     entries: np.ndarray
 
@@ -37,25 +37,29 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise DimensionError(f"density matrix must be square and non-empty, "
                                  f"got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > _ATOL:
+        if not np.isfinite(m).all():
+            raise ParameterError("density matrix has a non-finite entry")
+        if not np.abs(m - m.conj().T).max() <= _ATOL:
             raise ParameterError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > _ATOL or abs(np.trace(m).imag) > _ATOL:
+        if not (abs(np.trace(m).real - 1.0) <= _ATOL and abs(np.trace(m).imag) <= _ATOL):
             raise ParameterError(f"density matrix trace {np.trace(m)!r} is not 1")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -_ATOL:
+        if not np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -_ATOL:
             raise ParameterError("density matrix has an eigenvalue below -1e-10")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
 
 def checked_unitary(matrix, what: str) -> np.ndarray:
-    """A complex copy of ``matrix``, checked to be square and unitary within 1e-10.
+    """A complex copy of ``matrix``, checked to be square, finite and unitary within 1e-10.
 
     ``what`` names the matrix in the error message.
     """
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {m.shape}")
-    if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > _ATOL:
+    if not np.isfinite(m).all():
+        raise ParameterError(f"{what} has a non-finite entry")
+    if not np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= _ATOL:
         raise ParameterError(f"{what} is not unitary within 1e-10")
     return m
 

@@ -71,7 +71,7 @@ def test_criterion_3_forward_ceiling_and_slope():
     t0 = time.time()
     cfg = ExperimentConfig("separation", eps=(0.05, 0.1, 0.2), d=(2, 3, 4), q=(8,),
                            n=(1, 2, 3, 4, 5, 6, 7, 8), trials=9, seed=0, cap=10**6)
-    rows = experiments.separation_rows(cfg, jobs=4)
+    rows = experiments.separation_rows(cfg)
     fwd = [r for r in rows if r.kind == "forward_adv"]
     circuits = len(cfg.d) * len(cfg.n) * cfg.trials
     violations = [r for r in fwd if not r.passed]
@@ -86,7 +86,7 @@ def test_criterion_3_forward_ceiling_and_slope():
 def test_criterion_4_inverse_escape(golden_check):
     t0 = time.time()
     cfg = default_config("separation")
-    rows = experiments.separation_rows(cfg, jobs=4)
+    rows = experiments.separation_rows(cfg)
     inverse = {r.params[-1]: r.measured for r in rows if r.kind == "inverse_adv"}
     ratio = next(r.measured for r in rows
                  if r.kind == "inverse_ratio" and r.params[-1] == 0.1)

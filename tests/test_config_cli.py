@@ -256,6 +256,21 @@ def test_endtoend_trials_run_in_order_without_a_pool(monkeypatch, tmp_path):
     assert order == [(m, t) for m in ("estimation", "amplification", "naive") for t in range(3)]
 
 
+def test_concentration_pools_its_units_at_jobs_above_one(monkeypatch):
+    # the one sweep whose units gain from worker threads keeps its pool
+    pools = []
+    real = experiments.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", spy)
+    cfg = ExperimentConfig("concentration", eps=(0.2,), d=(500,), q=(8,), trials=100, seed=0)
+    assert experiments.concentration_rows(cfg, 2) == experiments.concentration_rows(cfg, 1)
+    assert pools == [2]
+
+
 def test_lemma_rows_mean_window_only_for_large_q():
     rows = experiments.lemma_rows((257,), (0.1,), master_seed=1)
     window = [r for r in rows if r.kind == "mean_window"]
@@ -281,7 +296,7 @@ def test_separation_requires_n_at_most_q():
 def test_separation_rows_structure_and_bounds():
     cfg = ExperimentConfig("separation", eps=(0.0, 0.1, 0.2), d=(2, 3), q=(8,),
                            n=(1, 2), trials=4, seed=9, cap=10**5)
-    rows = experiments.separation_rows(cfg, jobs=2)
+    rows = experiments.separation_rows(cfg)
     fwd = [r for r in rows if r.kind == "forward_adv"]
     assert len(fwd) == 2 * 2 * 3  # d x n x eps
     for r in fwd:
@@ -293,12 +308,6 @@ def test_separation_rows_structure_and_bounds():
     kinds = {r.kind for r in rows}
     assert {"forward_slope", "inverse_adv", "inverse_slope",
             "matched_adv", "inverse_ratio"} <= kinds
-
-
-def test_separation_rows_deterministic_across_jobs():
-    cfg = ExperimentConfig("separation", eps=(0.05, 0.1), d=(2,), q=(8,), n=(1, 3),
-                           trials=3, seed=4, cap=10**5)
-    assert experiments.separation_rows(cfg, jobs=1) == experiments.separation_rows(cfg, jobs=4)
 
 
 def test_endtoend_rows_structure():
@@ -346,7 +355,7 @@ def test_config_built_in_code_rejects_lists_a_kind_reads_one_value_of():
     # the check lives in ExperimentConfig, so a sweep cannot drop grid values
     with pytest.raises(ConfigError, match="one q value"):
         experiments.separation_rows(
-            ExperimentConfig("separation", (0.1,), (2,), (8, 16), (1,), 2, 0, 10**5), 1)
+            ExperimentConfig("separation", (0.1,), (2,), (8, 16), (1,), 2, 0, 10**5))
     for key, values in (("eps", (0.1, 0.2)), ("d", (500, 600))):
         grid = {"eps": (0.1,), "d": (500,), "q": (8,), key: values}
         with pytest.raises(ConfigError, match=f"one {key} value") as err:
@@ -517,27 +526,34 @@ def test_jobs_defaults_to_the_usable_cores(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(experiments, "_map_cells", spy)
-    cfg = _write_config(tmp_path, "[experiment]\nkind = separation\n\n"
-                                  "[grid]\neps = 0.1\nd = 2\nq = 8\nn = 1\ntrials = 2\n")
-    assert cli.main(["separation", "--config", cfg, "--out", str(tmp_path / "s.csv")]) in (0, 1)
+    # concentration is the one sweep that passes --jobs on to its pool
+    cfg = _write_config(tmp_path, "[experiment]\nkind = concentration\n\n"
+                                  "[grid]\neps = 0.2\nd = 500\nq = 8\ntrials = 100\n")
+    assert cli.main(["concentration", "--config", cfg, "--out", str(tmp_path / "c.csv")]) in (0, 1)
     assert seen and set(seen) == {1}
 
 
-def test_separation_units_are_small_batches_of_one_block_in_draw_order(monkeypatch):
+def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batches(monkeypatch):
     # the separation-deep benchmark grid: 6 forward cells and the inverse block
     cfg = replace(default_config("separation"), eps=(0.02, 0.05, 0.1, 0.2), d=(4, 5),
                   q=(16,), n=(6, 8, 10), trials=20, seed=0)
-    units, results = [], []
-    real = experiments._map_cells
+    units, results, jobs_seen, batch_sizes = [], [], [], []
+    real_map, real_average = experiments._map_cells, experiments.average_density
 
-    def spy(fn, args_list, jobs):
-        out = real(fn, args_list, jobs)
+    def spy_map(fn, args_list, jobs):
+        jobs_seen.append(jobs)
+        out = real_map(fn, args_list, jobs)
         units.extend(args_list)
         results.extend(out)
         return out
 
-    monkeypatch.setattr(experiments, "_map_cells", spy)
-    experiments.separation_rows(cfg, 2)
+    def spy_average(p, eps, q):
+        batch_sizes.append(len(p.vectors) if p.vectors.ndim == 3 else 1)
+        return real_average(p, eps, q)
+
+    monkeypatch.setattr(experiments, "_map_cells", spy_map)
+    monkeypatch.setattr(experiments, "average_density", spy_average)
+    experiments.separation_rows(cfg)
 
     # each forward cell draws from its own seed, then the inverse block
     blocks = []
@@ -549,25 +565,38 @@ def test_separation_units_are_small_batches_of_one_block_in_draw_order(monkeypat
     positive = tuple(e for e in cfg.eps if e > 0)
     blocks.append((positive, [grover_iterate_circuit(4, 8), matched_forward_circuit(4, 8)]
                    + [random_interleaved_circuit(4, 2, "+" * 8, rng) for _ in range(cfg.trials)]))
-    drawn = [(eps, c) for eps, circuits in blocks for c in circuits]
 
-    assert len(units) == 6 * 4 + 5
-    ends = np.cumsum([len(circuits) for _, circuits in blocks])
-    start = 0
-    for circuits, eps, q, cap in units:
-        assert 1 <= len(circuits) <= experiments._BATCH
-        # a unit never reaches from one block into the next
-        block = np.searchsorted(ends, start, "right")
-        assert block == np.searchsorted(ends, start + len(circuits) - 1, "right")
-        assert tuple(eps) == blocks[block][0]
-        for c in circuits:
-            assert circuit_to_text(c, q) == circuit_to_text(drawn[start][1], q)
-            start += 1
-    assert start == len(drawn)
-    # flattened, the profiles are those of each circuit run alone, in draw order
+    assert jobs_seen == [1] and len(units) == 6 + 1
+    for (circuits, eps, q, cap), (block_eps, drawn) in zip(units, blocks):
+        assert tuple(eps) == block_eps and q == 16 and cap == cfg.cap
+        assert [circuit_to_text(c, q) for c in circuits] == [circuit_to_text(c, q) for c in drawn]
+    # each circuit is averaged once, in batches of equal-key states that
+    # never hold more than _BATCH of them
+    assert sum(batch_sizes) == sum(len(drawn) for _, drawn in blocks)
+    assert max(batch_sizes) == experiments._BATCH
+    # the profiles are those of each circuit run alone, in draw order
     with one_blas_thread():
-        alone = [experiments.advantage_profile([c], eps, 16, cfg.cap)[0] for eps, c in drawn]
-    assert [profile for unit in results for profile in unit] == alone
+        alone = [[experiments.advantage_profile([c], eps, 16, cfg.cap)[0] for c in drawn]
+                 for eps, drawn in blocks]
+    assert results == alone
+
+
+def test_separation_runs_in_order_without_a_pool(monkeypatch, tmp_path):
+    # a cell averages its circuits in batches, which leaves a second thread
+    # nothing to gain, so --jobs > 1 must not start worker threads
+    def no_pool(*args, **kwargs):
+        raise AssertionError("separation_rows started a worker pool")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    cfg = _write_config(tmp_path, "[experiment]\nkind = separation\n\n"
+                                  "[grid]\neps = 0.1, 0.2\nd = 2, 3\nq = 8\nn = 1, 2\n"
+                                  "trials = 2\n")
+    out = tmp_path / "separation.csv"
+    assert cli.main(["separation", "--jobs", "4", "--config", cfg, "--out", str(out)]) == 0
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    forward = [ast.literal_eval(row["params"]) for row in csv.DictReader(body)
+               if row["kind"] == "forward_adv"]
+    assert forward == [(d, 8, n, eps) for d in (2, 3) for n in (1, 2) for eps in (0.1, 0.2)]
 
 
 def test_circuit_run_submits_one_unit_of_one_circuit(tmp_path, monkeypatch):
@@ -593,7 +622,7 @@ def _tiny_circuit_run(tmp_path):
 TINY_RUNS = {
     "lemmas": lambda tmp_path: experiments.lemma_rows((8,), (0.1,)),
     "separation": lambda tmp_path: experiments.separation_rows(ExperimentConfig(
-        "separation", eps=(0.1, 0.2), d=(2,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5), 2),
+        "separation", eps=(0.1, 0.2), d=(2,), q=(8,), n=(1,), trials=2, seed=0, cap=10**5)),
     "endtoend": lambda tmp_path: experiments.endtoend_rows(ExperimentConfig(
         "endtoend", eps=(0.1,), d=(500,), q=(8,), trials=2, seed=0)),
     "concentration": lambda tmp_path: experiments.concentration_rows(ExperimentConfig(
@@ -1184,6 +1213,16 @@ def test_cli_circuit_run_rejects_non_unitary_gate(tmp_path, capsys):
     assert cli.main(["circuit-run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not unitary" in err
+
+
+@pytest.mark.parametrize("entry", ["nan,0", "inf,0"])
+def test_cli_circuit_run_rejects_non_finite_gate(tmp_path, capsys, entry):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1 4 1\nG {entry}\nQ+\n")
+    assert cli.main(["circuit-run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fixed gate has a non-finite entry\n"
 
 
 def test_every_export_resolves():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ class TestDensityMatrix:
         m = np.array([[1.2, 0.0], [0.0, -0.2]])
         with pytest.raises(ParameterError):
             DensityMatrix(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        # a NaN compares False with every tolerance, so it must be caught first
+        m = np.array([[bad, 0.0], [0.0, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="non-finite"):
+                DensityMatrix(m)
 
     def test_from_state(self):
         rho = basis_density(1, 2)
@@ -176,10 +186,14 @@ _GATE_BUILDERS = {
 
 
 @pytest.mark.parametrize("builder", sorted(_GATE_BUILDERS))
-@pytest.mark.parametrize("matrix,error", [
-    (np.eye(4)[:, :3], DimensionError),
-    (np.array([[1.0, 1.0], [0.0, 1.0]]), ParameterError),
-], ids=["non-square", "non-unitary"])
-def test_constructors_reject_non_unitary(builder, matrix, error):
-    with pytest.raises(error):
-        _GATE_BUILDERS[builder](matrix)
+@pytest.mark.parametrize("matrix,error,message", [
+    (np.eye(4)[:, :3], DimensionError, "must be square"),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), ParameterError, "not unitary"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), ParameterError, "non-finite"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), ParameterError, "non-finite"),
+], ids=["non-square", "non-unitary", "nan", "inf"])
+def test_constructors_reject_non_unitary(builder, matrix, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            _GATE_BUILDERS[builder](matrix)

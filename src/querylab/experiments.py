@@ -40,7 +40,7 @@ from .families import (
 )
 from .linalg import DensityMatrix, trace_distance
 from .phases import phase_mean
-from .query_sim import PurifiedState, average_density, run_purified
+from .query_sim import average_density, run_purified
 
 __all__ = [
     "ResultRow",
@@ -226,23 +226,24 @@ def advantage_profile(circuits, eps_list, q: int, cap: int) -> list:
     single-shot distinguisher is ``1/2 + advantage/2``. The histogram
     decomposition does not depend on the bias, so each circuit is purified
     once (at most ``cap`` keys). The circuits run `_BATCH` at a time, in
-    order; a chunk's states that share keys and query counts are averaged
+    order; a chunk's circuits that share a skeleton evolve through one key
+    array (`run_purified`; members it splits off run again) and are averaged
     together, at every bias, in one `average_density` call.
     """
     positive = [e for e in eps_list if e != 0.0]
     out = [None] * len(circuits)
     for start in range(0, len(circuits), _BATCH):
-        states = [run_purified(c, key_cap=cap) for c in circuits[start:start + _BATCH]]
         groups = {}
-        for i, state in enumerate(states):
-            groups.setdefault(state.batch_key, []).append(i)
-        batches = [(indices, PurifiedState.stack([states[i] for i in indices]))
-                   for indices in groups.values()]
-        del states  # the batches hold copies of their vectors
-        for indices, batch in batches:
-            for i, (base, *biased) in zip(indices, average_density(batch, [0.0, *positive], q)):
-                advantage = dict(zip(positive, (float(trace_distance(base, r)) for r in biased)))
-                out[start + i] = (batch.key_count, [advantage.get(eps, 0.0) for eps in eps_list])
+        for i, circuit in enumerate(circuits[start:start + _BATCH], start):
+            groups.setdefault(circuit.skeleton, []).append(i)
+        for indices in groups.values():
+            while indices:
+                batch = run_purified([circuits[i] for i in indices], key_cap=cap)
+                done, indices = indices[:len(batch.vectors)], indices[len(batch.vectors):]
+                for i, (base, *biased) in zip(done, average_density(batch, [0.0, *positive], q)):
+                    advantage = dict(zip(positive, (float(trace_distance(base, r))
+                                                    for r in biased)))
+                    out[i] = (batch.key_count, [advantage.get(eps, 0.0) for eps in eps_list])
     return out
 
 

@@ -12,10 +12,10 @@ average is then a moment-weighted double sum over histogram keys,
 
 which factorizes per coordinate because the diagonal entries are independent.
 
-The decomposition is held as two aligned arrays, histogram keys (K x d) and
-component vectors (K x d*aux): a gate is one matrix product, and a query
-shifts the live keys and merges duplicates through a mixed-radix key code,
-which also leaves the keys in lexicographic order.
+The decomposition is two aligned arrays, histogram keys (K x d) and vectors
+(K x d*aux, per circuit of a batch that shares its step kinds): a gate is a
+matrix product per circuit, and a query shifts the live keys and merges
+duplicates once per batch through a mixed-radix code, in lexicographic order.
 Every key sums to forward - inverse, so M(e - e') is read from a table
 indexed by the difference of two keys' prefix codes, each product formed in
 coordinate order; the codes serve every bias of one call.
@@ -112,6 +112,11 @@ class QueryCircuit:
         object.__setattr__(self, "steps", steps)
 
     @property
+    def skeleton(self) -> tuple:
+        """What the circuits of one `run_purified` batch share: d, aux and the step kinds."""
+        return (self.d, self.aux_dim, tuple(type(s) for s in self.steps))
+
+    @property
     def forward_count(self) -> int:
         return sum(isinstance(s, ForwardQuery) for s in self.steps)
 
@@ -127,8 +132,8 @@ class PurifiedState:
     Row k of ``keys`` (K x d, int64) is one histogram e; row k of ``vectors``
     (K x d*aux, complex) is the part of the output state that acquired the
     monomial ``prod_i U_i^{e_i}``. Rows are in lexicographic key order.
-    States that share their keys, dimensions and query counts stack into one
-    batch (`stack`), whose ``vectors`` gain a leading state axis (B x K x d*aux).
+    A batch of states that share their keys (see `run_purified`) holds
+    ``vectors`` with a leading state axis (B x K x d*aux).
     """
 
     d: int
@@ -138,25 +143,6 @@ class PurifiedState:
     forward_count: int
     inverse_count: int
 
-    @classmethod
-    def stack(cls, states) -> PurifiedState:
-        """One batch of states that share keys, dimensions and query counts."""
-        first = states[0]
-        if any(s.batch_key != first.batch_key for s in states[1:]):
-            raise QuerylabError("a batch of purified states must share keys, "
-                                "dimensions and query counts")
-        # laid out as B x d*aux x K, so `average_density` reads the stacked rows without a copy
-        layout = np.empty((len(states), *first.vectors.shape[::-1]), dtype=complex)
-        vectors = np.stack([s.vectors.T for s in states], out=layout).transpose(0, 2, 1)
-        return cls(first.d, first.aux_dim, first.keys, vectors,
-                   first.forward_count, first.inverse_count)
-
-    @property
-    def batch_key(self) -> tuple:
-        """What the states of one batch share."""
-        return (self.d, self.aux_dim, self.forward_count, self.inverse_count,
-                self.keys.shape, self.keys.tobytes())
-
     @property
     def key_count(self) -> int:
         return len(self.keys)
@@ -165,13 +151,16 @@ class PurifiedState:
     def forward_only(self) -> bool:
         return self.inverse_count == 0
 
-    def total_mass(self) -> float:
-        return float(np.vdot(self.vectors, self.vectors).real)
+    def total_mass(self):
+        """The squared norm of the state, or an array of one per state of a batch."""
+        return (self.vectors.real ** 2 + self.vectors.imag ** 2).sum(axis=(-2, -1))
 
     def validate(self):
         """Assert the histogram invariants; returns self for chaining."""
-        if abs(self.total_mass() - 1.0) > 1e-10:
-            raise QuerylabError(f"purified mass {self.total_mass()!r} drifted from 1")
+        for b, mass in enumerate(np.atleast_1d(self.total_mass())):
+            if not abs(mass - 1.0) <= 1e-10:
+                which = f" of state {b}" if self.vectors.ndim == 3 else ""
+                raise QuerylabError(f"purified mass {mass!r}{which} drifted from 1")
         net = self.forward_count - self.inverse_count
         bad = self.keys.sum(axis=1) != net
         if bad.any():
@@ -207,28 +196,46 @@ def _lex_unique(keys: np.ndarray) -> tuple:
     return first, inverse.reshape(-1)
 
 
-def run_purified(circuit: QueryCircuit, key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
-    """Evolve the histogram decomposition of a circuit run from |0>, exactly.
+def run_purified(circuits, key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
+    """Evolve the histogram decomposition of circuit runs from |0>, exactly.
 
-    A gate is one matrix product over all component vectors. A forward query
-    splits each component by query-register index x and increments that key
-    coordinate (inverse queries decrement); only nonzero rows make keys,
-    which are merged into lexicographic order. Destination (key, x) slots
-    have exactly one source, key minus the shift at x, so each slot is
-    written once, as that row added to zero. Exceeding ``key_cap`` histogram
-    keys raises a resource error rather than pruning. Another start state is
-    a leading `FixedGate`.
+    ``circuits`` is one circuit, or a sequence of circuits that share a
+    `QueryCircuit.skeleton`, evolved as one batch through one key array (the
+    state's vectors gain a leading axis, as `average_density` reads them). A
+    gate multiplies each member's vectors by that member's own matrix. A
+    forward query splits each component by query-register index x and
+    increments that key coordinate (inverse queries decrement); only nonzero
+    rows make keys, found and merged into lexicographic order once for the
+    whole batch. Destination (key, x) slots have exactly one source, key
+    minus the shift at x, so each slot is written once, as that row added to
+    zero. Where a member's nonzero rows differ from the first member's, the
+    batch splits: the state keeps the members before it, each with exactly
+    the keys and vectors it gets alone, and the caller runs the rest again.
+    Exceeding ``key_cap`` histogram keys raises a resource error rather than
+    pruning. Another start state is a leading `FixedGate`.
     """
-    d, aux = circuit.d, circuit.aux_dim
+    single = isinstance(circuits, QueryCircuit)
+    batch = [circuits] if single else list(circuits)
+    lead = batch[0]
+    if any(c.skeleton != lead.skeleton for c in batch[1:]):
+        raise QuerylabError("a batch of circuits must share d, aux and step kinds")
+    d, aux = lead.d, lead.aux_dim
     keys = np.zeros((1, d), dtype=np.int64)
-    vecs = np.eye(1, d * aux, dtype=complex)
-    for step in circuit.steps:
+    vecs = np.tile(np.eye(1, d * aux, dtype=complex), (len(batch), 1, 1))
+    for t, step in enumerate(lead.steps):
         if isinstance(step, FixedGate):
-            vecs = vecs @ step.matrix.T
+            out = np.empty_like(vecs)
+            for v, o, c in zip(vecs, out, batch):
+                np.matmul(v, c.steps[t].matrix.T, out=o)
+            vecs = out
             continue
         delta = 1 if isinstance(step, ForwardQuery) else -1
-        rows = vecs.reshape(-1, d, aux)
-        src, x = np.nonzero(rows.any(axis=2))
+        rows = vecs.reshape(len(batch), -1, d, aux)
+        live = rows.any(axis=3)
+        same = (live == live[0]).all(axis=(1, 2))
+        keep = len(batch) if same.all() else int(same.argmin())
+        batch, rows = batch[:keep], rows[:keep]
+        src, x = np.nonzero(live[0])
         shifted = keys[src]
         shifted[np.arange(len(src)), x] += delta
         first, dest = _lex_unique(shifted)
@@ -237,10 +244,13 @@ def run_purified(circuit: QueryCircuit, key_cap: int = DEFAULT_KEY_CAP) -> Purif
                 f"purified run produced {len(first)} histogram keys, above the cap {key_cap}"
             )
         keys = shifted[first]
-        out = np.zeros((len(first), d, aux), dtype=complex)
-        out[dest, x] += rows[src, x]
-        vecs = out.reshape(len(first), d * aux)
-    return PurifiedState(d, aux, keys, vecs, circuit.forward_count, circuit.inverse_count)
+        out = np.zeros((keep, len(first), d, aux), dtype=complex)
+        out[:, dest, x] += rows[:, src, x]
+        vecs = out.reshape(keep, len(first), d * aux)
+    # laid out as B x d*aux x K, so `average_density` reads the stacked rows without a copy
+    vecs = vecs.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    return PurifiedState(d, aux, keys, vecs[0] if single else vecs,
+                         lead.forward_count, lead.inverse_count)
 
 
 # Row block and column tile widths of `average_density`.
@@ -309,9 +319,9 @@ def average_density(p: PurifiedState, eps, q: int):
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
     ``eps`` is one bias (returns a DensityMatrix) or a sequence of biases
-    (returns a list, one per bias). A batch of states (see
-    `PurifiedState.stack`) returns a list with that result for each state; a
-    single state is a batch of one. Every bias shares one difference code and
+    (returns a list, one per bias). A batch of states (see `run_purified`)
+    returns a list with that result for each state; a single state is a
+    batch of one. Every bias shares one difference code and
     one set of buffers (see `_moment_weights`); each builds only its own
     prefix table. Each block of `_BLOCK` rows gathers its weights in tiles of
     `_TILE` columns, once for the whole batch: one product multiplies each
@@ -319,7 +329,11 @@ def average_density(p: PurifiedState, eps, q: int):
     its density is then its own row slice times its conjugate vectors. Column
     tiles and stacked rows keep every element's reduction order and the row
     blocks fix it, so a density has the same bits whether its bias comes
-    alone or in a sequence and its state alone or in a batch.
+    alone or in a sequence and its state alone or in a batch. At bias 0 every
+    moment of a nonzero power below q vanishes, so when the keys span less
+    than q the weights are the identity: a row block's product is then its
+    own columns of the stacked rows, copied with the same bits (+ 0.0 turns
+    -0 into +0, as the products' sums do), and no weight is built.
     """
     expo = p.keys
     if not p.key_count:
@@ -336,13 +350,18 @@ def average_density(p: PurifiedState, eps, q: int):
     part = np.empty((len(stacked), nkeys), dtype=complex)
     by_bias = []
     for bias in np.atleast_1d(eps):
-        weights = weights_for(moment_table(float(bias), int(q), span))
+        identity = bias == 0 and span < q
+        weights = None if identity else weights_for(moment_table(float(bias), int(q), span))
         rho = np.zeros((len(batch), dim, dim), dtype=complex)
         for a in range(0, nkeys, _BLOCK):
             rows = slice(a, min(a + _BLOCK, nkeys))
-            for c in range(0, nkeys, _TILE):
-                cols = slice(c, min(c + _TILE, nkeys))
-                part[:, cols] = stacked[:, rows] @ weights(rows, cols)
+            if identity:
+                part.fill(0)
+                np.add(stacked[:, rows], 0.0, out=part[:, rows])
+            else:
+                for c in range(0, nkeys, _TILE):
+                    cols = slice(c, min(c + _TILE, nkeys))
+                    part[:, cols] = stacked[:, rows] @ weights(rows, cols)
             rho += part.reshape(len(batch), dim, nkeys) @ conj
         rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
         by_bias.append([DensityMatrix(r) for r in rho])

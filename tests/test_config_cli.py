@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import querylab
-from querylab import blas, cli, experiments
+from querylab import blas, cli, experiments, query_sim
 from querylab.blas import one_blas_thread
 from querylab.config import (
     _DEFAULTS,
@@ -537,8 +537,9 @@ def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batche
     # the separation-deep benchmark grid: 6 forward cells and the inverse block
     cfg = replace(default_config("separation"), eps=(0.02, 0.05, 0.1, 0.2), d=(4, 5),
                   q=(16,), n=(6, 8, 10), trials=20, seed=0)
-    units, results, jobs_seen, batch_sizes = [], [], [], []
+    units, results, jobs_seen, batch_sizes, merges = [], [], [], [], []
     real_map, real_average = experiments._map_cells, experiments.average_density
+    real_profile, real_merge = experiments.advantage_profile, query_sim._lex_unique
 
     def spy_map(fn, args_list, jobs):
         jobs_seen.append(jobs)
@@ -551,8 +552,18 @@ def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batche
         batch_sizes.append(len(p.vectors) if p.vectors.ndim == 3 else 1)
         return real_average(p, eps, q)
 
+    def spy_merge(keys):
+        merges[-1] += 1
+        return real_merge(keys)
+
+    def spy_profile(*args):
+        merges.append(0)
+        return real_profile(*args)
+
     monkeypatch.setattr(experiments, "_map_cells", spy_map)
     monkeypatch.setattr(experiments, "average_density", spy_average)
+    monkeypatch.setattr(experiments, "advantage_profile", spy_profile)
+    monkeypatch.setattr(query_sim, "_lex_unique", spy_merge)
     experiments.separation_rows(cfg)
 
     # each forward cell draws from its own seed, then the inverse block
@@ -574,9 +585,15 @@ def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batche
     # never hold more than _BATCH of them
     assert sum(batch_sizes) == sum(len(drawn) for _, drawn in blocks)
     assert max(batch_sizes) == experiments._BATCH
+    # a chunk of five same-skeleton circuits merges its keys once per query,
+    # n times, not 5n; the inverse block's first chunk holds three skeletons
+    # (the iterate, its matched twin, three random twins), then four chunks
+    # of random twins: seven batches of eight queries
+    chunks = cfg.trials // experiments._BATCH
+    assert merges == [chunks * n for d in cfg.d for n in cfg.n] + [7 * 8]
     # the profiles are those of each circuit run alone, in draw order
     with one_blas_thread():
-        alone = [[experiments.advantage_profile([c], eps, 16, cfg.cap)[0] for c in drawn]
+        alone = [[real_profile([c], eps, 16, cfg.cap)[0] for c in drawn]
                  for eps, drawn in blocks]
     assert results == alone
 

@@ -305,6 +305,11 @@ def same_key_states(d, n, count, seed):
     return [run_purified(random_interleaved_circuit(d, 2, "+" * n, rng)) for _ in range(count)]
 
 
+def batch_of(states):
+    """One batch of states that share their keys, stacked by hand."""
+    return dataclasses.replace(states[0], vectors=np.stack([s.vectors for s in states]))
+
+
 class TestBatch:
     CASES = [
         # 1,001 keys: two row blocks
@@ -321,8 +326,7 @@ class TestBatch:
         states = states()
         assert len({s.key_count for s in states}) == 1
         monkeypatch.setattr(query_sim, "_BLOCK", block)
-        batch = PurifiedState.stack(states)
-        assert batch.vectors.shape == (len(states), *states[0].vectors.shape)
+        batch = batch_of(states)
         # at one OpenBLAS thread, as every unit runs: more threads split a
         # product by its shape, so a taller stack could move the last bits
         with one_blas_thread():
@@ -333,15 +337,15 @@ class TestBatch:
                 assert len(rhos) == len(BIASES)
                 assert all(np.array_equal(a.entries, b.entries) for a, b in zip(rhos, alone))
 
-    def test_batch_needs_equal_keys_and_counts(self):
-        deep, shallow = same_key_states(5, 10, 1, 40)[0], same_key_states(4, 8, 1, 41)[0]
-        with pytest.raises(QuerylabError, match="must share keys"):
-            PurifiedState.stack([deep, shallow])
-        # the same keys and net count, from one more forward and one inverse query
-        recounted = dataclasses.replace(deep, forward_count=deep.forward_count + 1,
-                                        inverse_count=1)
-        with pytest.raises(QuerylabError, match="must share keys"):
-            PurifiedState.stack([deep, recounted])
+    def test_batch_needs_one_skeleton(self):
+        rng = np.random.default_rng(40)
+        deep = random_interleaved_circuit(5, 2, "+" * 10, rng)
+        with pytest.raises(QuerylabError, match="must share d, aux and step kinds"):
+            run_purified([deep, random_interleaved_circuit(4, 2, "+" * 8, rng)])
+        # the same dimensions and query counts, in another order
+        with pytest.raises(QuerylabError, match="must share d, aux and step kinds"):
+            run_purified([random_interleaved_circuit(3, 2, "+-+", rng),
+                          random_interleaved_circuit(3, 2, "-++", rng)])
 
     def test_traced_peak_of_one_batch_of_circuits(self):
         # one unit of the separation-deep grid: five d = 5, n = 10 circuits
@@ -358,6 +362,116 @@ class TestBatch:
             tracemalloc.stop()
         assert [keys for keys, _ in profiles] == [1001] * 5
         assert peak <= 8 * 2**20
+
+
+def assert_members_as_alone(state, circuits):
+    """Each member of a batch holds the keys and vectors, bit for bit, of its run alone."""
+    assert state.vectors.shape[0] == len(circuits)
+    for vectors, circuit in zip(state.vectors, circuits):
+        alone = run_purified(circuit)
+        assert state.key_count == alone.key_count
+        assert np.array_equal(state.keys, alone.keys)
+        assert vectors.tobytes() == alone.vectors.tobytes()  # signed zeros too
+
+
+def with_identity_gate(circuit, index):
+    """``circuit`` with its ``index``-th step, a gate, replaced by the identity."""
+    steps = list(circuit.steps)
+    steps[index] = FixedGate(np.eye(circuit.d * circuit.aux_dim))
+    return QueryCircuit(circuit.d, circuit.aux_dim, tuple(steps))
+
+
+class TestBatchedPurification:
+    @pytest.mark.parametrize("count", [5, 1])
+    def test_members_evolve_bit_for_bit_as_alone(self, count):
+        rng = np.random.default_rng(44)
+        circuits = [random_interleaved_circuit(5, 2, "+" * 10, rng) for _ in range(count)]
+        state = run_purified(circuits).validate()
+        assert state.key_count == 1001
+        assert_members_as_alone(state, circuits)
+
+    def test_a_member_whose_rows_diverge_ends_the_batch(self):
+        rng = np.random.default_rng(45)
+        haar = [random_interleaved_circuit(3, 2, "+++", rng) for _ in range(3)]
+        # an identity first gate leaves one live row at the first query, and
+        # an identity second gate one row per key at the second
+        first, second = with_identity_gate(haar[1], 0), with_identity_gate(haar[1], 2)
+        assert [run_purified(c).key_count for c in (haar[1], first, second)] == [10, 6, 9]
+        circuits = [haar[0], haar[1], first, second, haar[2]]
+        state = run_purified(circuits)
+        assert_members_as_alone(state, circuits[:2])
+        assert_members_as_alone(run_purified(circuits[2:]), circuits[2:3])
+        assert_members_as_alone(run_purified(circuits[3:]), circuits[3:4])
+        assert_members_as_alone(run_purified([haar[2], second]), [haar[2]])
+        # advantage_profile runs the rest again: each profile is that of its circuit alone
+        with one_blas_thread():
+            profiles = advantage_profile(circuits, [0.0, 0.1], 8, DEFAULT_KEY_CAP)
+            alone = [advantage_profile([c], [0.0, 0.1], 8, DEFAULT_KEY_CAP)[0] for c in circuits]
+        assert profiles == alone
+
+    def test_key_cap_exceeded_inside_a_batch_raises(self):
+        rng = np.random.default_rng(9)
+        circuits = [random_circuit(3, 1, "+++", rng) for _ in range(3)]
+        with pytest.raises(ResourceLimitError, match="above the cap 5"):
+            run_purified(circuits, key_cap=5)
+
+    def test_validate_checks_the_mass_of_each_state(self):
+        rng = np.random.default_rng(46)
+        state = run_purified([random_interleaved_circuit(3, 2, "++", rng) for _ in range(3)])
+        assert state.validate().total_mass() == pytest.approx([1.0] * 3, abs=1e-10)
+        vectors = state.vectors.copy()
+        vectors[1] *= 1.1
+        with pytest.raises(QuerylabError, match="of state 1 drifted from 1"):
+            dataclasses.replace(state, vectors=vectors).validate()
+
+
+def weight_tile_average(p, eps, q):
+    """`average_density`'s weight-tile path at one bias, the bias-0 step never taken."""
+    expo, nkeys, dim = p.keys, p.key_count, p.vectors.shape[-1]
+    batch = p.vectors.reshape(-1, nkeys, dim)
+    stacked = batch.transpose(0, 2, 1).reshape(-1, nkeys)
+    span = int(expo.max() - expo.min())
+    block = min(query_sim._BLOCK, nkeys)
+    weights = query_sim._moment_weights(expo, span, block * nkeys,
+                                        block * min(query_sim._TILE, nkeys))(
+        moment_table(float(eps), q, span))
+    part = np.empty_like(stacked)
+    rho = np.zeros((len(batch), dim, dim), dtype=complex)
+    for a in range(0, nkeys, query_sim._BLOCK):
+        rows = slice(a, min(a + query_sim._BLOCK, nkeys))
+        for c in range(0, nkeys, query_sim._TILE):
+            cols = slice(c, min(c + query_sim._TILE, nkeys))
+            part[:, cols] = stacked[:, rows] @ weights(rows, cols)
+        rho += part.reshape(len(batch), dim, nkeys) @ batch.conj()
+    return (rho + rho.conj().transpose(0, 2, 1)) / 2
+
+
+class TestBiasZero:
+    @pytest.mark.parametrize("states,q,block", TestBatch.CASES + [
+        pytest.param(lambda: [run_purified(grover_iterate_circuit(4, 8))], 16, 512, id="inverse"),
+        pytest.param(lambda: [run_purified(grover_iterate_circuit(3, 5))], 8, 7, id="inverse7"),
+    ])
+    def test_identity_weights_give_the_weight_tile_bits(self, states, q, block, monkeypatch):
+        states = states()
+        monkeypatch.setattr(query_sim, "_BLOCK", block)
+        for p in (states[0], batch_of(states)):
+            assert int(p.keys.max() - p.keys.min()) < q
+            got = average_density(p, 0.0, q)
+            got = [r.entries for r in (got if isinstance(got, list) else [got])]
+            want = weight_tile_average(p, 0.0, q)
+            assert len(got) == len(want)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_spans_from_q_up_take_the_weight_tiles(self):
+        # q = 2 and three forward queries: keys (3, 0) and (1, 2) differ by a
+        # multiple of q in each coordinate, so bias 0 weights them by 1
+        c = random_interleaved_circuit(2, 2, "+++", np.random.default_rng(47))
+        p = run_purified(c)
+        assert int(p.keys.max() - p.keys.min()) >= 2
+        want = brute_force_average(c, 0.0, q=2).entries
+        assert np.abs(average_density(p, 0.0, 2).entries - want).max() < 1e-10
+        diagonal = sum(np.outer(v, v.conj()) for v in p.vectors)
+        assert np.abs(diagonal - want).max() > 1e-6
 
 
 def pair_terms(p, q):

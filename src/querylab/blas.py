@@ -1,11 +1,9 @@
 """Run a block of code with the loaded OpenBLAS at one thread.
 
-The commands parallelize over units of work. OpenBLAS threads on top of the
-cell workers oversubscribe the cores, and the BLAS thread count also changes
-how OpenBLAS splits its products, and with it the last bits of their results.
-``experiments._map_cells`` runs its cells inside the pin, which leaves the
-cell pool as the only parallel layer and makes the output independent of the
-BLAS thread count (``OPENBLAS_NUM_THREADS`` or the library's default).
+The BLAS thread count changes how OpenBLAS splits its products, and with it
+the last bits of their results. ``experiments._map_cells`` runs every unit of
+work inside the pin, which makes the output independent of the BLAS thread
+count (``OPENBLAS_NUM_THREADS`` or the library's default).
 
 The library is looked up among the shared objects already mapped into the
 process (numpy loads it on import) and driven through ``ctypes``; the pin

@@ -1,8 +1,8 @@
 """Command-line front end: seeded sweeps written as deterministic CSV.
 
 Output is byte-identical for a fixed config and seed: the header echoes the
-config (never the worker count or output path), floats are serialized with
-repr, and rows are assembled in grid order regardless of scheduling.
+config (never the output path), floats are serialized with repr, and rows
+are assembled in grid order.
 """
 
 from __future__ import annotations
@@ -137,16 +137,13 @@ def _resolve_config(args, kind: str, unread: tuple = ()) -> ExperimentConfig:
 def _run_experiment(args) -> int:
     kind = args.command
     cfg = _resolve_config(args, kind)
-    jobs = args.jobs
-    if jobs < 1:
-        raise ConfigError(f"worker count must be >= 1, got {jobs}")
     paths = _resolve_out(args)
 
     runners = {
         "verify-lemmas": lambda: (lemma_rows(cfg.q, cfg.eps, cfg.seed), None),
         "separation": lambda: (separation_rows(cfg), None),
         "endtoend": lambda: endtoend_rows(cfg),
-        "concentration": lambda: (concentration_rows(cfg, jobs), None),
+        "concentration": lambda: (concentration_rows(cfg), None),
     }
     rows, records = runners[kind]()
 
@@ -174,13 +171,6 @@ def _run_circuit(args) -> int:
     return 0
 
 
-def _usable_cores() -> int:
-    """The CPUs this process may run on (``os.cpu_count()`` also counts those it may not)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="querylab",
@@ -197,9 +187,8 @@ def main(argv=None) -> int:
         sweep = sub.add_parser(kind, help=helps[kind])
         _add_common_flags(sweep, kind)
         sweep.add_argument("--seed", type=int, help="master seed override")
-        sweep.add_argument("--jobs", type=int, default=_usable_cores(),
-                           help="worker threads of concentration; the other sweeps "
-                                "run in order and ignore it (default: usable cores)")
+        # every unit runs in order; the benchmark harness still passes --jobs
+        sweep.add_argument("--jobs", type=int, help="accepted and ignored")
     circ = sub.add_parser("circuit-run", help="run one circuit file and report advantages")
     circ.add_argument("file", help="circuit in the text line format")
     _add_common_flags(circ, "separation")

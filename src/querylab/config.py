@@ -85,9 +85,14 @@ class ExperimentConfig:
             if len(getattr(self, name)) > 1:
                 raise ConfigError(f"{self.kind} reads one {name} value, got "
                                   f"{getattr(self, name)}", key=name)
-        if self.kind == "separation" and max(self.n) > self.q[0]:
-            raise ConfigError(f"query count {max(self.n)} exceeds phase order {self.q[0]}; "
-                              "need n <= q", key="n")
+        if self.kind == "separation":
+            if max(self.n) > self.q[0]:
+                raise ConfigError(f"query count {max(self.n)} exceeds phase order "
+                                  f"{self.q[0]}; need n <= q", key="n")
+            # a repeated bias repeats its rows and puts equal points in the slope fits
+            if len(set(self.eps)) < len(self.eps):
+                raise ConfigError(f"separation needs distinct eps values, got {self.eps}",
+                                  key="eps")
         if self.kind == "endtoend":
             # the pair probe needs two query indices; the distinguishers a positive bias
             if self.d[0] < 2:

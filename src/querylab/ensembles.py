@@ -26,7 +26,6 @@ from .phases import (
     _exponent_blocks,
     phase_mean,
     pmf_vector,
-    sample_histogram,
 )
 
 __all__ = [
@@ -78,11 +77,16 @@ def gap_dimension(eps: float) -> int:
 def draw_trace(eps: float, d: int, q: int, rng: np.random.Generator) -> complex:
     """Normalized trace of one bias-``eps`` draw, from its exponent histogram alone.
 
-    The d exponents are counted block by block as they are drawn and never
-    stored; the trace is ``counts @ roots / d``.
+    The d exponents are counted block by block (``phases._exponent_blocks``),
+    each while it is in cache, and never stored; the trace is
+    ``counts @ roots / d``.
     """
     d = _check_dimension(d)
-    return _histogram_trace(sample_histogram(eps, q, rng, d), d)
+    q = _check_order(q)
+    counts = np.zeros(q, dtype=np.int64)
+    for kb in _exponent_blocks(eps, q, rng, d):
+        counts += np.bincount(kb, minlength=q)
+    return _histogram_trace(counts, d)
 
 
 def draw_traces(eps: float, d: int, q: int, turns: int, rng: np.random.Generator) -> tuple:

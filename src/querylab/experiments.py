@@ -2,18 +2,16 @@
 
 Every sweep derives one child seed per grid cell from the master seed and the
 cell's position, so rows are reproducible in isolation and the assembled
-output is byte-identical for a fixed config regardless of the worker count.
-``_map_cells`` runs every unit of work (a grid cell or one labeled trial) of
-every command, ``circuit-run``'s one circuit included, at one OpenBLAS thread,
-which keeps the bytes independent of the BLAS thread count. It is the only
-parallel layer; only ``concentration`` runs its units in its thread pool.
+output is byte-identical for a fixed config. ``_map_cells`` runs every unit of
+work (a grid cell or one labeled trial) of every command, ``circuit-run``'s
+one circuit included, in order at one OpenBLAS thread, which keeps the bytes
+independent of the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,22 +97,17 @@ def wilson_interval(hits: int, trials: int) -> tuple:
 
 
 def cell_seed(master: int, index: int) -> int:
-    """Derived 64-bit seed for one grid cell; stable across worker counts."""
+    """Derived 64-bit seed for one grid cell."""
     return int(np.random.SeedSequence((int(master), int(index))).generate_state(1, dtype=np.uint64)[0])
 
 
 def _map_cells(fn, args_list, jobs: int):
-    """Evaluate units at one OpenBLAS thread, in a pool if jobs > 1; results keep submission order.
+    """Evaluate units in order at one OpenBLAS thread.
 
-    The pin spans the pool's whole life, its shutdown included, so no cell
-    runs after the previous thread count is restored.
+    ``jobs`` is not read; the benchmark's tracer wraps this three-argument form.
     """
     with one_blas_thread():
-        if jobs <= 1 or len(args_list) <= 1:
-            return [fn(*args) for args in args_list]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, *args) for args in args_list]
-            return [f.result() for f in futures]
+        return [fn(*args) for args in args_list]
 
 
 # --------------------------------------------------------------- lemma suite
@@ -125,10 +118,6 @@ def lemma_rows(q_grid, eps_grid, master_seed: int = 0) -> list:
 
     One row per (check, q, eps). The two mean rows additionally pin the
     large-q limit of the full-bias phase mean against 2/pi.
-
-    The cells run in order: each is a Levinson loop of small numpy steps
-    that holds the GIL, so worker threads would take turns on it and only
-    add hand-offs.
     """
     grid = [(q, eps) for q in q_grid for eps in eps_grid]
     cells = [(cell_seed(master_seed, index), q, eps) for index, (q, eps) in enumerate(grid)]
@@ -266,9 +255,7 @@ def separation_rows(cfg: ExperimentConfig) -> list:
     the comparison thresholds live in the acceptance suite.
 
     Each forward cell draws its circuits from its own seed and is one unit
-    of work; the inverse block is the last. The units run in order: since
-    `advantage_profile` averages equal-key circuits in one weight pass, two
-    worker threads no longer cut the wall time, and cost CPU time and memory.
+    of work; the inverse block is the last.
     """
     q = cfg.q[0]
     eps_list = list(cfg.eps)
@@ -376,14 +363,6 @@ def endtoend_rows(cfg: ExperimentConfig) -> tuple:
 
     Returns (summary_rows, trial_records); each trial record is
     (method, trial, truth, label, estimate, forward, inverse, seed).
-
-    The trials run in order, which spends the least CPU time: what is left
-    of a trial once estimation and naive trials draw only a histogram (the
-    estimation fits, the per-block sampler steps) is Python-level work and
-    small numpy calls that hold the GIL much of the time, so two threads
-    overlap only part of it. At the endtoend-large-d config on a 2-core
-    Xeon (medians of two sets of ten runs), two threads used 11-18% more
-    CPU time for 19-24% less wall time.
     """
     eps, d, q = cfg.eps[0], cfg.d[0], cfg.q[0]
     methods = ("estimation", "amplification", "naive")
@@ -447,7 +426,7 @@ def endtoend_rows(cfg: ExperimentConfig) -> tuple:
 _TAIL_MULTIPLIERS = (0.3, 0.5)
 
 
-def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
+def concentration_rows(cfg: ExperimentConfig) -> list:
     """Hoeffding-tail rows and the two calibrated trace-gap rows.
 
     d entries pair with eps entries positionally (a single d broadcasts).
@@ -460,7 +439,7 @@ def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
     margin = _WILSON_Z * math.sqrt(0.99 * 0.01 / trials)
 
     # Each check is its own unit with its own derived seed, so rows are
-    # reproducible individually and the checks run concurrently.
+    # reproducible individually.
     units = []
     for i, (eps, d) in enumerate(pairs):
         for j, (kind, bias) in enumerate((("uniform", 0.0), ("biased", eps))):
@@ -491,5 +470,5 @@ def concentration_rows(cfg: ExperimentConfig, jobs: int = 1) -> list:
         return [_row("gap_mean_window", (q, eps, d), np.mean(samples), seed, eps,
                      lambda mean, top: top / 2 < mean < top)]
 
-    return [row for unit_rows in _map_cells(run, [(u,) for u in units], jobs)
+    return [row for unit_rows in _map_cells(run, [(u,) for u in units], 1)
             for row in unit_rows]

@@ -24,7 +24,6 @@ __all__ = [
     "phase_mean",
     "phase_moment",
     "moment_table",
-    "sample_histogram",
     "window_halfwidth",
 ]
 
@@ -134,7 +133,7 @@ def _exponent_blocks(eps: float, q: int, rng: np.random.Generator, size: int,
                      block: int = _SAMPLE_BLOCK):
     """Yield a ``size``-entry bias-``eps`` exponent draw, ``block`` entries at a time.
 
-    The one sampler loop: ``sample_histogram`` and ``ensembles.draw_traces``
+    The one sampler loop: ``ensembles.draw_trace`` and ``ensembles.draw_traces``
     consume it. Each exponent comes from its own uniform by inverse CDF, so
     two generators seeded identically produce identical exponent streams for
     any two biases that share a pmf (in particular, a draw at ``eps = 0``
@@ -187,16 +186,3 @@ def _exponent_blocks(eps: float, q: int, rng: np.random.Generator, size: int,
                 moving = moving[u[moving] >= cdf[kb[moving]]]
                 kb[moving] += 1
         yield kb
-
-
-def sample_histogram(eps: float, q: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Exponent counts of a ``size``-entry bias-``eps`` draw, without storing the draw.
-
-    Each block of the sampler (``_exponent_blocks``) is counted while it is
-    in cache, and nothing ``size``-length is allocated.
-    """
-    q = _check_order(q)
-    counts = np.zeros(q, dtype=np.int64)
-    for kb in _exponent_blocks(eps, q, rng, size):
-        counts += np.bincount(kb, minlength=q)
-    return counts

@@ -138,7 +138,7 @@ def test_criterion_7_concentration_tables():
     t0 = time.time()
     cfg = default_config("concentration")
     assert cfg.d == (gap_dimension(0.1),) and cfg.trials == 1000
-    rows = experiments.concentration_rows(cfg, jobs=4)
+    rows = experiments.concentration_rows(cfg)
     failed = [r.kind for r in rows if not r.passed]
     tails = {f"{r.kind}@t={r.params[3]}": r.measured for r in rows
              if r.kind.startswith("tail_")}

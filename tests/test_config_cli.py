@@ -112,6 +112,7 @@ def test_parse_rejects_duplicates_and_unknown_keys():
     ("trials", 0),
     ("cap", 0),
     ("seed", -5),
+    ("eps", (0.1, 0.1)),
 ])
 def test_config_validation_rejects_bad_values(field, value):
     base = dict(kind="separation", eps=(0.1,), d=(3,), q=(8,), n=(1,),
@@ -224,12 +225,8 @@ def test_lemma_cell_builds_no_dense_frame(monkeypatch):
     assert len(rows) == 2 * 6 + 1 and all(r.passed for r in rows)  # plus mean_limit
 
 
-def test_lemma_cells_run_in_order_without_a_pool(monkeypatch, tmp_path):
-    # the cells hold the GIL, so --jobs > 1 must not start worker threads
-    def no_pool(*args, **kwargs):
-        raise AssertionError("lemma_rows started a worker pool")
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+def test_lemma_cells_run_in_order_without_a_pool(tmp_path):
+    # --jobs is accepted and ignored: the cells run in grid order
     cfg = _write_config(tmp_path, "[experiment]\nkind = verify-lemmas\n\n"
                                   "[grid]\neps = 0.0, 0.1\nq = 8, 64\n")
     out = tmp_path / "lemmas.csv"
@@ -239,13 +236,8 @@ def test_lemma_cells_run_in_order_without_a_pool(monkeypatch, tmp_path):
     assert params[::6][:4] == [(8, 0.0), (8, 0.1), (64, 0.0), (64, 0.1)]
 
 
-def test_endtoend_trials_run_in_order_without_a_pool(monkeypatch, tmp_path):
-    # a trial's remaining work holds the GIL, so --jobs > 1 must not start
-    # worker threads
-    def no_pool(*args, **kwargs):
-        raise AssertionError("endtoend_rows started a worker pool")
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+def test_endtoend_trials_run_in_order_without_a_pool(tmp_path):
+    # --jobs is accepted and ignored: the trials run in method, then trial order
     cfg = _write_config(tmp_path, "[experiment]\nkind = endtoend\n\n"
                                   "[grid]\neps = 0.2\nd = 2000\nq = 8\ntrials = 3\n")
     out = tmp_path / "endtoend.csv"
@@ -254,21 +246,6 @@ def test_endtoend_trials_run_in_order_without_a_pool(monkeypatch, tmp_path):
             if not ln.startswith("#")]
     order = [(row["method"], int(row["trial"])) for row in csv.DictReader(body)]
     assert order == [(m, t) for m in ("estimation", "amplification", "naive") for t in range(3)]
-
-
-def test_concentration_pools_its_units_at_jobs_above_one(monkeypatch):
-    # the one sweep whose units gain from worker threads keeps its pool
-    pools = []
-    real = experiments.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", spy)
-    cfg = ExperimentConfig("concentration", eps=(0.2,), d=(500,), q=(8,), trials=100, seed=0)
-    assert experiments.concentration_rows(cfg, 2) == experiments.concentration_rows(cfg, 1)
-    assert pools == [2]
 
 
 def test_lemma_rows_mean_window_only_for_large_q():
@@ -291,6 +268,20 @@ def test_separation_requires_n_at_most_q():
         ExperimentConfig("separation", eps=(0.1,), d=(2,), q=(4,), n=(5,),
                          trials=2, seed=0, cap=10**5)
     assert err.value.key == "n"
+
+
+def test_cli_rejects_a_repeated_separation_eps(tmp_path, capsys):
+    # a repeated bias would write its rows twice and fit the eps-slopes
+    # through equal points; circuit-run reads the same config kind
+    cfg = _write_config(tmp_path, "[experiment]\nkind = separation\n\n[grid]\neps = 0.1, 0.1\n")
+    path = tmp_path / "c.txt"
+    path.write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
+    out = tmp_path / "r.csv"
+    for argv in (["separation"], ["circuit-run", str(path)]):
+        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 5: separation needs distinct eps values, got (0.1, 0.1)\n")
+        assert not out.exists()
 
 
 def test_separation_rows_structure_and_bounds():
@@ -366,7 +357,7 @@ def test_config_built_in_code_rejects_lists_a_kind_reads_one_value_of():
 def test_concentration_rows_broadcast_and_mismatch():
     cfg = ExperimentConfig("concentration", eps=(0.2, 0.3), d=(1000,), q=(8,), trials=150,
                            seed=5)
-    rows = experiments.concentration_rows(cfg, jobs=2)
+    rows = experiments.concentration_rows(cfg)
     assert {r.params[1] for r in rows} == {0.2, 0.3}
     with pytest.raises(ConfigError, match="d grid length 2") as err:
         ExperimentConfig("concentration", eps=(0.1, 0.2, 0.3), d=(10, 20), q=(8,),
@@ -463,41 +454,37 @@ def test_cli_loads_openblas_at_one_thread_unless_the_variable_is_set(threads, ex
     assert int(proc.stdout) == expected
 
 
-def _csv_bytes_over_jobs_and_blas_threads(tmp_path, name, command) -> set:
-    # the distinct CSV outputs of one command at --jobs {1, 2} x
-    # OPENBLAS_NUM_THREADS {1, 2}
-    return {_run_at_blas_threads(tmp_path, f"{name}_j{jobs}", [*command, "--jobs", str(jobs)],
-                                 threads)
-            for jobs in (1, 2) for threads in (1, 2)}
+def _csv_bytes_over_blas_threads(tmp_path, name, command) -> set:
+    # the distinct CSV outputs of one command at OPENBLAS_NUM_THREADS {1, 2}
+    return {_run_at_blas_threads(tmp_path, name, command, threads) for threads in (1, 2)}
 
 
-def test_separation_csv_independent_of_jobs_and_blas_threads(tmp_path):
-    # every sweep pins OpenBLAS to one thread, so neither the worker count
-    # nor the BLAS thread count the process starts with moves a byte. The
-    # default grid stays at <= 84 keys (one row block, one weight tile); the
-    # d = 5, n = 10 grid reaches 1,001 keys: two row blocks, four tiles and
-    # circuits of unequal cost sharing the pool.
+def test_separation_csv_independent_of_blas_threads(tmp_path):
+    # every sweep pins OpenBLAS to one thread, so the BLAS thread count the
+    # process starts with moves no byte. The default grid stays at <= 84
+    # keys (one row block, one weight tile); the d = 5, n = 10 grid reaches
+    # 1,001 keys: two row blocks and four tiles.
     deep = tmp_path / "deep.ini"
     deep.write_text("[experiment]\nkind = separation\n\n"
                     "[grid]\nd = 5\nq = 16\nn = 10\ntrials = 2\n")
     for name, config in (("default", []), ("deep", ["--config", str(deep)])):
-        outs = _csv_bytes_over_jobs_and_blas_threads(tmp_path, name, ["separation", *config])
+        outs = _csv_bytes_over_blas_threads(tmp_path, name, ["separation", *config])
         assert len(outs) == 1, name
 
 
-def test_lemma_csv_independent_of_jobs_and_blas_threads(tmp_path):
+def test_lemma_csv_independent_of_blas_threads(tmp_path):
     # the default lemma grid runs the Levinson recursion and the FFT up to
-    # q = 1024 in both workers
-    outs = _csv_bytes_over_jobs_and_blas_threads(tmp_path, "lemmas", ["verify-lemmas"])
+    # q = 1024
+    outs = _csv_bytes_over_blas_threads(tmp_path, "lemmas", ["verify-lemmas"])
     # and at the entry point's own default, with the variable unset
-    outs.add(_run_at_blas_threads(tmp_path, "lemmas_j2", ["verify-lemmas", "--jobs", "2"], None))
+    outs.add(_run_at_blas_threads(tmp_path, "lemmas", ["verify-lemmas"], None))
     assert len(outs) == 1
 
 
 def test_circuit_run_bytes_independent_of_blas_threads_and_equal_to_separation(tmp_path):
     # the inverse circuit of the default separation block, run on its own: its
-    # one circuit is a unit of the cell pool too, so at any OpenBLAS thread
-    # count it carries the bits of the separation rows for the same circuit
+    # one circuit is a `_map_cells` unit too, so at any OpenBLAS thread count
+    # it carries the bits of the separation rows for the same circuit
     path = tmp_path / "inverse.txt"
     path.write_text(circuit_to_text(grover_iterate_circuit(4, 8), 8))
     outs = {_run_at_blas_threads(tmp_path, "inverse", ["circuit-run", str(path)], threads)
@@ -514,35 +501,16 @@ def test_circuit_run_bytes_independent_of_blas_threads_and_equal_to_separation(t
     assert circuit_adv == {eps: inverse_adv[eps] for eps in circuit_adv}
 
 
-def test_jobs_defaults_to_the_usable_cores(tmp_path, monkeypatch):
-    # a process limited to one CPU (a cpuset) runs one worker, whatever
-    # os.cpu_count() says about the machine
-    seen = []
-    real = experiments._map_cells
-
-    def spy(fn, args_list, jobs):
-        seen.append(jobs)
-        return real(fn, args_list, jobs)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(experiments, "_map_cells", spy)
-    # concentration is the one sweep that passes --jobs on to its pool
-    cfg = _write_config(tmp_path, "[experiment]\nkind = concentration\n\n"
-                                  "[grid]\neps = 0.2\nd = 500\nq = 8\ntrials = 100\n")
-    assert cli.main(["concentration", "--config", cfg, "--out", str(tmp_path / "c.csv")]) in (0, 1)
-    assert seen and set(seen) == {1}
-
-
 def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batches(monkeypatch):
     # the separation-deep benchmark grid: 6 forward cells and the inverse block
     cfg = replace(default_config("separation"), eps=(0.02, 0.05, 0.1, 0.2), d=(4, 5),
                   q=(16,), n=(6, 8, 10), trials=20, seed=0)
-    units, results, jobs_seen, batch_sizes, merges = [], [], [], [], []
+    units, results, maps, batch_sizes, merges = [], [], [], [], []
     real_map, real_average = experiments._map_cells, experiments.average_density
     real_profile, real_merge = experiments.advantage_profile, query_sim._lex_unique
 
     def spy_map(fn, args_list, jobs):
-        jobs_seen.append(jobs)
+        maps.append(len(args_list))
         out = real_map(fn, args_list, jobs)
         units.extend(args_list)
         results.extend(out)
@@ -577,7 +545,7 @@ def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batche
     blocks.append((positive, [grover_iterate_circuit(4, 8), matched_forward_circuit(4, 8)]
                    + [random_interleaved_circuit(4, 2, "+" * 8, rng) for _ in range(cfg.trials)]))
 
-    assert jobs_seen == [1] and len(units) == 6 + 1
+    assert maps == [6 + 1]
     for (circuits, eps, q, cap), (block_eps, drawn) in zip(units, blocks):
         assert tuple(eps) == block_eps and q == 16 and cap == cfg.cap
         assert [circuit_to_text(c, q) for c in circuits] == [circuit_to_text(c, q) for c in drawn]
@@ -598,13 +566,8 @@ def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batche
     assert results == alone
 
 
-def test_separation_runs_in_order_without_a_pool(monkeypatch, tmp_path):
-    # a cell averages its circuits in batches, which leaves a second thread
-    # nothing to gain, so --jobs > 1 must not start worker threads
-    def no_pool(*args, **kwargs):
-        raise AssertionError("separation_rows started a worker pool")
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+def test_separation_runs_in_order_without_a_pool(tmp_path):
+    # --jobs is accepted and ignored: the forward cells run in grid order
     cfg = _write_config(tmp_path, "[experiment]\nkind = separation\n\n"
                                   "[grid]\neps = 0.1, 0.2\nd = 2, 3\nq = 8\nn = 1, 2\n"
                                   "trials = 2\n")
@@ -643,7 +606,7 @@ TINY_RUNS = {
     "endtoend": lambda tmp_path: experiments.endtoend_rows(ExperimentConfig(
         "endtoend", eps=(0.1,), d=(500,), q=(8,), trials=2, seed=0)),
     "concentration": lambda tmp_path: experiments.concentration_rows(ExperimentConfig(
-        "concentration", eps=(0.2,), d=(500,), q=(8,), trials=100, seed=0), 2),
+        "concentration", eps=(0.2,), d=(500,), q=(8,), trials=100, seed=0)),
     "circuit-run": _tiny_circuit_run,
 }
 
@@ -723,7 +686,7 @@ def test_csv_header_parses_back_to_the_config_of_the_run(tmp_path, kind, grid):
     text = f"[experiment]\nkind = {kind}\nseed = 3\n\n[grid]\n{grid}\n"
     out = tmp_path / "r.csv"
     assert cli.main([kind, "--config", _write_config(tmp_path, text), "--seed", "11",
-                     "--jobs", "1", "--out", str(out)]) in (0, 1)
+                     "--out", str(out)]) in (0, 1)
     written = [out] + ([tmp_path / "r_trials.csv"] if kind == "endtoend" else [])
     for path in written:
         header = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
@@ -764,8 +727,7 @@ def test_each_command_reads_exactly_the_keys_its_kind_declares(tmp_path, monkeyp
     monkeypatch.setattr(cli, "config_to_text",
                         lambda cfg: config_to_text(ExperimentConfig(**vars(cfg))))
     (tmp_path / "c.txt").write_text(circuit_to_text(grover_iterate_circuit(2, 1), 4))
-    argv = ["circuit-run", str(tmp_path / "c.txt")] if command == "circuit-run" else [
-        command, "--jobs", "1"]
+    argv = ["circuit-run", str(tmp_path / "c.txt")] if command == "circuit-run" else [command]
     text = f"[experiment]\nkind = {kind}\n\n[grid]\n{TINY_GRIDS[command]}\n"
     assert cli.main([*argv, "--config", _write_config(tmp_path, text),
                      "--out", str(tmp_path / "r.csv")]) in (0, 1)
@@ -857,7 +819,7 @@ def test_cli_reports_an_allocation_failure_with_exit_2(monkeypatch, capsys, mess
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "endtoend_rows", out_of_memory)
-    assert cli.main(["endtoend", "--jobs", "1"]) == 2
+    assert cli.main(["endtoend"]) == 2
     assert capsys.readouterr().err == f"error: {shown}\n"
 
 
@@ -1035,8 +997,27 @@ trials = 4
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_endtoend_bytes_match_recorded_run(tmp_path, jobs):
+@pytest.fixture
+def blas_threads(request):
+    # the OpenBLAS thread count a recorded run starts at, restored afterwards;
+    # the pin of _map_cells must keep it from moving a byte
+    controls = blas._controls()
+    if controls is None:
+        if request.param > 1:
+            pytest.skip("no OpenBLAS loaded in this process")
+        yield
+        return
+    get, put = controls
+    saved = get()
+    put(request.param)
+    try:
+        yield
+    finally:
+        put(saved)
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2], indirect=True)
+def test_cli_endtoend_bytes_match_recorded_run(tmp_path, blas_threads):
     # summary and trials CSVs of a small endtoend run, recorded from the
     # entry-by-entry trial path (dense ramp, collapsed state vector) that the
     # factored trace and the blocked sampler must reproduce byte for byte.
@@ -1054,32 +1035,32 @@ q = 257
 trials = 8
 """)
     out = tmp_path / "guard.csv"
-    assert cli.main(["endtoend", "--config", cfg, "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert cli.main(["endtoend", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "endtoend_guard.csv").read_bytes()
     trials = tmp_path / "guard_trials.csv"
     assert trials.read_bytes() == (DATA_DIR / "endtoend_guard_trials.csv").read_bytes()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_lemma_bytes_match_recorded_run(tmp_path, jobs):
+@pytest.mark.parametrize("blas_threads", [1, 2], indirect=True)
+def test_cli_lemma_bytes_match_recorded_run(tmp_path, blas_threads):
     # the default verify-lemmas run, recorded from the per-power moment loop
     # that the array moment kernel must reproduce byte for byte
     out = tmp_path / "lemmas.csv"
-    assert cli.main(["verify-lemmas", "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert cli.main(["verify-lemmas", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "lemmas_guard.csv").read_bytes()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_separation_bytes_match_recorded_run(tmp_path, jobs):
+@pytest.mark.parametrize("blas_threads", [1, 2], indirect=True)
+def test_cli_separation_bytes_match_recorded_run(tmp_path, blas_threads):
     # the default separation run: at d = 4, n = 2 (10 keys) the difference
     # code's prefix stops at 2 of the 4 coordinates
     out = tmp_path / "separation.csv"
-    assert cli.main(["separation", "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert cli.main(["separation", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "separation_guard.csv").read_bytes()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_separation_deep_bytes_match_recorded_run(tmp_path, jobs):
+@pytest.mark.parametrize("blas_threads", [1, 2], indirect=True)
+def test_cli_separation_deep_bytes_match_recorded_run(tmp_path, blas_threads):
     # d = 5, n = 10: 1,001 keys, so two row blocks and a full, folded
     # difference-code prefix, plus the d = 4, n = 8 inverse block
     cfg = _write_config(tmp_path, """\
@@ -1094,13 +1075,12 @@ n = 10
 trials = 2
 """)
     out = tmp_path / "guard.csv"
-    assert cli.main(["separation", "--config", cfg, "--jobs", str(jobs),
-                     "--out", str(out)]) == 0
+    assert cli.main(["separation", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "separation_deep_guard.csv").read_bytes()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_concentration_bytes_match_recorded_run(tmp_path, jobs):
+@pytest.mark.parametrize("blas_threads", [1, 2], indirect=True)
+def test_cli_concentration_bytes_match_recorded_run(tmp_path, blas_threads):
     # recorded from the whole-array multi-step sampler; at q = 257 the guide
     # table has 2048 buckets, so one step per draw holds up to eps < 0.874
     # and only the eps = 0.9 draws step over flat CDF runs
@@ -1116,8 +1096,7 @@ q = 257
 trials = 100
 """)
     out = tmp_path / "guard.csv"
-    assert cli.main(["concentration", "--config", cfg, "--jobs", str(jobs),
-                     "--out", str(out)]) == 0
+    assert cli.main(["concentration", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "concentration_guard.csv").read_bytes()
 
 

@@ -1,8 +1,9 @@
-"""The cell pool is the one concurrency layer: ``experiments._map_cells``.
+"""The one concurrency layer is the pin in ``experiments._map_cells``.
 
-Every unit of work runs through ``_map_cells``, which holds the one-OpenBLAS-
-thread pin around its cells. A pin or a thread pool anywhere else in the
-package would be a second layer, or a unit that runs outside the pin.
+Every unit of work runs, in order, through ``_map_cells``, which holds the
+one-OpenBLAS-thread pin around its cells. A pin anywhere else in the package
+would be a unit that runs outside it, and a thread or process pool anywhere
+at all would be a second layer.
 
 ``blas.one_thread_at_load`` is not a second layer: it runs no work and pins
 nothing. It only sets the thread count OpenBLAS starts with, before numpy
@@ -16,17 +17,16 @@ import pathlib
 TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted((TESTS.parent / "src" / "querylab").glob("*.py"))
 
-NAMES = ("one_blas_thread", "ThreadPoolExecutor", "one_thread_at_load")
+NAMES = ("one_blas_thread", "one_thread_at_load",
+         "ThreadPoolExecutor", "ProcessPoolExecutor", "Thread")
 
-# The only references the package may hold: the imports that bring the pin
-# and the pool into ``experiments``, their uses in ``_map_cells``, and the
-# load-time call in ``__main__``. The definitions in ``blas`` are defs, not
-# references.
+# The only references the package may hold: the import that brings the pin
+# into ``experiments``, its use in ``_map_cells``, and the load-time call in
+# ``__main__``. The definitions in ``blas`` are defs, not references. No
+# pool or thread is expected anywhere.
 EXPECTED = {
     "experiments imports one_blas_thread",
-    "experiments imports ThreadPoolExecutor",
     "experiments._map_cells uses one_blas_thread",
-    "experiments._map_cells uses ThreadPoolExecutor",
     "__main__ uses one_thread_at_load",
 }
 
@@ -72,6 +72,9 @@ def test_checker_finds_every_reference():
         "    def run(self):\n"
         "        with blas.one_blas_thread():\n"
         "            return ThreadPoolExecutor(2)\n"
+        "    def spawn(self):\n"
+        "        threading.Thread(target=sweep).start()\n"
+        "        return cf.ProcessPoolExecutor(2)\n"
     )
     assert concurrency_references(source, "m") == [
         "m imports ThreadPoolExecutor",
@@ -79,6 +82,8 @@ def test_checker_finds_every_reference():
         "m.sweep uses one_blas_thread",
         "m.Runner.run uses one_blas_thread",
         "m.Runner.run uses ThreadPoolExecutor",
+        "m.Runner.spawn uses Thread",
+        "m.Runner.spawn uses ProcessPoolExecutor",
     ]
 
 

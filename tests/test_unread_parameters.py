@@ -9,7 +9,12 @@ TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted((TESTS.parent / "src" / "querylab").glob("*.py"))
 
 # Parameters that no body reads, each with the reason it stays.
-ALLOWED = {}
+ALLOWED = {
+    "experiments._map_cells.jobs":
+        "the benchmark harness (perfbench/tracer.py) wraps _map_cells as "
+        "(fn, args_list, jobs) and cannot change until the benchmark's own "
+        "change (ROADMAP item 5)",
+}
 
 
 def _is_abstract(func) -> bool:

@@ -37,6 +37,9 @@ KINDS = tuple(_DEFAULTS)
 # Grid keys of which a kind reads only the first value.
 _SINGLE_VALUED = {"separation": ("q",), "endtoend": ("eps", "d", "q"), "concentration": ("q",)}
 
+# Grid keys whose values span a kind's grid cells; concentration pairs eps with d.
+_GRID_AXES = {"verify-lemmas": ("eps", "q"), "separation": ("eps", "d", "n")}
+
 
 def _kind(value: str) -> str:
     """``value``, if it names an experiment kind."""
@@ -85,14 +88,17 @@ class ExperimentConfig:
             if len(getattr(self, name)) > 1:
                 raise ConfigError(f"{self.kind} reads one {name} value, got "
                                   f"{getattr(self, name)}", key=name)
+        # a repeated grid cell writes its rows twice (and separation fits
+        # its eps-slopes through equal points)
+        for name in _GRID_AXES.get(self.kind, ()):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{self.kind} needs distinct {name} values, got {values}",
+                                  key=name)
         if self.kind == "separation":
             if max(self.n) > self.q[0]:
                 raise ConfigError(f"query count {max(self.n)} exceeds phase order "
                                   f"{self.q[0]}; need n <= q", key="n")
-            # a repeated bias repeats its rows and puts equal points in the slope fits
-            if len(set(self.eps)) < len(self.eps):
-                raise ConfigError(f"separation needs distinct eps values, got {self.eps}",
-                                  key="eps")
         if self.kind == "endtoend":
             # the pair probe needs two query indices; the distinguishers a positive bias
             if self.d[0] < 2:
@@ -109,6 +115,10 @@ class ExperimentConfig:
             if len(self.d) not in (1, len(self.eps)):
                 raise ConfigError(f"d grid length {len(self.d)} matches neither eps grid "
                                   f"length {len(self.eps)} nor 1", key="d")
+            cells = list(zip(self.eps, self.d)) if len(self.d) > 1 else self.eps
+            if len(set(cells)) < len(cells):
+                raise ConfigError(f"concentration needs distinct (eps, d) pairs, got eps "
+                                  f"{self.eps} and d {self.d}", key="eps")
 
 
 def default_config(kind: str) -> ExperimentConfig:

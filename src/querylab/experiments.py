@@ -211,28 +211,25 @@ def advantage_profile(circuits, eps_list, q: int, cap: int) -> list:
     """(histogram key count, advantage at each bias) of each circuit, in order.
 
     The advantage at bias eps is the trace distance between the bias-0 and
-    bias-eps averaged outputs; the implied success probability of the best
-    single-shot distinguisher is ``1/2 + advantage/2``. The histogram
-    decomposition does not depend on the bias, so each circuit is purified
-    once (at most ``cap`` keys). The circuits run `_BATCH` at a time, in
-    order; a chunk's circuits that share a skeleton evolve through one key
-    array (`run_purified`; members it splits off run again) and are averaged
-    together, at every bias, in one `average_density` call.
+    bias-eps averaged outputs (exactly 0.0 at eps = 0); the implied success
+    probability of the best single-shot distinguisher is
+    ``1/2 + advantage/2``. The histogram decomposition does not depend on
+    the bias, so each circuit is purified once (at most ``cap`` keys). The
+    circuits are grouped by skeleton, and each group runs `_BATCH` circuits
+    at a time through one key array (`run_purified`; members it splits off
+    run again), averaged together at bias 0 and every eps in one
+    `average_density` call; results go back to their input positions.
     """
-    positive = [e for e in eps_list if e != 0.0]
+    groups = {}
+    for i, circuit in enumerate(circuits):
+        groups.setdefault(circuit.skeleton, []).append(i)
     out = [None] * len(circuits)
-    for start in range(0, len(circuits), _BATCH):
-        groups = {}
-        for i, circuit in enumerate(circuits[start:start + _BATCH], start):
-            groups.setdefault(circuit.skeleton, []).append(i)
-        for indices in groups.values():
-            while indices:
-                batch = run_purified([circuits[i] for i in indices], key_cap=cap)
-                done, indices = indices[:len(batch.vectors)], indices[len(batch.vectors):]
-                for i, (base, *biased) in zip(done, average_density(batch, [0.0, *positive], q)):
-                    advantage = dict(zip(positive, (float(trace_distance(base, r))
-                                                    for r in biased)))
-                    out[i] = (batch.key_count, [advantage.get(eps, 0.0) for eps in eps_list])
+    for indices in groups.values():
+        while indices:
+            batch = run_purified([circuits[i] for i in indices[:_BATCH]], key_cap=cap)
+            done, indices = indices[:len(batch.vectors)], indices[len(batch.vectors):]
+            for i, (base, *biased) in zip(done, average_density(batch, [0.0, *eps_list], q)):
+                out[i] = (batch.key_count, [trace_distance(base, r) for r in biased])
     return out
 
 

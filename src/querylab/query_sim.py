@@ -12,10 +12,11 @@ average is then a moment-weighted double sum over histogram keys,
 
 which factorizes per coordinate because the diagonal entries are independent.
 
-The decomposition is two aligned arrays, histogram keys (K x d) and vectors
-(K x d*aux, per circuit of a batch that shares its step kinds): a gate is a
-matrix product per circuit, and a query shifts the live keys and merges
-duplicates once per batch through a mixed-radix code, in lexicographic order.
+A batch of circuits that share their step kinds is decomposed into two
+aligned arrays, histogram keys (K x d) and vectors (B x K x d*aux, one row
+block per circuit): a gate is a matrix product per circuit, and a query shifts
+the live keys and merges duplicates once per batch through a mixed-radix code,
+in lexicographic order.
 Every key sums to forward - inverse, so M(e - e') is read from a table
 indexed by the difference of two keys' prefix codes, each product formed in
 coordinate order; the codes serve every bias of one call.
@@ -127,13 +128,12 @@ class QueryCircuit:
 
 @dataclass(frozen=True)
 class PurifiedState:
-    """Exponent histograms and their component vectors, as two aligned arrays.
+    """A batch of states that share their exponent histograms, as two aligned arrays.
 
-    Row k of ``keys`` (K x d, int64) is one histogram e; row k of ``vectors``
-    (K x d*aux, complex) is the part of the output state that acquired the
-    monomial ``prod_i U_i^{e_i}``. Rows are in lexicographic key order.
-    A batch of states that share their keys (see `run_purified`) holds
-    ``vectors`` with a leading state axis (B x K x d*aux).
+    Row k of ``keys`` (K x d, int64) is one histogram e; row k of
+    ``vectors[b]`` (``vectors`` is B x K x d*aux, complex) is the part of
+    state b that acquired the monomial ``prod_i U_i^{e_i}``. Rows are in
+    lexicographic key order.
     """
 
     d: int
@@ -151,16 +151,15 @@ class PurifiedState:
     def forward_only(self) -> bool:
         return self.inverse_count == 0
 
-    def total_mass(self):
-        """The squared norm of the state, or an array of one per state of a batch."""
-        return (self.vectors.real ** 2 + self.vectors.imag ** 2).sum(axis=(-2, -1))
+    def total_mass(self) -> np.ndarray:
+        """The squared norm of each state."""
+        return (self.vectors.real ** 2 + self.vectors.imag ** 2).sum(axis=(1, 2))
 
     def validate(self):
         """Assert the histogram invariants; returns self for chaining."""
-        for b, mass in enumerate(np.atleast_1d(self.total_mass())):
+        for b, mass in enumerate(self.total_mass()):
             if not abs(mass - 1.0) <= 1e-10:
-                which = f" of state {b}" if self.vectors.ndim == 3 else ""
-                raise QuerylabError(f"purified mass {mass!r}{which} drifted from 1")
+                raise QuerylabError(f"purified mass {mass!r} of state {b} drifted from 1")
         net = self.forward_count - self.inverse_count
         bad = self.keys.sum(axis=1) != net
         if bad.any():
@@ -199,11 +198,11 @@ def _lex_unique(keys: np.ndarray) -> tuple:
 def run_purified(circuits, key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
     """Evolve the histogram decomposition of circuit runs from |0>, exactly.
 
-    ``circuits`` is one circuit, or a sequence of circuits that share a
-    `QueryCircuit.skeleton`, evolved as one batch through one key array (the
-    state's vectors gain a leading axis, as `average_density` reads them). A
-    gate multiplies each member's vectors by that member's own matrix. A
-    forward query splits each component by query-register index x and
+    ``circuits`` is a sequence of circuits that share a
+    `QueryCircuit.skeleton`, evolved as one batch through one key array into
+    one `PurifiedState` (a single circuit is a batch of one). A gate
+    multiplies each member's vectors by that member's own matrix. A forward
+    query splits each component by query-register index x and
     increments that key coordinate (inverse queries decrement); only nonzero
     rows make keys, found and merged into lexicographic order once for the
     whole batch. Destination (key, x) slots have exactly one source, key
@@ -214,8 +213,7 @@ def run_purified(circuits, key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
     Exceeding ``key_cap`` histogram keys raises a resource error rather than
     pruning. Another start state is a leading `FixedGate`.
     """
-    single = isinstance(circuits, QueryCircuit)
-    batch = [circuits] if single else list(circuits)
+    batch = list(circuits)
     lead = batch[0]
     if any(c.skeleton != lead.skeleton for c in batch[1:]):
         raise QuerylabError("a batch of circuits must share d, aux and step kinds")
@@ -249,8 +247,7 @@ def run_purified(circuits, key_cap: int = DEFAULT_KEY_CAP) -> PurifiedState:
         vecs = out.reshape(keep, len(first), d * aux)
     # laid out as B x d*aux x K, so `average_density` reads the stacked rows without a copy
     vecs = vecs.transpose(0, 2, 1).copy().transpose(0, 2, 1)
-    return PurifiedState(d, aux, keys, vecs[0] if single else vecs,
-                         lead.forward_count, lead.inverse_count)
+    return PurifiedState(d, aux, keys, vecs, lead.forward_count, lead.inverse_count)
 
 
 # Row block and column tile widths of `average_density`.
@@ -315,33 +312,30 @@ def _moment_weights(expo: np.ndarray, span: int, budget: int, tile: int):
     return weights_for
 
 
-def average_density(p: PurifiedState, eps, q: int):
+def average_density(p: PurifiedState, biases, q: int) -> list:
     """Moment-weighted double sum over histogram keys, in fixed row blocks.
 
-    ``eps`` is one bias (returns a DensityMatrix) or a sequence of biases
-    (returns a list, one per bias). A batch of states (see `run_purified`)
-    returns a list with that result for each state; a single state is a
-    batch of one. Every bias shares one difference code and
-    one set of buffers (see `_moment_weights`); each builds only its own
-    prefix table. Each block of `_BLOCK` rows gathers its weights in tiles of
-    `_TILE` columns, once for the whole batch: one product multiplies each
-    tile by every state's vectors, stacked as rows, and each state's block of
-    its density is then its own row slice times its conjugate vectors. Column
-    tiles and stacked rows keep every element's reduction order and the row
-    blocks fix it, so a density has the same bits whether its bias comes
-    alone or in a sequence and its state alone or in a batch. At bias 0 every
-    moment of a nonzero power below q vanishes, so when the keys span less
-    than q the weights are the identity: a row block's product is then its
-    own columns of the stacked rows, copied with the same bits (+ 0.0 turns
-    -0 into +0, as the products' sums do), and no weight is built.
+    Returns one list per state of the batch ``p``, holding its averaged
+    output (a DensityMatrix) at each bias of the sequence ``biases``. Every
+    bias shares one difference code and one set of buffers (see
+    `_moment_weights`); each builds only its own prefix table. Each block of
+    `_BLOCK` rows gathers its weights in tiles of `_TILE` columns, once for
+    the whole batch: one product multiplies each tile by every state's
+    vectors, stacked as rows, and each state's block of its density is then
+    its own row slice times its conjugate vectors. Column tiles and stacked
+    rows keep every element's reduction order and the row blocks fix it, so
+    a density has the same bits whatever the other biases and states of the
+    call. At bias 0 every moment of a nonzero power below q vanishes, so
+    when the keys span less than q the weights are the identity: a row
+    block's product is then its own columns of the stacked rows, copied with
+    the same bits (+ 0.0 turns -0 into +0, as the products' sums do), and no
+    weight is built.
     """
-    expo = p.keys
+    expo, batch = p.keys, p.vectors
     if not p.key_count:
         raise QuerylabError("empty purified state")
-    nkeys = len(expo)
-    dim = p.vectors.shape[-1]
-    batch = p.vectors.reshape(-1, nkeys, dim)
-    # row b*dim + i is column i of state b's vectors: a view for a stacked batch
+    states, nkeys, dim = batch.shape
+    # row b*dim + i is column i of state b's vectors: a view of run_purified's layout
     stacked = batch.transpose(0, 2, 1).reshape(-1, nkeys)
     conj = batch.conj()
     span = int(expo.max() - expo.min())
@@ -349,10 +343,10 @@ def average_density(p: PurifiedState, eps, q: int):
     weights_for = _moment_weights(expo, span, block * nkeys, block * min(_TILE, nkeys))
     part = np.empty((len(stacked), nkeys), dtype=complex)
     by_bias = []
-    for bias in np.atleast_1d(eps):
+    for bias in biases:
         identity = bias == 0 and span < q
         weights = None if identity else weights_for(moment_table(float(bias), int(q), span))
-        rho = np.zeros((len(batch), dim, dim), dtype=complex)
+        rho = np.zeros((states, dim, dim), dtype=complex)
         for a in range(0, nkeys, _BLOCK):
             rows = slice(a, min(a + _BLOCK, nkeys))
             if identity:
@@ -362,11 +356,10 @@ def average_density(p: PurifiedState, eps, q: int):
                 for c in range(0, nkeys, _TILE):
                     cols = slice(c, min(c + _TILE, nkeys))
                     part[:, cols] = stacked[:, rows] @ weights(rows, cols)
-            rho += part.reshape(len(batch), dim, nkeys) @ conj
+            rho += part.reshape(states, dim, nkeys) @ conj
         rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
         by_bias.append([DensityMatrix(r) for r in rho])
-    out = [list(per_state) if np.ndim(eps) else per_state[0] for per_state in zip(*by_bias)]
-    return out if p.vectors.ndim == 3 else out[0]
+    return [list(per_state) for per_state in zip(*by_bias)]
 
 
 def _dense_run(circuit: QueryCircuit, phases: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ matrices and frames here:
 - ``biased_ft_rotate``: a forward-only purification re-expressed in the
   frame's rounded label basis;
 - ``moment_gram``: the dense K x K moment matrix of a purified state;
+- ``density``: one state's averaged output at one bias, read from the
+  batch-in, list-per-state form of ``query_sim.average_density``;
 - ``phase_pmf``: the bias distribution, one exponent at a time;
 - ``DiagonalOracle``, ``draw`` and ``normalized_trace``: a stored oracle
   draw, every exponent a binary search of its own uniform in the CDF (the
@@ -337,8 +339,13 @@ class RotatedPurification:
         return DensityMatrix(rho)
 
 
+def density(p: PurifiedState, eps: float, q: int) -> DensityMatrix:
+    """The averaged output of the first state of ``p`` at bias ``eps``."""
+    return average_density(p, [eps], q)[0][0]
+
+
 def biased_ft_rotate(p: PurifiedState, eps: float, q: int) -> RotatedPurification:
-    """Re-express a forward-only purification in the rounded label basis.
+    """Re-express a forward-only purification (the first state of ``p``) in the rounded label basis.
 
     Each histogram key keeps amplitude ``prod_i alpha[e_i]`` on its own label
     and leaks the rest onto lexicographically lower labels; the new labels
@@ -357,7 +364,7 @@ def biased_ft_rotate(p: PurifiedState, eps: float, q: int) -> RotatedPurificatio
     retained, error_mass = {}, {}
     rotated = {}
     dim = p.d * p.aux_dim
-    for e, v in zip(map(tuple, p.keys.tolist()), p.vectors):
+    for e, v in zip(map(tuple, p.keys.tolist()), p.vectors[0]):
         amp = float(np.prod(alphas[list(e)]))
         retained[e] = amp
         error_mass[e] = 1.0 - amp * amp
@@ -373,7 +380,7 @@ def biased_ft_rotate(p: PurifiedState, eps: float, q: int) -> RotatedPurificatio
                 rotated[label] = slot
             slot += coef * v
     out = RotatedPurification(p.d, p.aux_dim, float(eps), q, retained, error_mass, rotated)
-    direct = average_density(p, eps, q)
+    direct = density(p, eps, q)
     if trace_distance(out.density(), direct) > 1e-9:
         raise QuerylabError("rotated purification does not reproduce the moment average")
     return out

@@ -35,7 +35,8 @@ from querylab.families import (
     random_interleaved_circuit,
 )
 from querylab.linalg import trace_distance
-from querylab.query_sim import average_density, circuit_from_text, circuit_to_text, run_purified
+from querylab.query_sim import circuit_from_text, circuit_to_text, run_purified
+from reference import density
 
 
 # ------------------------------------------------------------------- config
@@ -113,13 +114,28 @@ def test_parse_rejects_duplicates_and_unknown_keys():
     ("cap", 0),
     ("seed", -5),
     ("eps", (0.1, 0.1)),
+    ("d", (3, 3)),
+    ("n", (1, 1)),
+    # (kind, values): a repeated grid cell of another kind
+    ("eps", ("verify-lemmas", {"eps": (0.1, 0.1), "q": (8,)})),
+    ("q", ("verify-lemmas", {"eps": (0.1,), "q": (8, 8)})),
+    ("eps", ("concentration", {"eps": (0.1, 0.1), "d": (1000,), "trials": 100})),
+    ("eps", ("concentration", {"eps": (0.1, 0.2, 0.1), "d": (1000, 2000, 1000)})),
 ])
 def test_config_validation_rejects_bad_values(field, value):
-    base = dict(kind="separation", eps=(0.1,), d=(3,), q=(8,), n=(1,),
-                trials=1, seed=0, cap=10)
-    base[field] = value
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**base)
+    base = dict(eps=(0.1,), d=(3,), q=(8,), n=(1,), trials=1, seed=0, cap=10)
+    kind, values = (value if isinstance(value, tuple) and isinstance(value[-1], dict)
+                    else ("separation", {**base, field: value}))
+    # the error names the key at fault, which the CLI turns into its line
+    with pytest.raises(ConfigError) as err:
+        replace(default_config(kind), **values)
+    assert err.value.key == field
+
+
+def test_config_accepts_a_repeated_eps_at_another_d():
+    # concentration's cells are (eps, d) pairs
+    cfg = replace(default_config("concentration"), eps=(0.1, 0.1), d=(1000, 2000))
+    assert list(zip(cfg.eps, cfg.d)) == [(0.1, 1000), (0.1, 2000)]
 
 
 @pytest.mark.parametrize("key,section", [
@@ -282,6 +298,23 @@ def test_cli_rejects_a_repeated_separation_eps(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: line 5: separation needs distinct eps values, got (0.1, 0.1)\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,grid,message", [
+    ("verify-lemmas", "eps = 0.1, 0.1\nq = 8\n",
+     "line 5: verify-lemmas needs distinct eps values, got (0.1, 0.1)"),
+    ("separation", "d = 3, 3\nn = 1, 1\n",
+     "line 5: separation needs distinct d values, got (3, 3)"),
+    ("concentration", "eps = 0.1, 0.1\nd = 1000\ntrials = 100\n",
+     "line 5: concentration needs distinct (eps, d) pairs, got eps (0.1, 0.1) and d (1000,)"),
+])
+def test_cli_rejects_a_repeated_grid_cell(tmp_path, capsys, kind, grid, message):
+    # each would otherwise exit 0 and write the rows of the repeated cell twice
+    cfg = _write_config(tmp_path, f"[experiment]\nkind = {kind}\n\n[grid]\n{grid}")
+    out = tmp_path / "r.csv"
+    assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_separation_rows_structure_and_bounds():
@@ -517,7 +550,7 @@ def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batche
         return out
 
     def spy_average(p, eps, q):
-        batch_sizes.append(len(p.vectors) if p.vectors.ndim == 3 else 1)
+        batch_sizes.append(len(p.vectors))
         return real_average(p, eps, q)
 
     def spy_merge(keys):
@@ -554,11 +587,11 @@ def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batche
     assert sum(batch_sizes) == sum(len(drawn) for _, drawn in blocks)
     assert max(batch_sizes) == experiments._BATCH
     # a chunk of five same-skeleton circuits merges its keys once per query,
-    # n times, not 5n; the inverse block's first chunk holds three skeletons
-    # (the iterate, its matched twin, three random twins), then four chunks
-    # of random twins: seven batches of eight queries
+    # n times, not 5n; the inverse block groups by skeleton first: the
+    # iterate alone, its matched twin alone, then the random twins in four
+    # chunks: six batches of eight queries
     chunks = cfg.trials // experiments._BATCH
-    assert merges == [chunks * n for d in cfg.d for n in cfg.n] + [7 * 8]
+    assert merges == [chunks * n for d in cfg.d for n in cfg.n] + [6 * 8]
     # the profiles are those of each circuit run alone, in draw order
     with one_blas_thread():
         alone = [[real_profile([c], eps, 16, cfg.cap)[0] for c in drawn]
@@ -1111,11 +1144,11 @@ def test_cli_circuit_run_matches_direct_computation(tmp_path, capsys):
     # no config: the default biases of a separation config
     assert [ast.literal_eval(params)[1] for _, params, _ in rows] == [0.02, 0.05, 0.1, 0.2]
     with one_blas_thread():
-        state = run_purified(circuit)
-        base = average_density(state, 0.0, 8)
+        state = run_purified([circuit])
+        base = density(state, 0.0, 8)
         for _, params, measured in rows:
             eps = ast.literal_eval(params)[1]
-            assert float(measured) == trace_distance(base, average_density(state, eps, 8))
+            assert float(measured) == trace_distance(base, density(state, eps, 8))
 
 
 def test_cli_circuit_run_takes_its_output_path_from_out_alone(tmp_path, monkeypatch, capsys):

@@ -28,7 +28,7 @@ from querylab.query_sim import (
     circuit_to_text,
     run_purified,
 )
-from reference import biased_ft_rotate, moment_gram
+from reference import biased_ft_rotate, density, moment_gram
 
 
 def random_circuit(d, aux, pattern, rng):
@@ -41,8 +41,8 @@ def random_circuit(d, aux, pattern, rng):
 
 
 def components(p):
-    """{histogram key tuple: component vector} of a purified state."""
-    return dict(zip(map(tuple, p.keys.tolist()), p.vectors))
+    """{histogram key tuple: component vector} of the first state of a batch."""
+    return dict(zip(map(tuple, p.keys.tolist()), p.vectors[0]))
 
 
 def from_uniform(d, *steps):
@@ -66,9 +66,9 @@ class TestQueryCircuit:
     def test_initial_state(self):
         # every run starts at the basis vector |0>|0>
         e0 = np.eye(6)[0]
-        state = run_purified(QueryCircuit(3, 2, ()))
+        state = run_purified([QueryCircuit(3, 2, ())])
         assert state.keys.tolist() == [[0, 0, 0]]
-        assert np.array_equal(state.vectors, e0[None, :])
+        assert np.array_equal(state.vectors, e0[None, None, :])
         rho = brute_force_average(QueryCircuit(3, 2, ()), 0.1, 4)
         assert np.abs(rho.entries - np.outer(e0, e0)).max() < 1e-12
 
@@ -106,41 +106,41 @@ class TestRunPurified:
     def test_bit_identical_to_dict_loop(self, build):
         c = build(np.random.default_rng(12))
         keys, vecs = reference_purify(c)
-        p = run_purified(c)
+        p = run_purified([c])
         assert np.array_equal(p.keys, keys)
-        assert p.vectors.shape == vecs.shape
+        assert p.vectors.shape == (1, *vecs.shape)
         assert p.vectors.tobytes() == vecs.tobytes()  # signed zeros too
 
     def test_zero_query_single_key(self):
         rng = np.random.default_rng(1)
         g = random_unitary(4, rng)
         c = QueryCircuit(2, 2, (FixedGate(g),))
-        p = run_purified(c).validate()
+        p = run_purified([c]).validate()
         assert p.key_count == 1
         assert np.abs(components(p)[(0, 0)] - g[:, 0]).max() < 1e-12
 
     def test_single_forward_on_uniform(self):
-        p = run_purified(from_uniform(2, FORWARD)).validate()
+        p = run_purified([from_uniform(2, FORWARD)]).validate()
         assert set(components(p)) == {(1, 0), (0, 1)}
-        for v in p.vectors:
+        for v in p.vectors[0]:
             assert np.vdot(v, v).real == pytest.approx(0.5, abs=1e-12)
 
     def test_forward_then_inverse_cancels(self):
-        p = run_purified(from_uniform(2, FORWARD, INVERSE)).validate()
+        p = run_purified([from_uniform(2, FORWARD, INVERSE)]).validate()
         assert set(components(p)) == {(0, 0)}
         assert np.abs(components(p)[(0, 0)] - dft_matrix(2)[:, 0]).max() < 1e-12
 
     def test_mass_preserved_and_sum_law(self):
         rng = np.random.default_rng(7)
         c = random_circuit(3, 2, "++-+", rng)
-        p = run_purified(c).validate()
-        assert p.total_mass() == pytest.approx(1.0, abs=1e-10)
+        p = run_purified([c]).validate()
+        assert p.total_mass() == pytest.approx([1.0], abs=1e-10)
         assert (p.keys.sum(axis=1) == 2).all()  # pattern ++-+: 3 forward, 1 inverse
 
     def test_forward_only_keys_nonnegative(self):
         rng = np.random.default_rng(8)
         c = random_circuit(2, 2, "+++", rng)
-        p = run_purified(c).validate()
+        p = run_purified([c]).validate()
         assert (p.keys >= 0).all()
         assert (p.keys.sum(axis=1) == 3).all()
 
@@ -148,7 +148,7 @@ class TestRunPurified:
         # 64 coordinates with 3 values each: no int64 mixed-radix code fits
         rng = np.random.default_rng(10)
         c = random_circuit(64, 1, "++", rng)
-        p = run_purified(c).validate()
+        p = run_purified([c]).validate()
         assert p.key_count == 64 * 65 // 2
         assert len({tuple(k) for k in p.keys.tolist()}) == p.key_count
 
@@ -156,7 +156,7 @@ class TestRunPurified:
         rng = np.random.default_rng(9)
         c = random_circuit(3, 1, "+++", rng)
         with pytest.raises(ResourceLimitError):
-            run_purified(c, key_cap=5)
+            run_purified([c], key_cap=5)
 
     @pytest.mark.parametrize("build", [
         lambda rng: random_interleaved_circuit(4, 2, "+" * 5, rng),
@@ -167,13 +167,13 @@ class TestRunPurified:
         lambda rng: random_circuit(64, 1, "+-", rng),
     ])
     def test_keys_strictly_increasing(self, build):
-        p = run_purified(build(np.random.default_rng(33))).validate()
+        p = run_purified([build(np.random.default_rng(33))]).validate()
         assert [tuple(k) for k in p.keys.tolist()] == sorted({tuple(k) for k in p.keys.tolist()})
 
     def test_validate_rejects_out_of_order_keys(self):
-        p = run_purified(random_interleaved_circuit(3, 2, "+-+", np.random.default_rng(34)))
+        p = run_purified([random_interleaved_circuit(3, 2, "+-+", np.random.default_rng(34))])
         keys, vecs = p.keys.copy(), p.vectors.copy()
-        keys[[1, 2]], vecs[[1, 2]] = keys[[2, 1]], vecs[[2, 1]]
+        keys[[1, 2]], vecs[:, [1, 2]] = keys[[2, 1]], vecs[:, [2, 1]]
         swapped = PurifiedState(p.d, p.aux_dim, keys, vecs, p.forward_count, p.inverse_count)
         with pytest.raises(QuerylabError, match="increasing order"):
             swapped.validate()
@@ -184,29 +184,29 @@ class TestAverageDensity:
         rng = np.random.default_rng(2)
         g = random_unitary(4, rng)
         c = QueryCircuit(2, 2, (FixedGate(g),))
-        p = run_purified(c)
+        p = run_purified([c])
         for eps in (0.0, 0.4):
-            rho = average_density(p, eps, q=8)
+            rho = density(p, eps, q=8)
             expect = np.outer(g[:, 0], g[:, 0].conj())
             assert np.abs(rho.entries - expect).max() < 1e-12
 
     def test_unbiased_forward_only_is_block_mixture(self):
         rng = np.random.default_rng(3)
         c = random_circuit(2, 2, "++", rng)
-        p = run_purified(c)
-        rho = average_density(p, 0.0, q=8)
-        mix = sum(np.outer(v, v.conj()) for v in p.vectors)
+        p = run_purified([c])
+        rho = density(p, 0.0, q=8)
+        mix = sum(np.outer(v, v.conj()) for v in p.vectors[0])
         assert np.abs(rho.entries - mix).max() < 1e-12
 
     def test_matches_brute_force_random_instance(self, monkeypatch):
         rng = np.random.default_rng(4)
         c = random_circuit(2, 2, "++", rng)
-        p = run_purified(c)
+        p = run_purified([c])
         assert p.key_count > 2  # block=2 reduces more than one row block
         want = brute_force_average(c, 0.3, q=3)
         for block in (512, 2):
             monkeypatch.setattr(query_sim, "_BLOCK", block)
-            got = average_density(p, 0.3, q=3)
+            got = density(p, 0.3, q=3)
             assert np.abs(got.entries - want.entries).max() < 1e-10
 
 
@@ -236,49 +236,43 @@ def reference_average(p, eps, q, block=512):
 def deep_forward_state():
     # d = 5, n = 10: 1,001 keys, so two row blocks of four weight tiles
     rng = np.random.default_rng(31)
-    return run_purified(random_interleaved_circuit(5, 2, "+" * 10, rng))
+    return run_purified([random_interleaved_circuit(5, 2, "+" * 10, rng)])
 
 
-# Biases of the sequence form of `average_density`.
+# Biases of one `average_density` call.
 BIASES = [0.0, 0.05, 0.2]
 
 
 class TestWeightPath:
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
     def test_bit_identical_to_coordinate_loop(self, eps, monkeypatch):
-        wide = run_purified(random_interleaved_circuit(12, 2, "++", np.random.default_rng(32)))
+        wide = run_purified([random_interleaved_circuit(12, 2, "++", np.random.default_rng(32))])
         cases = [
             (deep_forward_state(), 16, 1001, 512),
             # inverse queries: keys with negative exponents
-            (run_purified(grover_iterate_circuit(4, 8)), 16, 309, 512),
+            (run_purified([grover_iterate_circuit(4, 8)]), 16, 309, 512),
             # 78 keys over 12 coordinates: a full code table would hold 5^11
             # entries, far above one row block, so the prefix stops short
             (wide, 8, 78, 512),
             # 7-row blocks: a smaller table budget, and four row blocks
-            (run_purified(grover_iterate_circuit(3, 5)), 8, 27, 7),
+            (run_purified([grover_iterate_circuit(3, 5)]), 8, 27, 7),
         ]
         for p, q, keys, block in cases:
             assert p.key_count == keys
             monkeypatch.setattr(query_sim, "_BLOCK", block)
-            got = average_density(p, eps, q).entries
+            got = density(p, eps, q).entries
             assert np.array_equal(got, reference_average(p, eps, q, block=block))
-            # the sequence form: every bias shares one difference code
-            for bias, rho in zip(BIASES, average_density(p, BIASES, q)):
+            # several biases share one difference code
+            [rhos] = average_density(p, BIASES, q)
+            for bias, rho in zip(BIASES, rhos):
                 assert np.array_equal(rho.entries, reference_average(p, bias, q, block=block))
-
-    def test_float_and_one_element_list_give_equal_bits(self):
-        p = deep_forward_state()
-        one = average_density(p, 0.05, 16)
-        listed = average_density(p, [0.05], 16)
-        assert isinstance(listed, list) and len(listed) == 1
-        assert np.array_equal(one.entries, listed[0].entries)
 
     def test_traced_peak_of_one_average(self):
         p = deep_forward_state()
         moment_table(0.1, 16, 10)  # the shared, cached table is not per call
         tracemalloc.start()
         try:
-            average_density(p, 0.1, 16)
+            average_density(p, [0.1], 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -302,12 +296,12 @@ class TestWeightPath:
 def same_key_states(d, n, count, seed):
     """``count`` purified random interleaved circuits of one (d, n) cell."""
     rng = np.random.default_rng(seed)
-    return [run_purified(random_interleaved_circuit(d, 2, "+" * n, rng)) for _ in range(count)]
+    return [run_purified([random_interleaved_circuit(d, 2, "+" * n, rng)]) for _ in range(count)]
 
 
 def batch_of(states):
-    """One batch of states that share their keys, stacked by hand."""
-    return dataclasses.replace(states[0], vectors=np.stack([s.vectors for s in states]))
+    """One batch of states that share their keys, joined by hand."""
+    return dataclasses.replace(states[0], vectors=np.concatenate([s.vectors for s in states]))
 
 
 class TestBatch:
@@ -315,7 +309,7 @@ class TestBatch:
         # 1,001 keys: two row blocks
         pytest.param(lambda: same_key_states(5, 10, 3, 40), 16, 512, id="deep"),
         # the matched forward circuit shares its 165 keys with random circuits
-        pytest.param(lambda: [run_purified(matched_forward_circuit(4, 8)),
+        pytest.param(lambda: [run_purified([matched_forward_circuit(4, 8)]),
                               *same_key_states(4, 8, 2, 41)], 16, 512, id="matched"),
         # 21 keys in 7-row blocks: three row blocks
         pytest.param(lambda: same_key_states(3, 5, 4, 42), 8, 7, id="block7"),
@@ -330,10 +324,10 @@ class TestBatch:
         # at one OpenBLAS thread, as every unit runs: more threads split a
         # product by its shape, so a taller stack could move the last bits
         with one_blas_thread():
-            for state, rho in zip(states, average_density(batch, 0.05, q)):
-                assert np.array_equal(rho.entries, average_density(state, 0.05, q).entries)
+            for state, [rho] in zip(states, average_density(batch, [0.05], q)):
+                assert np.array_equal(rho.entries, density(state, 0.05, q).entries)
             for state, rhos in zip(states, average_density(batch, BIASES, q)):
-                alone = average_density(state, BIASES, q)
+                [alone] = average_density(state, BIASES, q)
                 assert len(rhos) == len(BIASES)
                 assert all(np.array_equal(a.entries, b.entries) for a, b in zip(rhos, alone))
 
@@ -368,10 +362,10 @@ def assert_members_as_alone(state, circuits):
     """Each member of a batch holds the keys and vectors, bit for bit, of its run alone."""
     assert state.vectors.shape[0] == len(circuits)
     for vectors, circuit in zip(state.vectors, circuits):
-        alone = run_purified(circuit)
+        alone = run_purified([circuit])
         assert state.key_count == alone.key_count
         assert np.array_equal(state.keys, alone.keys)
-        assert vectors.tobytes() == alone.vectors.tobytes()  # signed zeros too
+        assert vectors.tobytes() == alone.vectors[0].tobytes()  # signed zeros too
 
 
 def with_identity_gate(circuit, index):
@@ -396,7 +390,7 @@ class TestBatchedPurification:
         # an identity first gate leaves one live row at the first query, and
         # an identity second gate one row per key at the second
         first, second = with_identity_gate(haar[1], 0), with_identity_gate(haar[1], 2)
-        assert [run_purified(c).key_count for c in (haar[1], first, second)] == [10, 6, 9]
+        assert [run_purified([c]).key_count for c in (haar[1], first, second)] == [10, 6, 9]
         circuits = [haar[0], haar[1], first, second, haar[2]]
         state = run_purified(circuits)
         assert_members_as_alone(state, circuits[:2])
@@ -408,6 +402,21 @@ class TestBatchedPurification:
             profiles = advantage_profile(circuits, [0.0, 0.1], 8, DEFAULT_KEY_CAP)
             alone = [advantage_profile([c], [0.0, 0.1], 8, DEFAULT_KEY_CAP)[0] for c in circuits]
         assert profiles == alone
+
+    def test_interleaved_skeletons_keep_their_order(self):
+        # the nine random twins run as two chunks of their skeleton's group,
+        # after the iterate and before its matched twin, yet every profile
+        # returns to its circuit's input position
+        rng = np.random.default_rng(48)
+        twins = [random_interleaved_circuit(4, 2, "+" * 8, rng) for _ in range(9)]
+        circuits = [twins[0], grover_iterate_circuit(4, 8), twins[1],
+                    matched_forward_circuit(4, 8), *twins[2:]]
+        with one_blas_thread():
+            profiles = advantage_profile(circuits, [0.05, 0.2], 16, DEFAULT_KEY_CAP)
+            alone = [advantage_profile([c], [0.05, 0.2], 16, DEFAULT_KEY_CAP)[0]
+                     for c in circuits]
+        assert profiles == alone
+        assert len({adv[0] for _, adv in profiles}) == len(circuits)
 
     def test_key_cap_exceeded_inside_a_batch_raises(self):
         rng = np.random.default_rng(9)
@@ -427,8 +436,8 @@ class TestBatchedPurification:
 
 def weight_tile_average(p, eps, q):
     """`average_density`'s weight-tile path at one bias, the bias-0 step never taken."""
-    expo, nkeys, dim = p.keys, p.key_count, p.vectors.shape[-1]
-    batch = p.vectors.reshape(-1, nkeys, dim)
+    expo, batch = p.keys, p.vectors
+    nkeys, dim = batch.shape[1:]
     stacked = batch.transpose(0, 2, 1).reshape(-1, nkeys)
     span = int(expo.max() - expo.min())
     block = min(query_sim._BLOCK, nkeys)
@@ -448,16 +457,15 @@ def weight_tile_average(p, eps, q):
 
 class TestBiasZero:
     @pytest.mark.parametrize("states,q,block", TestBatch.CASES + [
-        pytest.param(lambda: [run_purified(grover_iterate_circuit(4, 8))], 16, 512, id="inverse"),
-        pytest.param(lambda: [run_purified(grover_iterate_circuit(3, 5))], 8, 7, id="inverse7"),
+        pytest.param(lambda: [run_purified([grover_iterate_circuit(4, 8)])], 16, 512, id="inverse"),
+        pytest.param(lambda: [run_purified([grover_iterate_circuit(3, 5)])], 8, 7, id="inverse7"),
     ])
     def test_identity_weights_give_the_weight_tile_bits(self, states, q, block, monkeypatch):
         states = states()
         monkeypatch.setattr(query_sim, "_BLOCK", block)
         for p in (states[0], batch_of(states)):
             assert int(p.keys.max() - p.keys.min()) < q
-            got = average_density(p, 0.0, q)
-            got = [r.entries for r in (got if isinstance(got, list) else [got])]
+            got = [rho.entries for [rho] in average_density(p, [0.0], q)]
             want = weight_tile_average(p, 0.0, q)
             assert len(got) == len(want)
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
@@ -466,11 +474,11 @@ class TestBiasZero:
         # q = 2 and three forward queries: keys (3, 0) and (1, 2) differ by a
         # multiple of q in each coordinate, so bias 0 weights them by 1
         c = random_interleaved_circuit(2, 2, "+++", np.random.default_rng(47))
-        p = run_purified(c)
+        p = run_purified([c])
         assert int(p.keys.max() - p.keys.min()) >= 2
         want = brute_force_average(c, 0.0, q=2).entries
-        assert np.abs(average_density(p, 0.0, 2).entries - want).max() < 1e-10
-        diagonal = sum(np.outer(v, v.conj()) for v in p.vectors)
+        assert np.abs(density(p, 0.0, 2).entries - want).max() < 1e-10
+        diagonal = sum(np.outer(v, v.conj()) for v in p.vectors[0])
         assert np.abs(diagonal - want).max() > 1e-6
 
 
@@ -499,23 +507,23 @@ class TestFirstOrderCancellation:
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_no_pair_differs_in_exactly_one_coordinate(self, index):
         _, build, q = self.CASES[index]
-        p = run_purified(build(np.random.default_rng(40 + index)))
+        p = run_purified([build(np.random.default_rng(40 + index))])
         h, _ = pair_terms(p, q)
         assert (h == 1).sum() == 0
 
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_pair_decomposition_reproduces_average(self, index):
         _, build, q = self.CASES[index]
-        p = run_purified(build(np.random.default_rng(40 + index)))
+        p = run_purified([build(np.random.default_rng(40 + index))])
         h, unit = pair_terms(p, q)
-        v = p.vectors
+        v = p.vectors[0]
         terms = [v.T @ np.where(h == k, unit, 0.0) @ v.conj() for k in range(p.d + 1)]
         assert np.abs(terms[1]).max() == 0.0
-        base = average_density(p, 0.0, q).entries
+        base = density(p, 0.0, q).entries
         assert np.abs(terms[0] - base).max() < 1e-12
         for eps in (0.05, 0.3):
             series = sum(eps**k * r for k, r in enumerate(terms))
-            assert np.abs(series - average_density(p, eps, q).entries).max() < 1e-12
+            assert np.abs(series - density(p, eps, q).entries).max() < 1e-12
 
 
 class TestBruteForce:
@@ -554,7 +562,7 @@ class TestBruteForce:
             pattern = "".join(rng.choice(["+", "-"], size=n))
             eps = float(rng.uniform(0, 0.6))
             c = random_circuit(d, aux, pattern, rng)
-            got = average_density(run_purified(c), eps, q)
+            got = density(run_purified([c]), eps, q)
             want = brute_force_average(c, eps, q)
             assert np.abs(got.entries - want.entries).max() < 1e-10
             count += 1
@@ -565,7 +573,7 @@ class TestDistinguishingAdvantage:
         rng = np.random.default_rng(6)
         c = random_circuit(2, 2, "+-", rng)
         [(keys, adv)] = advantage_profile([c], [0.0, 0.3], 8, DEFAULT_KEY_CAP)
-        assert keys == run_purified(c).key_count
+        assert keys == run_purified([c]).key_count
         assert adv[0] == 0.0 and adv[1] > 0.0
 
     def test_forward_only_quadratic_ceiling(self):
@@ -582,7 +590,7 @@ class TestBiasedRotation:
     def test_unbiased_retains_everything(self):
         rng = np.random.default_rng(13)
         c = random_circuit(2, 2, "++", rng)
-        rot = biased_ft_rotate(run_purified(c), 0.0, q=8)
+        rot = biased_ft_rotate(run_purified([c]), 0.0, q=8)
         for amp in rot.retained.values():
             assert amp == pytest.approx(1.0, abs=1e-10)
 
@@ -590,7 +598,7 @@ class TestBiasedRotation:
         rng = np.random.default_rng(14)
         eps, n = 0.2, 3
         c = random_circuit(2, 2, "+" * n, rng)
-        rot = biased_ft_rotate(run_purified(c), eps, q=8)
+        rot = biased_ft_rotate(run_purified([c]), eps, q=8)
         floor = 1 - 4 * n * eps**2
         for e, amp in rot.retained.items():
             assert amp * amp >= floor - 1e-10
@@ -598,24 +606,24 @@ class TestBiasedRotation:
 
     def test_zero_query_unchanged(self):
         c = QueryCircuit(2, 1, ())
-        rot = biased_ft_rotate(run_purified(c), 0.3, q=8)
+        rot = biased_ft_rotate(run_purified([c]), 0.3, q=8)
         assert list(rot.rotated) == [(0, 0)]
         assert rot.retained[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_inverse_and_large_exponents(self):
         rng = np.random.default_rng(15)
         with pytest.raises(ParameterError):
-            biased_ft_rotate(run_purified(random_circuit(2, 1, "+-", rng)), 0.2, q=8)
+            biased_ft_rotate(run_purified([random_circuit(2, 1, "+-", rng)]), 0.2, q=8)
         c = random_circuit(2, 1, "+++", rng)
         with pytest.raises(ParameterError):
-            biased_ft_rotate(run_purified(c), 0.2, q=2)
+            biased_ft_rotate(run_purified([c]), 0.2, q=2)
 
     def test_density_cross_check_runs(self):
         rng = np.random.default_rng(16)
         c = random_circuit(2, 2, "++", rng)
-        p = run_purified(c)
+        p = run_purified([c])
         rot = biased_ft_rotate(p, 0.3, q=8)
-        direct = average_density(p, 0.3, q=8)
+        direct = density(p, 0.3, q=8)
         assert trace_distance(rot.density(), direct) < 1e-9
 
 
@@ -623,12 +631,12 @@ class TestPurificationBasisInvariance:
     def test_unitary_on_labels_leaves_average_unchanged(self):
         rng = np.random.default_rng(17)
         c = random_circuit(2, 2, "+-+", rng)
-        p = run_purified(c)
+        p = run_purified([c])
         keys, gram = moment_gram(p, 0.3, q=5)
         w, u = np.linalg.eigh(gram)
         labels = u * np.sqrt(np.clip(w, 0, None))  # rows are label vectors
         vecs = np.stack([components(p)[k] for k in map(tuple, keys.tolist())])
-        rho_direct = average_density(p, 0.3, q=5).entries
+        rho_direct = density(p, 0.3, q=5).entries
 
         def embed(lab):
             psi = vecs.T @ lab  # dim x K full purification

@@ -11,8 +11,7 @@ Library layout:
 - ``families``: probe pieces and circuit generators (amplification probes, random circuits).
 - ``amplitude``: amplitude estimation and amplification against black-box preparations.
 - ``experiments``: parameter sweeps behind the CLI subcommands, and the advantage profile.
-- ``blas``: pins the loaded OpenBLAS to one thread while a sweep runs, and has it load
-  with one thread when the CLI starts.
+- ``blas``: pins the OpenBLAS that numpy links to one thread while a sweep runs.
 - ``errors``: the package's exception classes.
 - ``config``: experiment configs and their key=value file format.
 - ``cli``: the ``querylab`` command-line harness.

@@ -181,6 +181,11 @@ def _scaling_pair(eps: float, flavor: str) -> float:
     return float(trace_distance(reduced(a, b), reduced(*ref)))
 
 
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs); ys are floored at 1e-300."""
+    return np.polyfit(np.log(xs), np.log(np.maximum(ys, 1e-300)), 1)[0]
+
+
 def purification_scaling_rows(eps_grid=(1e-1, 1e-2, 1e-3), master_seed: int = 0) -> list:
     """Distance-vs-eps slopes of the two worked purification pairs.
 
@@ -198,7 +203,7 @@ def purification_scaling_rows(eps_grid=(1e-1, 1e-2, 1e-3), master_seed: int = 0)
             dists.append(d)
             rows.append(_row(f"pair_{flavor}", (eps,), d, cell_seed(master_seed, i),
                              closed(eps), _within(1e-12)))
-        slope = np.polyfit(np.log(eps_grid), np.log(dists), 1)[0]
+        slope = _loglog_slope(eps_grid, dists)
         rows.append(_row(f"pair_{flavor}_slope", tuple(eps_grid), slope,
                          cell_seed(master_seed, 99), slope_target, _within(0.05)))
     return rows
@@ -217,9 +222,11 @@ def advantage_profile(circuits, eps_list, q: int, cap: int) -> list:
     the bias, so each circuit is purified once (at most ``cap`` keys). The
     circuits are grouped by skeleton, and each group runs `_BATCH` circuits
     at a time through one key array (`run_purified`; members it splits off
-    run again), averaged together at bias 0 and every eps in one
-    `average_density` call; results go back to their input positions.
+    run again), averaged together at each distinct bias of 0 and ``eps_list``
+    in one `average_density` call; results go back to their input positions.
     """
+    biases = list(dict.fromkeys([0.0, *eps_list]))
+    at = [biases.index(eps) for eps in eps_list]
     groups = {}
     for i, circuit in enumerate(circuits):
         groups.setdefault(circuit.skeleton, []).append(i)
@@ -228,8 +235,8 @@ def advantage_profile(circuits, eps_list, q: int, cap: int) -> list:
         while indices:
             batch = run_purified([circuits[i] for i in indices[:_BATCH]], key_cap=cap)
             done, indices = indices[:len(batch.vectors)], indices[len(batch.vectors):]
-            for i, (base, *biased) in zip(done, average_density(batch, [0.0, *eps_list], q)):
-                out[i] = (batch.key_count, [trace_distance(base, r) for r in biased])
+            for i, rhos in zip(done, average_density(batch, biases, q)):
+                out[i] = (batch.key_count, [trace_distance(rhos[0], rhos[j]) for j in at])
     return out
 
 
@@ -286,8 +293,7 @@ def separation_rows(cfg: ExperimentConfig) -> list:
                              4.0 * n * eps**2 + 1e-9, operator.le))
 
     if len(positive) >= 2:
-        slope = np.polyfit(np.log(positive),
-                           np.log([max(best_by_eps[e], 1e-300) for e in positive]), 1)[0]
+        slope = _loglog_slope(positive, [best_by_eps[e] for e in positive])
         rows.append(_row("forward_slope", (q, tuple(positive)), slope,
                          cell_seed(cfg.seed, 20_000)))
 
@@ -299,7 +305,7 @@ def separation_rows(cfg: ExperimentConfig) -> list:
         rows.append(_row("inverse_adv", (_INVERSE_D, q, n_inv, eps), adv,
                          cell_seed(cfg.seed, 30_000)))
     if len(positive) >= 2:
-        slope = np.polyfit(np.log(positive), np.log([max(a, 1e-300) for a in inv_adv]), 1)[0]
+        slope = _loglog_slope(positive, inv_adv)
         rows.append(_row("inverse_slope", (_INVERSE_D, q, n_inv, tuple(positive)), slope,
                          cell_seed(cfg.seed, 30_001)))
 
@@ -401,9 +407,9 @@ def endtoend_rows(cfg: ExperimentConfig) -> tuple:
     # is Theta(1/eps) and the naive baseline's Theta(1/eps^2).
     ae_totals = [estimate_budget(0.05 * e) for e in _SLOPE_GRID]
     nv_totals = [math.ceil(50.0 / e**2) for e in _SLOPE_GRID]
-    x = np.log([1.0 / e for e in _SLOPE_GRID])
-    ae_slope = np.polyfit(x, np.log(ae_totals), 1)[0]
-    nv_slope = np.polyfit(x, np.log(nv_totals), 1)[0]
+    inverse_eps = [1.0 / e for e in _SLOPE_GRID]
+    ae_slope = _loglog_slope(inverse_eps, ae_totals)
+    nv_slope = _loglog_slope(inverse_eps, nv_totals)
     rows.append(_row("estimation_query_slope", _SLOPE_GRID, ae_slope,
                      cell_seed(cfg.seed, 50_000), 1.0, _within(0.1)))
     rows.append(_row("naive_query_slope", _SLOPE_GRID, nv_slope,

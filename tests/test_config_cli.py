@@ -334,6 +334,24 @@ def test_separation_rows_structure_and_bounds():
             "matched_adv", "inverse_ratio"} <= kinds
 
 
+def test_zero_eps_averages_bias_zero_once(monkeypatch):
+    # eps = 0.0 is the bias-0 reference itself, so no average_density call
+    # repeats it
+    cfg = ExperimentConfig("separation", eps=(0.0, 0.05, 0.1), d=(3,), q=(8,),
+                           n=(1, 2), trials=3, seed=0, cap=10**5)
+    calls, real = [], experiments.average_density
+
+    def spy(p, biases, q):
+        calls.append(list(biases))
+        return real(p, biases, q)
+
+    monkeypatch.setattr(experiments, "average_density", spy)
+    rows = experiments.separation_rows(cfg)
+    assert calls and all(len(set(biases)) == len(biases) for biases in calls)
+    zero = [r for r in rows if r.kind == "forward_adv" and r.params[-1] == 0.0]
+    assert len(zero) == 2 and all(r.measured == 0.0 for r in zero)
+
+
 def test_endtoend_rows_structure():
     cfg = ExperimentConfig("endtoend", eps=(0.1,), d=(2000,), q=(257,), trials=6, seed=2)
     rows, records = experiments.endtoend_rows(cfg)
@@ -485,6 +503,35 @@ def test_cli_loads_openblas_at_one_thread_unless_the_variable_is_set(threads, ex
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == expected
+
+
+def test_pin_drives_numpys_openblas_when_another_is_mapped_first():
+    # scipy maps its own OpenBLAS ahead of numpy's; the pin must still drive
+    # the one numpy's products run on, whose getter the numpy core resolves
+    if blas._controls() is None:
+        pytest.skip("no OpenBLAS loaded in this process, so its thread count cannot be read")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the cores this process may use")
+    if int(np.__version__.split(".")[0]) < 2:
+        pytest.skip("numpy 1 has no numpy._core")
+    code = (
+        "import ctypes, scipy.linalg, numpy\n"
+        "from querylab import blas\n"
+        "get, _ = blas._controls()\n"
+        "core = ctypes.CDLL(numpy._core._multiarray_umath.__file__)\n"
+        "name = next(g for g, _ in blas._SYMBOLS if hasattr(core, g))\n"
+        "same = (ctypes.cast(getattr(core, name), ctypes.c_void_p).value\n"
+        "        == ctypes.cast(get, ctypes.c_void_p).value)\n"
+        "counts = [get()]\n"
+        "with blas.one_blas_thread():\n"
+        "    counts.append(get())\n"
+        "counts.append(get())\n"
+        "print(same, *counts)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(2),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "2", "1", "2"]
 
 
 def _csv_bytes_over_blas_threads(tmp_path, name, command) -> set:

@@ -5,10 +5,9 @@ one-OpenBLAS-thread pin around its cells. A pin anywhere else in the package
 would be a unit that runs outside it, and a thread or process pool anywhere
 at all would be a second layer.
 
-``blas.one_thread_at_load`` is not a second layer: it runs no work and pins
-nothing. It only sets the thread count OpenBLAS starts with, before numpy
-loads, so it belongs at the process entry point, ``__main__``, and nowhere
-else; where it runs later it does nothing.
+The load-time default in ``__main__`` (``OPENBLAS_NUM_THREADS=1`` unless
+set) is not a second layer: it runs no work and pins nothing, and
+``test_cli_loads_openblas_at_one_thread_unless_the_variable_is_set`` covers it.
 """
 
 import ast
@@ -17,17 +16,14 @@ import pathlib
 TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted((TESTS.parent / "src" / "querylab").glob("*.py"))
 
-NAMES = ("one_blas_thread", "one_thread_at_load",
-         "ThreadPoolExecutor", "ProcessPoolExecutor", "Thread")
+NAMES = ("one_blas_thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Thread")
 
 # The only references the package may hold: the import that brings the pin
-# into ``experiments``, its use in ``_map_cells``, and the load-time call in
-# ``__main__``. The definitions in ``blas`` are defs, not references. No
-# pool or thread is expected anywhere.
+# into ``experiments`` and its use in ``_map_cells``. The definition in
+# ``blas`` is a def, not a reference. No pool or thread is expected anywhere.
 EXPECTED = {
     "experiments imports one_blas_thread",
     "experiments._map_cells uses one_blas_thread",
-    "__main__ uses one_thread_at_load",
 }
 
 

@@ -102,7 +102,8 @@ class TestRunPurified:
         lambda rng: random_interleaved_circuit(12, 2, "++", rng),
         lambda rng: grover_iterate_circuit(4, 8),
         lambda rng: from_uniform(3, FORWARD, INVERSE, FORWARD),
-    ])
+    ], ids=["random-d5-6fwd", "random-d3-mixed", "random-d12-2fwd", "grover-4-8",
+            "uniform-d3-fwd-inv-fwd"])
     def test_bit_identical_to_dict_loop(self, build):
         c = build(np.random.default_rng(12))
         keys, vecs = reference_purify(c)
@@ -165,7 +166,8 @@ class TestRunPurified:
         # 64 coordinates: the only case that merges through np.unique(axis=0)
         lambda rng: random_circuit(64, 1, "++", rng),
         lambda rng: random_circuit(64, 1, "+-", rng),
-    ])
+    ], ids=["random-d4-5fwd", "random-d3-mixed", "grover-4-8", "random-d64-2fwd",
+            "random-d64-fwd-inv"])
     def test_keys_strictly_increasing(self, build):
         p = run_purified([build(np.random.default_rng(33))]).validate()
         assert [tuple(k) for k in p.keys.tolist()] == sorted({tuple(k) for k in p.keys.tolist()})

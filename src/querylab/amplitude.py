@@ -4,7 +4,8 @@ A preparation oracle X prepares a|good> + sqrt(1-a^2)|bad> from |0> and
 exposes exactly one counted operation, flag_probability(m): one run of X|0>
 followed by m Grover iterates X*S0*Xdag*S_good, measured on the flag. That
 probability is sin^2((2m+1)*asin a), and it is all that estimation and
-amplification read. Each run adds 1 + m forward and m inverse applications
+amplification read; ``_flag_after`` is its one copy, for the probes and the
+likelihood alike. Each run adds 1 + m forward and m inverse applications
 of X to the oracle's counters, the only record of queries; the two
 reflections are fixed gates and are free. Any subclass of PreparationOracle
 that implements the one hook can be driven. The diagonal-oracle probes are
@@ -70,6 +71,11 @@ AMPLIFY_GROWTH = 1.5
 AMPLIFY_DEFAULT_CAP = 10**6
 
 
+def _flag_after(theta, m):
+    """Flag probability after m Grover iterates at flagged angle theta (or an array of angles)."""
+    return np.sin((2 * m + 1) * theta) ** 2
+
+
 class PreparationOracle(ABC):
     """Black-box preparation with query counters.
 
@@ -115,13 +121,11 @@ class PreparationOracle(ABC):
 class PairedPreparation(PreparationOracle):
     """Exact two-level preparation whose flagged part is alpha|0,1> + beta|1,1>.
 
-    Grover iterates of any preparation stay inside the plane spanned by the
-    flagged and unflagged components of X|0>, where they act as a rotation by
-    twice the flagged angle (up to a global sign; Brassard, Hoyer, Mosca and
-    Tapp, quant-ph/0005055). Tracking the plane coordinates makes the flag
-    probability after any number of iterates O(1) regardless of dimension;
-    the flagged unit state is the first plane axis, and its flagged amplitude
-    is ``hypot(|alpha|, |beta|)``.
+    Grover iterates of any preparation rotate X|0> by twice the flagged angle
+    (Brassard, Hoyer, Mosca and Tapp, quant-ph/0005055), so the flag
+    probability after m iterates is ``_flag_after`` at asin of the flagged
+    norm ``hypot(|alpha|, |beta|)``, O(1) at any dimension. A norm that is
+    not finite, or above 1 beyond rounding, is rejected.
 
     The register is (d, 2), the second factor holding the flag. Both probes
     use it: the trace probe with beta = 0, and the pair probe, where the
@@ -132,31 +136,21 @@ class PairedPreparation(PreparationOracle):
     def __init__(self, alpha: complex, beta: complex):
         self.alpha = complex(alpha)
         self.beta = complex(beta)
-        a = math.hypot(abs(self.alpha), abs(self.beta))
-        if a > 1.0 + 1e-12:
-            raise ParameterError(f"flagged amplitude must lie in [0, 1], got {a}")
+        norm = math.hypot(abs(self.alpha), abs(self.beta))
+        if not norm <= 1.0 + 1e-12:
+            raise ParameterError(f"flagged amplitude must lie in [0, 1], got {norm}")
         super().__init__()
-        self._a = min(1.0, a)
-        self._theta = math.asin(self._a)
+        self._norm = norm
+        self._theta = math.asin(min(1.0, norm))
 
     def _flag_probability(self, m):
-        flagged, unflagged = self._a, math.sqrt(max(0.0, 1.0 - self._a**2))
-        if m:
-            out = math.atan2(flagged, unflagged) + 2.0 * m * self._theta
-            flagged = (-1.0 if m % 2 else 1.0) * math.sin(out)
-        return np.float64(flagged) ** 2
+        return _flag_after(self._theta, m)
 
     def first_register_zero(self) -> float:
-        """Probability that the flagged state's first register reads 0.
-
-        It is |alpha|^2 / (|alpha|^2 + |beta|^2), read from the normalized
-        |0,1> amplitude with numpy's complex modulus.
-        """
-        s = math.hypot(abs(self.alpha), abs(self.beta))
-        if s < 1e-300:
+        """Probability |alpha|^2 / (|alpha|^2 + |beta|^2) that the flagged state's first register is 0."""
+        if self._norm < 1e-300:
             raise DegeneracyError("flagged component vanishes; its first register is undefined")
-        zero = float(np.abs(self.alpha / s))
-        return zero * zero
+        return (abs(self.alpha) / self._norm) ** 2
 
 
 def naive_estimate(oracle: PreparationOracle, shots: int, rng) -> float:
@@ -185,8 +179,7 @@ def _estimation_chain(eps: float) -> list:
 
 def _log_terms(m: int, grid: np.ndarray) -> tuple:
     """log p and log(1 - p) on the angle grid, p the flag probability after m iterates."""
-    p = np.sin((2 * m + 1) * grid) ** 2
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    p = np.clip(_flag_after(grid, m), 1e-12, 1.0 - 1e-12)
     return np.log(p), np.log1p(-p)
 
 
@@ -306,12 +299,8 @@ class DistinguishOutcome:
     inverse_queries: int
 
 
-def distinguish_by_estimation(
-    trace: complex,
-    eps: float,
-    rng,
-    method: str = "amplitude",
-) -> DistinguishOutcome:
+def distinguish_by_estimation(trace: complex, eps: float, rng,
+                              method: str = "estimation") -> DistinguishOutcome:
     """Label an oracle 0 (unbiased) or 1 (biased) from its normalized trace ``trace``.
 
     The trace probe (Fourier in, one forward query, Fourier out, flag flip
@@ -319,15 +308,15 @@ def distinguish_by_estimation(
     two-level rotation ``PairedPreparation(trace, 0)`` and reads nothing of
     the oracle but its trace.
     Estimates |ntr| to within 0.05*eps, then decides 0 exactly when the
-    estimate falls below 0.15*eps. method="amplitude" uses the iterate-based
-    estimator (forward and inverse queries, Theta(1/eps) total);
-    method="naive" uses ceil(50/eps^2) plain preparations, forward only.
+    estimate falls below 0.15*eps. The method names are the trials CSV's:
+    "estimation" is the iterate-based estimator (forward and inverse queries,
+    Theta(1/eps) total); "naive" is ceil(50/eps^2) forward-only preparations.
     """
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"bias parameter must lie in (0, 1), got {eps}")
     probe = PairedPreparation(trace, 0.0)
-    if method == "amplitude":
+    if method == "estimation":
         a_hat = amplitude_estimate(probe, 0.05 * eps, rng)
     elif method == "naive":
         a_hat = naive_estimate(probe, math.ceil(50.0 / eps**2), rng)

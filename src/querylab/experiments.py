@@ -182,8 +182,16 @@ def _scaling_pair(eps: float, flavor: str) -> float:
 
 
 def _loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs); ys are floored at 1e-300."""
-    return np.polyfit(np.log(xs), np.log(np.maximum(ys, 1e-300)), 1)[0]
+    """Least-squares slope of log(ys) against log(xs); ys are floored at 1e-300.
+
+    The closed form in Python floats, every sum by ``math.fsum``: its bits
+    follow neither the BLAS kernel nor numpy's SIMD level, as a LAPACK fit's do.
+    """
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(max(y, 1e-300)) for y in ys]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    dx = [x - mx for x in lx]
+    return math.fsum(a * (y - my) for a, y in zip(dx, ly)) / math.fsum(a * a for a in dx)
 
 
 def purification_scaling_rows(eps_grid=(1e-1, 1e-2, 1e-3), master_seed: int = 0) -> list:
@@ -349,8 +357,7 @@ def _distinguisher_trial(method: str, eps: float, d: int, q: int, seed: int):
     if method in ("estimation", "naive"):
         truth = int(rng.integers(0, 2))
         trace = draw_trace(eps if truth else 0.0, d, q, rng)
-        out = distinguish_by_estimation(trace, eps, rng,
-                                        method="amplitude" if method == "estimation" else "naive")
+        out = distinguish_by_estimation(trace, eps, rng, method=method)
     else:
         truth = int(rng.integers(1, 3))
         # the pair probe of a plain draw reads (plain, twisted at -1 turns);

@@ -112,6 +112,24 @@ def test_amplitude_bounds_checked():
         PairedPreparation(1.5, 0.0)
 
 
+@pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                        (complex(0.1, math.nan), 0.0), (0.1, -math.inf)],
+                         ids=["nan_alpha", "nan_beta", "inf_alpha", "nan_imag", "minus_inf_beta"])
+def test_non_finite_traces_rejected(alpha, beta):
+    # a NaN norm fails every comparison, so the bound check must admit only
+    # norms <= 1; otherwise a NaN trace flags with certainty and gets a
+    # confident label. The constructor and both distinguishers refuse it
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError):
+        PairedPreparation(alpha, beta)
+    with pytest.raises(ParameterError):
+        distinguish_by_amplification(alpha, beta, rng)
+    if beta == 0.0:
+        for method in ("estimation", "naive"):
+            with pytest.raises(ParameterError):
+                distinguish_by_estimation(alpha, 0.1, rng, method=method)
+
+
 def test_collapse_needs_flagged_mass():
     # the first register of a vanishing flagged component has no distribution
     with pytest.raises(DegeneracyError):
@@ -471,9 +489,11 @@ def test_naive_distinguisher_forward_only():
 
 
 def test_estimation_method_validated():
+    # the methods carry the trials CSV's names, "estimation" and "naive"
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        distinguish_by_estimation(0.0, 0.1, rng, method="other")
+    for method in ("other", "amplitude"):
+        with pytest.raises(ParameterError):
+            distinguish_by_estimation(0.0, 0.1, rng, method=method)
 
 
 def test_query_scaling_iterate_vs_naive():
@@ -495,6 +515,27 @@ def test_query_scaling_iterate_vs_naive():
     naive_slope = np.polyfit(x, np.log(naive_totals), 1)[0]
     assert 0.9 <= ae_slope <= 1.1
     assert 1.9 <= naive_slope <= 2.1
+
+
+def test_endtoend_query_slopes_are_the_exact_least_squares_slope():
+    # the endtoend query-slope rows fit log totals against log(1/eps); the
+    # closed form in Python floats is within 1 ulp of the slope computed in
+    # exact rationals from the same float logs (np.polyfit is 12 and 3 ulps
+    # off on these points, with bits that follow the BLAS kernel)
+    from fractions import Fraction
+
+    def exact_slope(xs, ys):
+        lx = [Fraction(math.log(x)) for x in xs]
+        ly = [Fraction(math.log(y)) for y in ys]
+        mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+        return float(sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+                     / sum((x - mx) ** 2 for x in lx))
+
+    inverse_eps = [1.0 / e for e in experiments._SLOPE_GRID]
+    for totals in ([estimate_budget(0.05 * e) for e in experiments._SLOPE_GRID],
+                   [math.ceil(50.0 / e**2) for e in experiments._SLOPE_GRID]):
+        exact = exact_slope(inverse_eps, totals)
+        assert abs(experiments._loglog_slope(inverse_eps, totals) - exact) <= math.ulp(exact)
 
 
 def test_amplification_distinguisher_both_labels():

@@ -581,6 +581,78 @@ def test_circuit_run_bytes_independent_of_blas_threads_and_equal_to_separation(t
     assert circuit_adv == {eps: inverse_adv[eps] for eps in circuit_adv}
 
 
+# OpenBLAS kernels and numpy dispatch levels the cross-kernel test compares:
+# the machine's own, Haswell kernels at numpy's AVX2 level, and Prescott
+# kernels at numpy's baseline
+_KERNELS = {
+    "native": {},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell",
+                "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott",
+                 "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+}
+
+# prints the core OpenBLAS picked, so an ignored emulation cannot pass unseen
+_CORE_PROBE = (
+    "import ctypes, numpy, querylab.experiments\n"
+    "lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)\n"
+    "names = ('scipy_openblas_get_corename64_', 'scipy_openblas_get_corename',\n"
+    "         'openblas_get_corename')\n"
+    "get = getattr(lib, next(n for n in names if hasattr(lib, n)))\n"
+    "get.argtypes, get.restype = [], ctypes.c_char_p\n"
+    "print(get().decode())\n"
+)
+
+
+def test_cpu_independent_commands_match_across_kernels(tmp_path):
+    """verify-lemmas, concentration and endtoend write the same bytes on three kernels.
+
+    Each command runs in child processes under the three ``_KERNELS``; their
+    CSVs, the endtoend trials file and their exit codes are compared with
+    each other, not with a guard. Variables are set in the children only.
+    Not covered yet: ``separation``, its deep config and ``circuit-run``,
+    whose advantages follow the BLAS kernel (48 forward rows of the default
+    separation move under Haswell).
+    """
+    if int(np.__version__.split(".")[0]) < 2:
+        pytest.skip("numpy 1 has no numpy._core")
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    blas_build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas_build.get("openblas configuration", ""):
+        pytest.skip("numpy's OpenBLAS is not built with DYNAMIC_ARCH, so its kernel is fixed")
+    if not (__cpu_features__.get("AVX512F") and __cpu_features__.get("AVX2")):
+        pytest.skip("the CPU lacks AVX512F or AVX2, so the native kernel is already an emulated one")
+    conc = tmp_path / "conc.cfg"
+    conc.write_text("[experiment]\nkind = concentration\n\n"
+                    "[grid]\neps = 0.1\nd = 1000\nq = 257\ntrials = 150\n")
+    end = tmp_path / "end.cfg"
+    end.write_text("[experiment]\nkind = endtoend\n\n"
+                   "[grid]\neps = 0.05\nd = 40001\nq = 257\ntrials = 8\n")
+    commands = {"lemmas": ["verify-lemmas"], "conc": ["concentration", "--config", str(conc)],
+                "end": ["endtoend", "--config", str(end)]}
+    outputs, cores = {}, set()
+    for kernel, variables in _KERNELS.items():
+        env = {k: v for k, v in _child_env(None).items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env.update(variables)
+        probe = subprocess.run([sys.executable, "-c", _CORE_PROBE], env=env,
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode != 0:
+            pytest.skip(f"no child starts under the {kernel} kernel: {probe.stderr}")
+        cores.add(probe.stdout)
+        for name, command in commands.items():
+            out = tmp_path / f"{name}_{kernel}.csv"
+            proc = subprocess.run([sys.executable, "-m", "querylab", *command, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            files = [out, out.with_name(f"{out.stem}_trials.csv")] if name == "end" else [out]
+            outputs.setdefault(name, []).append(
+                (proc.returncode, *(f.read_bytes() for f in files)))
+    assert len(cores) == len(_KERNELS), cores
+    for name, runs in outputs.items():
+        assert len(set(runs)) == 1, name
+
+
 def test_separation_units_are_whole_cells_in_draw_order_averaged_in_small_batches(monkeypatch):
     # the separation-deep benchmark grid: 6 forward cells and the inverse block
     cfg = replace(default_config("separation"), eps=(0.02, 0.05, 0.1, 0.2), d=(4, 5),

@@ -426,6 +426,39 @@ class TestBatchedPurification:
         with pytest.raises(ResourceLimitError, match="above the cap 5"):
             run_purified(circuits, key_cap=5)
 
+    def test_batches_and_splits_match_the_brute_force_average(self):
+        # seeded random circuits run in batches of 1-3 same-skeleton members:
+        # every density at every bias equals the enumeration over all q^d
+        # oracles. A member whose first gate is a permutation has one live
+        # row at the first query, so at d >= 2 its batch splits there and
+        # the rest runs again, as advantage_profile runs it
+        rng = np.random.default_rng(35)
+        biases = (0.0, 0.05, 0.3)
+        densities = splits = 0
+        for _ in range(80):
+            q = int(rng.choice([2, 3, 4, 5, 7, 16]))
+            d = int(rng.integers(1, 1 + max(k for k in range(1, 5) if q**k <= 700)))
+            aux = int(rng.integers(1, 3))
+            pattern = "".join(rng.choice(["+", "-"], size=int(rng.integers(1, 5))))
+            batch = [random_circuit(d, aux, pattern, rng) for _ in range(int(rng.integers(1, 4)))]
+            if len(batch) > 1 and rng.random() < 0.5:
+                k = int(rng.integers(0, 2))
+                steps = list(batch[k].steps)
+                steps[0] = FixedGate(np.eye(d * aux)[rng.permutation(d * aux)])
+                batch[k] = QueryCircuit(d, aux, tuple(steps))
+            while batch:
+                state = run_purified(batch)
+                done = state.vectors.shape[0]
+                splits += done < len(batch)
+                for circuit, rhos in zip(batch, average_density(state, biases, q)):
+                    for bias, rho in zip(biases, rhos):
+                        ref = brute_force_average(circuit, bias, q)
+                        assert np.abs(rho.entries - ref.entries).max() < 1e-10
+                        densities += 1
+                batch = batch[done:]
+        assert splits >= 5
+        assert densities >= 300
+
     def test_validate_checks_the_mass_of_each_state(self):
         rng = np.random.default_rng(46)
         state = run_purified([random_interleaved_circuit(3, 2, "++", rng) for _ in range(3)])
